@@ -24,7 +24,7 @@ from .matgrade import (
     OddAssocTSpec,
     ParityExtension,
     build_matrix_model,
-    build_odd_from_G,
+    odd_t_form,
     validate_spec,
     xi_multiset,
 )
@@ -87,10 +87,9 @@ def iso_even_assoc(s1: EvenAssocSpec, s2: EvenAssocSpec) -> Optional[IsoWitness]
 
 
 def _as_t_variant(spec: OddSpec) -> OddAssocTSpec:
-    spec = validate_spec(spec)
     if isinstance(spec, OddAssocGSpec):
-        spec = validate_spec(build_odd_from_G(spec))
-    return spec
+        spec = odd_t_form(spec)
+    return validate_spec(spec)
 
 
 def _even_support_part(group: FinGenAbGroup, pairing: EmbeddedPairing) -> Subgroup:
@@ -138,6 +137,10 @@ def iso_lie_typeI(s1, s2, kind: Optional[str] = None) -> Optional[IsoWitness]:
     even = isinstance(s1, EvenAssocSpec)
     if kind is not None and kind != ("even" if even else "odd"):
         raise ValueError(f"kind {kind!r} does not match the spec types")
+    if not even:
+        # convert once; the superadjoint of the converted spec is the
+        # converted superadjoint
+        s1, s2 = _as_t_variant(s1), _as_t_variant(s2)
     decider = iso_even_assoc if even else iso_odd_assoc
     witness = decider(s1, s2)
     if witness is not None:

@@ -69,11 +69,11 @@ def _beta(obj) -> Bicharacter:
         domain = _group(obj["domain"])
         q = tuple(tuple(Fraction(str(v)) % 1 for v in row)
                   for row in obj["q"])
+        return Bicharacter(domain, q)
     except SpecFormatError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SpecFormatError(f"bad bicharacter {obj!r}") from exc
-    return Bicharacter(domain, q)
 
 
 def beta_to_json(beta: Bicharacter) -> dict:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .abgroup import Coords
 from .bichar import Bicharacter, DualPairDecomposition, RootOfUnity
@@ -153,19 +152,50 @@ class MonomialMatrix:
 # exact sums of roots of unity
 
 
-@cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, low degree first."""
-    if m == 1:
-        return (-1, 1)
-    # divide x^m - 1 by the product of all proper cyclotomic factors
-    num = [0] * (m + 1)
-    num[0] = -1
-    num[m] = 1
-    for d in range(1, m):
+    """Coefficients of the m-th cyclotomic polynomial, low degree first.
+
+    Phi_m is the product of (x^d - 1)^mu(m/d) over the divisors d of m:
+    the factors with mu = 1 are multiplied out, those with mu = -1
+    divided off exactly.
+    """
+    num = [1]
+    den = []
+    for d in range(1, m + 1):
         if m % d == 0:
-            num = _poly_exact_div(num, cyclotomic_polynomial(d))
+            mu = _moebius(m // d)
+            if mu == 1:
+                num = _poly_mul(num, _x_power_minus_one(d))
+            elif mu == -1:
+                den.append(d)
+    for d in den:
+        num = _poly_exact_div(num, _x_power_minus_one(d))
     return tuple(num)
+
+
+def _moebius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _x_power_minus_one(d: int) -> list[int]:
+    return [-1] + [0] * (d - 1) + [1]
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _poly_exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -336,41 +366,78 @@ def _mixed_radix(radii: Sequence[int]):
             yield (c,) + rest
 
 
-def verify_realization(real: StandardRealization) -> None:
-    """Check every defining identity of a realization, exactly.
+# One entry per ordered pair (t, s): (sigma(t, s), label of t + s) when
+# X_t X_s = sigma(t, s) X_{t+s} with sigma a root of unity, else None.
+ProductTable = dict[tuple[Coords, Coords], Optional[tuple[RootOfUnity, Coords]]]
 
-    Raises ValueError on the first failure: X_e must be the identity,
-    products must satisfy X_s X_t = sigma(s,t) X_{st} with sigma a root
-    of unity and sigma(s,t)/sigma(t,s) = beta(s,t), traces must vanish
-    away from the identity, and transposes must match their partners.
+
+def product_table(real: StandardRealization,
+                  push: Optional[Callable[[Coords], Coords]] = None) -> ProductTable:
+    """Multiply X_t X_s once for every ordered pair of the domain.
+
+    The label of t + s is push(t + s), or t + s itself without push.
+    The table keeps roots and labels, not matrices.
     """
     group = real.group
-    beta = real.beta
+    elems = sorted(group.elements())
+    labels = {u: push(u) if push else u for u in elems}
+    table: ProductTable = {}
+    for t in elems:
+        xt = real.matrix(t)
+        for s in elems:
+            ts = group.add(t, s)
+            sigma = (xt * real.matrix(s)).proportionality(real.matrix(ts))
+            if sigma is None or sigma.magnitude != 1:
+                table[t, s] = None
+            else:
+                table[t, s] = (sigma.root, labels[ts])
+    return table
+
+
+def realization_failures(real: StandardRealization, table: ProductTable,
+                         beta: Optional[Bicharacter] = None) -> list[str]:
+    """Every defining identity of a realization that fails, in order.
+
+    X_0 must be the identity; each X_t X_s must be sigma(t,s) X_{t+s}
+    with sigma a root of unity and sigma(t,s)/sigma(s,t) = beta(t,s),
+    that is X_t X_s = beta(t,s) X_s X_t; traces must vanish away from 0
+    and equal the size at 0; transposes must match their partners.
+    beta defaults to the realization's own; the products come from
+    table, filled by product_table.
+    """
+    beta = real.beta if beta is None else beta
+    group = real.group
     elems = sorted(group.elements())
     e = group.zero()
+    failures = []
     if real.matrix(e) != MonomialMatrix.identity(real.size):
-        raise ValueError("X at the identity is not the identity matrix")
-    for s in elems:
-        xs = real.matrix(s)
-        for t in elems:
-            xt = real.matrix(t)
-            prod = xs * xt
-            sigma = prod.proportionality(real.matrix(group.add(s, t)))
-            if sigma is None or sigma.magnitude != 1:
-                raise ValueError(f"X_{s} X_{t} is not a root multiple of X_(s+t)")
-            back = (xt * xs).proportionality(prod)
-            if back is None or back.magnitude != 1:
-                raise ValueError(f"X_{s} X_{t} and X_{t} X_{s} are not proportional")
-            if back.root != beta.value(t, s):
-                raise ValueError(f"commutation factor at ({s}, {t}) is off")
+        failures.append("X at the identity is not the identity matrix")
+    for t in elems:
+        for s in elems:
+            entry, back = table[t, s], table[s, t]
+            if entry is None:
+                failures.append(f"X_{t} X_{s} is not a root multiple of X_(t+s)")
+            elif back is not None and entry[0] * back[0].inverse() != beta.value(t, s):
+                failures.append(f"commutation factor at ({t}, {s}) is off")
     for t in elems:
         tr = real.matrix(t).trace()
         if t == e:
             if not tr.equals_rational(real.size):
-                raise ValueError("trace at the identity is not the dimension")
+                failures.append("trace at the identity is not the dimension")
         elif not tr.is_zero():
-            raise ValueError(f"trace of X_{t} does not vanish")
+            failures.append(f"trace of X_{t} does not vanish")
     for t in elems:
         u, c = real.transpose_partner(t)
         if real.matrix(t).transpose() != real.matrix(u).scale(Scalar.from_root(c)):
-            raise ValueError(f"transpose identity fails at {t}")
+            failures.append(f"transpose identity fails at {t}")
+    return failures
+
+
+def verify_realization(real: StandardRealization) -> None:
+    """Check every defining identity of a realization, exactly.
+
+    Raises ValueError with the first failure of realization_failures.
+    """
+    failures = realization_failures(real, product_table(real))
+    if failures:
+        raise ValueError(failures[0])

@@ -16,7 +16,7 @@ generate); every constructor here emits that form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -33,7 +33,7 @@ from .abgroup import (
     subgroup_and_quotient,
 )
 from .bichar import Bicharacter, RootOfUnity
-from .graddiv import MonomialMatrix, StandardRealization
+from .graddiv import StandardRealization, product_table, realization_failures
 
 
 class ParityExtension:
@@ -188,16 +188,25 @@ def validate_spec(spec: GradingSpec) -> GradingSpec:
         parity_element(out)
         return out
     if isinstance(spec, OddAssocGSpec):
-        g = spec.group
-        out = OddAssocGSpec(g, g.reduce(spec.t0),
-                            tuple(g.reduce(t) for t in spec.tbar_gens),
-                            spec.beta_bar, g.reduce(spec.u),
-                            tuple(g.reduce(x) for x in spec.gamma))
-        if not out.gamma:
-            raise ValueError("the block-degree tuple must be nonempty")
-        build_odd_from_G(out)
-        return out
+        return _validate_odd_g(spec)[0]
     raise TypeError(f"not a grading spec: {type(spec).__name__}")
+
+
+def _validate_odd_g(spec: OddAssocGSpec) -> tuple[OddAssocGSpec, OddAssocTSpec]:
+    """The reduced G-description and its conversion; converting validates."""
+    g = spec.group
+    out = OddAssocGSpec(g, g.reduce(spec.t0),
+                        tuple(g.reduce(t) for t in spec.tbar_gens),
+                        spec.beta_bar, g.reduce(spec.u),
+                        tuple(g.reduce(x) for x in spec.gamma))
+    if not out.gamma:
+        raise ValueError("the block-degree tuple must be nonempty")
+    return out, build_odd_from_G(out)
+
+
+def odd_t_form(spec: OddAssocGSpec) -> OddAssocTSpec:
+    """Validate a G-description and convert it to explicit support, once."""
+    return _validate_odd_g(spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +354,12 @@ def _odd_model(spec: OddAssocTSpec) -> GradedMatrixModel:
 
 
 def build_matrix_model(spec: GradingSpec) -> GradedMatrixModel:
+    if isinstance(spec, OddAssocGSpec):
+        return _odd_model(odd_t_form(spec))
     spec = validate_spec(spec)
     if isinstance(spec, EvenAssocSpec):
         return _even_model(spec)
-    if isinstance(spec, OddAssocTSpec):
-        return _odd_model(spec)
-    return _odd_model(build_odd_from_G(spec))
+    return _odd_model(spec)
 
 
 def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
@@ -380,28 +389,32 @@ class GradingReport:
     support: tuple[Coords, ...]
     supp_even: tuple[Coords, ...]
     supp_odd: tuple[Coords, ...]
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 def verify_grading(model: GradedMatrixModel) -> GradingReport:
-    """Multiply out every compatible basis pair and check degree bookkeeping."""
-    failures = []
+    """Check the realization identities, then every compatible basis pair.
+
+    Each product X_t X_s is formed once, in a table over the pairing's
+    domain; the degree and parity of every basis pair are then checked
+    against the table's entry for its (t, s).
+    """
     dg = model.degree_group
-    dom = model.pairing.beta.domain
+    table = product_table(model.realization, model.pairing.push)
+    failures = realization_failures(model.realization, table, model.pairing.beta)
     by_row: dict[int, list[BasisElement]] = {}
     for b in model.basis:
         by_row.setdefault(b.i, []).append(b)
+    pairs = 0
     for x in model.basis:
         for y in by_row.get(x.j, ()):
-            prod_abs = dom.add(x.t_abs, y.t_abs)
-            mx = model.realization.matrix(x.t_abs)
-            my = model.realization.matrix(y.t_abs)
-            sigma = (mx * my).proportionality(model.realization.matrix(prod_abs))
-            if sigma is None or sigma.magnitude != 1:
+            pairs += 1
+            entry = table[x.t_abs, y.t_abs]
+            if entry is None:
                 failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
                                 "is not a root multiple of the expected basis matrix")
                 continue
-            key = (x.i, y.j, model.pairing.push(prod_abs))
-            target = model.basis[model.index[key]]
+            target = model.basis[model.index[x.i, y.j, entry[1]]]
             want = dg.add(x.degree, y.degree)
             if target.degree != want:
                 failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
@@ -412,7 +425,8 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     support = model.support()
     supp_even = tuple(sorted({b.degree for b in model.basis if b.parity == 0}))
     supp_odd = tuple(sorted({b.degree for b in model.basis if b.parity == 1}))
-    return GradingReport(not failures, failures, support, supp_even, supp_odd)
+    stats = {"pairs_checked": pairs, "distinct_products": len(table)}
+    return GradingReport(not failures, failures, support, supp_even, supp_odd, stats)
 
 
 # ---------------------------------------------------------------------------

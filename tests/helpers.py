@@ -13,6 +13,7 @@ from gradekit.abgroup import (
     subgroup_and_quotient,
 )
 from gradekit.bichar import Bicharacter, RootOfUnity, standard_pair
+from gradekit import matgrade
 from gradekit.superlie import PSpec, ambient_even_spec
 from gradekit.matgrade import (
     EmbeddedPairing,
@@ -22,6 +23,19 @@ from gradekit.matgrade import (
 )
 
 TRIVIAL_BETA = Bicharacter(FinGenAbGroup(0, ()), ())
+
+
+def count_odd_conversions(monkeypatch) -> list:
+    """Record every later call of matgrade.build_odd_from_G."""
+    calls = []
+    original = matgrade.build_odd_from_G
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(matgrade, "build_odd_from_G", counted)
+    return calls
 
 
 def embedded_standard_torus(h, free=0, extra=()):

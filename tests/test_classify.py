@@ -41,6 +41,7 @@ from gradekit.superlie import (
 
 from helpers import (
     TRIVIAL_BETA,
+    count_odd_conversions,
     embedded_standard_torus,
     random_element,
     random_even_spec,
@@ -185,6 +186,13 @@ def test_iso_odd_shift_and_mixed_variants():
     t1 = build_odd_from_G(s1)
     assert iso_odd_assoc(t1, s2) is not None
     assert odd_xi(t1).shift(witness.g) == odd_xi(build_odd_from_G(s2))
+
+
+def test_iso_odd_converts_each_spec_once(monkeypatch):
+    calls = count_odd_conversions(monkeypatch)
+    spec = random_odd_g_spec(random.Random(5))
+    assert iso_odd_assoc(spec, spec) == IsoWitness(spec.group.zero())
+    assert len(calls) == 2
 
 
 def test_iso_odd_distinguishes_gamma_count():

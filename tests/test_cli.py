@@ -196,3 +196,25 @@ def test_stdin_and_determinism(tmp_path, monkeypatch, capsys):
     second = capsys.readouterr().out
     main(["fine", "odd", "1"])
     assert capsys.readouterr().out == second
+
+
+# a non-square exponent matrix, and a pairing domain with a free factor
+BAD_BETAS = [
+    {"domain": {"free": 0, "torsion": [2, 2]}, "q": [["0", "1/2"]]},
+    {"domain": {"free": 1, "torsion": [2, 2]},
+     "q": [["0", "1/2"], ["1/2", "0"]]},
+]
+
+
+@pytest.mark.parametrize("beta", BAD_BETAS)
+def test_bad_bicharacter_exits_2(tmp_path, capsys, beta):
+    doc = spec_to_json(EVEN11)
+    doc["beta"] = beta
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = write_spec(tmp_path, "good.json", EVEN11)
+    for argv in (["verify", "-f", str(bad)], ["ugroup", "-f", str(bad)],
+                 ["iso", "-a", good, "-b", str(bad)],
+                 ["iso", "-a", str(bad), "-b", good]):
+        assert run(argv) == (None, 2)
+        assert capsys.readouterr().err.startswith("gradekit: bad bicharacter")

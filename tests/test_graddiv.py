@@ -10,6 +10,8 @@ from gradekit.graddiv import (
     Scalar,
     StandardRealization,
     cyclotomic_polynomial,
+    product_table,
+    realization_failures,
     verify_realization,
 )
 
@@ -131,6 +133,53 @@ def test_realization_transpose_partner():
 def test_verify_realization(h):
     _, beta = standard_pair(h)
     verify_realization(StandardRealization(beta))
+
+
+def test_product_table():
+    _, beta = standard_pair([2])
+    real = StandardRealization(beta)
+    table = product_table(real, push=lambda u: ("label",) + u)
+    elems = sorted(beta.domain.elements())
+    assert sorted(table) == [(t, s) for t in elems for s in elems]
+    for (t, s), (sigma, label) in table.items():
+        ts = beta.domain.add(t, s)
+        assert label == ("label",) + ts
+        assert real.matrix(t) * real.matrix(s) == \
+            real.matrix(ts).scale(Scalar.from_root(sigma))
+        assert sigma * table[s, t][0].inverse() == beta.value(t, s)
+
+
+class ScaledAt(StandardRealization):
+    """A standard realization with X_at replaced by factor * X_at."""
+
+    def __init__(self, beta, at, factor):
+        super().__init__(beta)
+        self.at, self.factor = at, factor
+
+    def matrix(self, t):
+        out = super().matrix(t)
+        return out.scale(self.factor) if self.group.reduce(t) == self.at else out
+
+
+def test_realization_failures_name_each_broken_identity():
+    _, beta = standard_pair([4])
+    real = StandardRealization(beta)
+    assert realization_failures(real, product_table(real)) == []
+    wrong = realization_failures(real, product_table(real), beta.inverse())
+    assert wrong and all(f.startswith("commutation factor") for f in wrong)
+
+    minus = ScaledAt(beta, (0, 0), Scalar.from_root(RootOfUnity.minus_one()))
+    assert realization_failures(minus, product_table(minus)) == [
+        "X at the identity is not the identity matrix",
+        "trace at the identity is not the dimension",
+    ]
+
+    doubled = ScaledAt(beta, (1, 0), Scalar(F(2), RootOfUnity.one()))
+    failures = realization_failures(doubled, product_table(doubled))
+    assert "X_(1, 0) X_(0, 1) is not a root multiple of X_(t+s)" in failures
+    assert "transpose identity fails at (3, 0)" in failures
+    with pytest.raises(ValueError, match="not a root multiple"):
+        verify_realization(doubled)
 
 
 def test_realization_size():

@@ -10,6 +10,7 @@ import pytest
 
 from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, RootOfUnity, standard_pair
+from gradekit.graddiv import StandardRealization
 from gradekit.matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
@@ -32,6 +33,7 @@ from gradekit.matgrade import (
 
 from helpers import (
     TRIVIAL_BETA,
+    count_odd_conversions,
     embedded_standard_torus,
     oracle_chi_and_a,
     random_even_spec,
@@ -114,6 +116,27 @@ def test_validate_rejects_bad_t0_and_u():
         build_odd_from_G(minimal_odd_spec(u=(3,)))
 
 
+@pytest.mark.parametrize("spec, message", [
+    (minimal_odd_spec(u=(1,)), r"u squared is \(2,\), expected \(0,\)"),
+    (OddAssocGSpec(Z4, (1,), (), TRIVIAL_BETA, (0,), ((0,),)), "t0 must have order 2"),
+    (OddAssocGSpec(Z4, (2,), (), TRIVIAL_BETA, (0,), ()),
+     "the block-degree tuple must be nonempty"),
+])
+def test_invalid_odd_g_messages(spec, message):
+    for use in (validate_spec, build_matrix_model):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            use(spec)
+
+
+def test_odd_g_spec_converted_once_per_build(monkeypatch):
+    calls = count_odd_conversions(monkeypatch)
+    for spec in (minimal_odd_spec(), midsize_odd_spec()):
+        calls.clear()
+        model = build_matrix_model(spec)
+        assert len(calls) == 1
+        assert verify_grading(model).ok
+
+
 def test_validate_rejects_wrong_type():
     with pytest.raises(TypeError):
         validate_spec(object())
@@ -175,19 +198,86 @@ def test_even_model_division_blocks():
     assert is_even_grading(model)
 
 
+def per_pair_failures(model):
+    """Degree and parity findings of a plain loop that multiplies the
+    monomial matrices of every compatible basis pair afresh."""
+    real = model.realization
+    dom = model.pairing.beta.domain
+    dg = model.degree_group
+    failures = []
+    for x in model.basis:
+        for y in model.basis:
+            if y.i != x.j:
+                continue
+            prod_abs = dom.add(x.t_abs, y.t_abs)
+            sigma = (real.matrix(x.t_abs) * real.matrix(y.t_abs)).proportionality(
+                real.matrix(prod_abs))
+            if sigma is None or sigma.magnitude != 1:
+                failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
+                                "is not a root multiple of the expected basis matrix")
+                continue
+            target = model.basis[model.index[x.i, y.j, model.pairing.push(prod_abs)]]
+            want = dg.add(x.degree, y.degree)
+            if target.degree != want:
+                failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                                f"is {target.degree}, expected {want}")
+            if target.parity != (x.parity + y.parity) % 2:
+                failures.append(f"parity of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                                "is not additive")
+    return failures
+
+
+def with_parts(model, **parts):
+    """A copy of the model with some constructor arguments replaced."""
+    args = dict(kind=model.kind, base_group=model.base_group,
+                degree_group=model.degree_group, sizes=model.sizes,
+                basis=model.basis, pairing=model.pairing,
+                realization=model.realization, eps_support=model.eps_support,
+                partner=model.partner, parity_coords=model.parity_coords)
+    args.update(parts)
+    return GradedMatrixModel(**args)
+
+
 def test_verify_catches_tampered_degree():
     group, tgens, beta = embedded_standard_torus((2,))
     zero = group.zero()
     model = build_matrix_model(EvenAssocSpec(group, tgens, beta, (zero,), (zero,)))
     basis = list(model.basis)
     basis[3] = replace(basis[3], degree=group.add(basis[3].degree, (1, 0)))
-    bad = GradedMatrixModel(model.kind, model.base_group, model.degree_group,
-                            model.sizes, tuple(basis), model.pairing,
-                            model.realization, model.eps_support, model.partner,
-                            model.parity_coords)
+    bad = with_parts(model, basis=tuple(basis))
     report = verify_grading(bad)
     assert not report.ok
-    assert report.failures
+    # one finding per bad pair, in loop order: the product table must not
+    # merge pairs that share (t, s)
+    assert report.failures == per_pair_failures(bad)
+
+
+def test_verify_catches_realization_of_another_pairing():
+    # the realization of beta with q transposed, i.e. of beta^-1: every
+    # product is a root multiple with the right label, so only the
+    # commutation check can tell
+    group, tgens, beta = embedded_standard_torus((4,))
+    zero = group.zero()
+    model = build_matrix_model(EvenAssocSpec(group, tgens, beta, (zero,), (zero,)))
+    transposed = Bicharacter(beta.domain, tuple(zip(*beta.q)))
+    assert transposed != beta and transposed.is_nondegenerate()
+    bad = with_parts(model, realization=StandardRealization(transposed))
+    assert per_pair_failures(bad) == []
+    report = verify_grading(bad)
+    assert not report.ok
+    assert all(f.startswith("commutation factor") for f in report.failures)
+    assert verify_grading(model).ok
+
+
+def test_verify_stats_on_fine_grading():
+    group, tgens, beta = embedded_standard_torus((2, 2), free=1)
+    spec = EvenAssocSpec(group, tgens, beta, (group.zero(),), (group.unit(0),))
+    model = build_matrix_model(spec)
+    report = verify_grading(model)
+    assert report.ok
+    order = beta.domain.order()
+    assert report.stats == {"distinct_products": order ** 2,
+                            "pairs_checked": 2 ** 3 * order ** 2}
 
 
 def test_coarsen_even_model():
