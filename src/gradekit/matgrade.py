@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .abgroup import (
     Coords,
@@ -626,28 +626,40 @@ def is_even_grading(model: GradedMatrixModel) -> bool:
 # universal grading groups
 
 
-def universal_group(model: GradedMatrixModel
-                    ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
-    """The group presented by the support with one relation per nonzero product."""
-    supp = model.support()
+def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
+                       pairs: Iterable[tuple[Coords, Coords]]
+                       ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
+    """The abelian group generated by the support with the relation
+    [g] + [h] = [g + h] for every given pair (g, h), and the image of each
+    support element in it.  The pairs are those of nonzero products (or
+    brackets), so g + h must lie in the support too."""
     index = {s: n for n, s in enumerate(supp)}
-    base = model.base_group
     rel_rows = set()
-    by_row: dict[int, list[BasisElement]] = {}
-    for b in model.basis:
-        by_row.setdefault(b.i, []).append(b)
-    for x in model.basis:
-        dx = model.base_degree(x)
-        for y in by_row.get(x.j, ()):
-            dy = model.base_degree(y)
-            row = [0] * len(supp)
-            row[index[dx]] += 1
-            row[index[dy]] += 1
-            row[index[base.add(dx, dy)]] -= 1
-            if any(row):
-                rel_rows.add(tuple(row))
+    for g, h in pairs:
+        target = group.add(g, h)
+        if target not in index:
+            raise ValueError(f"the product of {g} and {h} leaves the support")
+        row = [0] * len(supp)
+        row[index[g]] += 1
+        row[index[h]] += 1
+        row[index[target]] -= 1
+        if any(row):
+            rel_rows.add(tuple(row))
     reduced = hermite_normal_form(sorted(rel_rows))
     quotient, proj = finitely_presented_quotient(len(supp), reduced)
     labels = {s: proj(tuple(int(i == n) for i in range(len(supp))))
               for s, n in index.items()}
     return quotient, labels
+
+
+def universal_group(model: GradedMatrixModel
+                    ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
+    """The group presented by the support with one relation per nonzero product."""
+    by_row: dict[int, list[BasisElement]] = {}
+    for b in model.basis:
+        by_row.setdefault(b.i, []).append(b)
+    pairs = set()
+    for x in model.basis:
+        dx = model.base_degree(x)
+        pairs.update((dx, model.base_degree(y)) for y in by_row.get(x.j, ()))
+    return presented_quotient(model.base_group, model.support(), pairs)

@@ -8,23 +8,20 @@ ambient even model with the fixed standard copy
 
     {(a b; c -a^T) : tr a = 0, b = b^T, c = -c^T}
 
-inside M(n+1,n+1), which is exact rational linear algebra because the
-support of the division algebra must be an elementary 2-group.
+inside M(n+1,n+1).  The support of the division algebra must be an
+elementary 2-group, so every realized basis element is a signed
+permutation block and the P(n) layer is exact sparse integer linear
+algebra, with one bracket routine for closure and universal groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
-from .abgroup import (
-    Coords,
-    FinGenAbGroup,
-    Subgroup,
-    finitely_presented_quotient,
-    hermite_normal_form,
-)
+from .abgroup import Coords, FinGenAbGroup, Subgroup
 from .bichar import Bicharacter
 from .graddiv import Scalar, StandardRealization
 from .matgrade import (
@@ -35,12 +32,12 @@ from .matgrade import (
     OddAssocGSpec,
     OddAssocTSpec,
     build_matrix_model,
+    presented_quotient,
     validate_spec,
     xi_multiset,
 )
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +174,7 @@ def supercommutator(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact rational row reduction
+# exact rational row reduction of dense block matrices
 
 
 def _rref(rows: list[list[Fraction]]):
@@ -203,20 +200,6 @@ def _rref(rows: list[list[Fraction]]):
     return mat[:rank], pivots
 
 
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """A basis of {x : rows . x = 0}."""
-    echelon, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [F0] * ncols
-        vec[f] = F1
-        for row, p in zip(echelon, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
-
-
 def _reduce_vector(echelon, pivots, vec):
     out = list(vec)
     for row, p in zip(echelon, pivots):
@@ -227,39 +210,120 @@ def _reduce_vector(echelon, pivots, vec):
 
 
 # ---------------------------------------------------------------------------
-# realized basis elements as rational matrices
+# sparse integer matrices
+#
+# Over an elementary 2-group every X_t is a signed permutation matrix, so
+# realized basis elements and P(n) components are integer matrices with
+# few nonzero entries.  Entries are kept as {(row, col): value}; a factor
+# of a product is kept grouped by rows, {row: {col: value}}.
+
+Entries = dict[tuple[int, int], int]
+Rows = dict[int, dict[int, int]]
 
 
-def scalar_to_rational(s: Scalar) -> Fraction:
-    if s.root.exponent == 0:
-        return s.magnitude
-    if s.root.exponent == Fraction(1, 2):
-        return -s.magnitude
+def _sign(s: Scalar) -> int:
+    """The scalar as +1 or -1, the only values of a rational realization."""
+    if s.magnitude == 1 and s.root.exponent.denominator <= 2:
+        return -1 if s.root.exponent else 1
     raise ValueError(f"scalar {s} is not rational")
 
 
-def _rational_block(real: StandardRealization, t_abs: Coords):
-    mono = real.matrix(t_abs)
-    d = mono.n
-    rows = [[F0] * d for _ in range(d)]
-    for j in range(d):
-        rows[mono.perm[j]][j] = scalar_to_rational(mono.scalars[j])
-    return rows
+def _basis_entries(model: GradedMatrixModel, index: int) -> Entries:
+    """Nonzero entries of the basis element E_ij (x) X_t (needs rational X_t)."""
+    b = model.basis[index]
+    mono = model.realization.matrix(b.t_abs)
+    row0, col0 = b.i * mono.n, b.j * mono.n
+    return {(row0 + mono.perm[j], col0 + j): _sign(s)
+            for j, s in enumerate(mono.scalars)}
+
+
+def _dense(m: int, n: int, entries: Entries) -> BlockMatrix:
+    rows = [[F0] * (m + n) for _ in range(m + n)]
+    for (r, c), v in entries.items():
+        rows[r][c] = Fraction(v)
+    return BlockMatrix(m, n, tuple(tuple(r) for r in rows))
 
 
 def realized_basis_matrix(model: GradedMatrixModel, index: int) -> BlockMatrix:
     """The basis element as an explicit rational matrix (needs rational X_t)."""
-    b = model.basis[index]
-    d = model.realization.size
-    m, n = model.sizes
-    size = m + n
-    rows = [[F0] * size for _ in range(size)]
-    block = _rational_block(model.realization, b.t_abs)
-    for r in range(d):
-        for c in range(d):
-            if block[r][c]:
-                rows[b.i * d + r][b.j * d + c] = block[r][c]
-    return BlockMatrix(m, n, tuple(tuple(r) for r in rows))
+    return _dense(*model.sizes, _basis_entries(model, index))
+
+
+def _rows(entries: Entries) -> Rows:
+    out: Rows = {}
+    for (r, c), v in entries.items():
+        out.setdefault(r, {})[c] = v
+    return out
+
+
+def _entries(rows: Rows) -> Entries:
+    return {(r, c): v for r, row in rows.items() for c, v in row.items()}
+
+
+def _bracket(x: Rows, zx: int, y: Rows, zy: int) -> Entries:
+    """Nonzero entries of [x,y] = xy - (-1)^{|x||y|} yx for z-homogeneous
+    x and y; z-degree 0 is even, z-degrees -1 and 1 are odd."""
+    out: Entries = {}
+    for left, right, sign in ((x, y, 1), (y, x, 1 if zx and zy else -1)):
+        for r, row in left.items():
+            for k, a in row.items():
+                cols = right.get(k)
+                if cols:
+                    for c, b in cols.items():
+                        out[r, c] = out.get((r, c), 0) + sign * a * b
+    return {key: v for key, v in out.items() if v}
+
+
+def _primitive(vec: dict) -> dict:
+    content = gcd(*vec.values())
+    return {k: v // content for k, v in vec.items()}
+
+
+def _reduce(vec: dict, pivots: dict) -> dict:
+    """The integer vector vec after fraction-free elimination against the
+    echelon rows {leading key: row}; empty iff vec is in their rational
+    span."""
+    while vec:
+        lead = min(vec)
+        row = pivots.get(lead)
+        if row is None:
+            break
+        g = gcd(vec[lead], row[lead])
+        a, b = vec[lead] // g, row[lead] // g
+        vec = {k: v for k in vec.keys() | row.keys()
+               if (v := b * vec.get(k, 0) - a * row.get(k, 0))}
+    return vec
+
+
+def _echelon(vectors) -> dict:
+    pivots: dict = {}
+    for vec in vectors:
+        rest = _reduce(vec, pivots)
+        if rest:
+            pivots[min(rest)] = _primitive(rest)
+    return pivots
+
+
+def _kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
+    """A basis of {x : sum_j x_j columns[j] = 0} as integer vectors.
+
+    Each column is tagged with its own unit vector and reduced against the
+    earlier ones; a column dependent on them leaves its relation in the
+    tags.  That relation only involves the column and earlier independent
+    ones, so up to scale it is the vector that reduced row echelon form
+    assigns to the free column.
+    """
+    tag = 1 + max((k for col in columns for k in col), default=-1)
+    pivots: dict = {}
+    basis = []
+    for j, col in enumerate(columns):
+        rest = _reduce({**col, tag + j: 1}, pivots)
+        lead = min(rest)
+        if lead < tag:
+            pivots[lead] = _primitive(rest)
+        else:
+            basis.append({k - tag: v for k, v in rest.items()})
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -352,43 +416,50 @@ def ambient_even_spec(spec: PSpec) -> EvenAssocSpec:
     return EvenAssocSpec(g, spec.tgens, spec.beta, spec.gamma, gamma1)
 
 
-def _p_constraints(selected, z, half):
-    """Constraint rows cutting P(n) out of the degree component.
+def _p_constraints(entries: Entries, z: int, half: int) -> dict[int, int]:
+    """The constraint functionals cutting P(n) out of one z-block, applied
+    to a matrix given by its entries, keyed by constraint.
 
-    selected holds the rational matrices of the ambient basis elements of
-    one degree and z-block; columns of the output are their coefficients.
+    z = 0 asks d = -a^T and tr a = 0, z = -1 (the b corner) b = b^T, and
+    z = 1 (the c corner) c = -c^T.
     """
-    rows = []
-    if z == 0:
-        for r in range(half):
-            for c in range(half):
-                rows.append([mat.entries[half + r][half + c] + mat.entries[c][r]
-                             for mat in selected])
-        rows.append([sum(mat.entries[i][i] for i in range(half))
-                     for mat in selected])
-    elif z == -1:
-        for r in range(half):
-            for c in range(r + 1, half):
-                rows.append([mat.entries[r][half + c] - mat.entries[c][half + r]
-                             for mat in selected])
-    else:
-        for r in range(half):
-            for c in range(r, half):
-                rows.append([mat.entries[half + r][c] + mat.entries[half + c][r]
-                             for mat in selected])
-    return rows
+    out: dict[int, int] = {}
+
+    def add(key, v):
+        out[key] = out.get(key, 0) + v
+
+    for (r, c), v in entries.items():
+        if z == 0:
+            if r < half:
+                add(c * half + r, v)
+                if r == c:
+                    add(half * half, v)
+            else:
+                add((r - half) * half + c - half, v)
+        elif z == -1:
+            c -= half
+            if r != c:
+                add(min(r, c) * half + max(r, c), v if r < c else -v)
+        else:
+            r -= half
+            add(min(r, c) * half + max(r, c), 2 * v if r == c else v)
+    return {k: v for k, v in out.items() if v}
 
 
 class PGradedModel:
-    """Rational bases for the components P(n) cap A_g of an even model."""
+    """Integer bases for the components P(n) cap A_g of an even model.
+
+    Each component is a list of (rows, z): a primitive integer matrix,
+    grouped by rows, and its degree in the canonical Z-grading.
+    """
 
     def __init__(self, spec: Optional[PSpec], ambient: GradedMatrixModel,
-                 components: dict[Coords, list[tuple[BlockMatrix, int]]]):
+                 components: dict[Coords, list[tuple[Rows, int]]]):
         self.spec = spec
         self.ambient = ambient
         self.n = ambient.sizes[0] - 1
         self.components = components
-        self._echelon: dict[Coords, tuple] = {}
+        self._echelon: dict[Coords, dict] = {}
 
     def dims(self) -> dict[Coords, int]:
         return {g: len(items) for g, items in self.components.items() if items}
@@ -403,17 +474,17 @@ class PGradedModel:
     def total_dim(self) -> int:
         return sum(len(items) for items in self.components.values())
 
-    def contains(self, degree: Coords, mat: BlockMatrix) -> bool:
+    def contains(self, degree: Coords, entries: Entries) -> bool:
+        """Whether the matrix with these entries lies in the component."""
         items = self.components.get(degree)
         if not items:
-            return mat.is_zero()
+            return not entries
         if degree not in self._echelon:
-            self._echelon[degree] = _rref([list(m.flatten()) for m, _ in items])
-        echelon, pivots = self._echelon[degree]
-        return all(x == 0 for x in _reduce_vector(echelon, pivots, mat.flatten()))
+            self._echelon[degree] = _echelon(_entries(x) for x, _ in items)
+        return not _reduce(entries, self._echelon[degree])
 
 
-def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[BlockMatrix, int]]]:
+def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, int]]]:
     """Intersect every component of an even model with the standard P(n).
 
     Components decompose along the canonical Z-grading of P (a/d corners,
@@ -427,20 +498,20 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[BlockMat
     if any(t != 2 for t in model.pairing.beta.domain.torsion):
         raise ValueError("support must be an elementary 2-group")
     half = model.sizes[0]
-    mats = [realized_basis_matrix(model, i) for i in range(len(model.basis))]
     buckets: dict[tuple[Coords, int], list[int]] = {}
     for i, b in enumerate(model.basis):
         buckets.setdefault((b.degree, b.z_degree), []).append(i)
-    components: dict[Coords, list[tuple[BlockMatrix, int]]] = {}
+    components: dict[Coords, list[tuple[Rows, int]]] = {}
     for (degree, z), indices in sorted(buckets.items()):
-        selected = [mats[i] for i in indices]
-        rows = _p_constraints(selected, z, half)
-        for coeffs in _kernel_basis(rows, len(selected)):
-            vec = BlockMatrix.zero(half, half)
-            for x, mat in zip(coeffs, selected):
-                if x:
-                    vec = vec + mat.scale(x)
-            components.setdefault(degree, []).append((vec, z))
+        selected = [_basis_entries(model, i) for i in indices]
+        constraints = [_p_constraints(e, z, half) for e in selected]
+        for coeffs in _kernel(constraints):
+            vec: Entries = {}
+            for j, x in coeffs.items():
+                for key, v in selected[j].items():
+                    vec[key] = vec.get(key, 0) + x * v
+            vec = _primitive({k: v for k, v in vec.items() if v})
+            components.setdefault(degree, []).append((_rows(vec), z))
     return {g: items for g, items in sorted(components.items())}
 
 
@@ -461,11 +532,17 @@ class PReport:
     failures: list[str]
     dims: dict[Coords, int]
     z_dims: dict[int, int]
+    stats: dict[str, int]
 
 
 def verify_P_graded(model: PGradedModel) -> PReport:
-    """Dimension bookkeeping and exact bracket closure for a P model."""
+    """Dimension bookkeeping and exact bracket closure for a P model.
+
+    stats counts the brackets formed (one per unordered pair of basis
+    vectors) and the membership checks among them.
+    """
     failures = []
+    stats = {"brackets_formed": 0, "membership_checks": 0}
     n1 = model.n + 1
     total = model.total_dim()
     if total != 2 * n1 * n1 - 1:
@@ -484,57 +561,32 @@ def verify_P_graded(model: PGradedModel) -> PReport:
             for a, (x, zx) in enumerate(items_g):
                 start = a if g == h else 0
                 for y, zy in items_h[start:]:
-                    prod, back = x * y, y * x
-                    lie = prod + back if zx and zy else prod - back
+                    lie = _bracket(x, zx, y, zy)
+                    stats["brackets_formed"] += 1
                     if zx + zy in (2, -2):
-                        if not lie.is_zero():
+                        if lie:
                             failures.append(f"bracket of z-degrees {zx},{zy} "
                                             "does not vanish")
                         continue
+                    stats["membership_checks"] += 1
                     if not model.contains(target, lie):
                         failures.append(f"bracket of components {g} and {h} "
                                         f"leaves the component at {target}")
-    return PReport(not failures, failures, model.dims(), z_dims)
+    return PReport(not failures, failures, model.dims(), z_dims, stats)
 
 
 def universal_P_group(model: PGradedModel
                       ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
     """Group presented by the support with a relation per nonzero bracket."""
     supp = sorted(g for g, items in model.components.items() if items)
-    index = {s: i for i, s in enumerate(supp)}
-    group = model.ambient.base_group
-    rel_rows = set()
+    pairs = []
     for a, g in enumerate(supp):
         for h in supp[a:]:
-            items_g, items_h = model.components[g], model.components[h]
-            hit = False
-            for x, zx in items_g:
-                for y, zy in items_h:
-                    if zx + zy in (2, -2):
-                        continue
-                    prod, back = x * y, y * x
-                    lie = prod + back if zx and zy else prod - back
-                    if not lie.is_zero():
-                        hit = True
-                        break
-                if hit:
-                    break
-            if not hit:
-                continue
-            target = group.add(g, h)
-            if target not in index:
-                raise ValueError(f"bracket of {g} and {h} leaves the support")
-            row = [0] * len(supp)
-            row[index[g]] += 1
-            row[index[h]] += 1
-            row[index[target]] -= 1
-            if any(row):
-                rel_rows.add(tuple(row))
-    reduced = hermite_normal_form(sorted(rel_rows))
-    quotient, proj = finitely_presented_quotient(len(supp), reduced)
-    labels = {s: proj(tuple(int(i == n) for i in range(len(supp))))
-              for s, n in index.items()}
-    return quotient, labels
+            if any(zx + zy not in (2, -2) and _bracket(x, zx, y, zy)
+                   for x, zx in model.components[g]
+                   for y, zy in model.components[h]):
+                pairs.append((g, h))
+    return presented_quotient(model.ambient.base_group, supp, pairs)
 
 
 def P_restriction_condition(spec: EvenAssocSpec) -> Optional[Coords]:

@@ -377,6 +377,20 @@ def test_p_family_dimensions_and_strict_deficiency():
     _budget(start, 60.0)
 
 
+def test_fine_gradings_of_p7_verify():
+    start = time.perf_counter()
+    descs = enumerate_P_fine(7)
+    assert [d.h for d in descs] == [(), (2,), (2, 2), (2, 2, 2)]
+    for desc in descs:
+        model = build_P_model(desc.spec)
+        report = verify_P_graded(model)
+        assert report.ok, report.failures
+        assert model.total_dim() == 127
+        assert report.z_dims == {-1: 36, 0: 63, 1: 28}
+        assert report.stats["brackets_formed"] == 127 * 128 // 2
+    _budget(start, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # 8. the superadjoint carries components onto the inverse grading
 

@@ -3,6 +3,7 @@ restriction and periplectic models."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,10 +19,16 @@ from gradekit.matgrade import (
     build_odd_from_G,
     validate_spec,
 )
+from gradekit.classify import enumerate_P_fine
 from gradekit.superlie import (
     BlockMatrix,
     PSpec,
     P_restriction_condition,
+    _basis_entries,
+    _bracket,
+    _dense,
+    _entries,
+    _kernel,
     _reduce_vector,
     _rref,
     ambient_even_spec,
@@ -390,3 +397,146 @@ def test_random_p_models_verify():
         report = verify_P_graded(model)
         assert report.ok, report.failures
         assert sum(report.dims.values()) == 2 * (model.n + 1) ** 2 - 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse integer path of P(n)
+
+
+def _fine_p3_models():
+    return [build_P_model(d.spec) for d in enumerate_P_fine(3)]
+
+
+def _dense_view(model, rows):
+    return _dense(model.n + 1, model.n + 1, _entries(rows))
+
+
+def test_basis_entries_match_the_realization_and_reject_irrational_roots():
+    group, tgens, beta = embedded_standard_torus((2,))
+    model = build_matrix_model(
+        EvenAssocSpec(group, tgens, beta, ((0, 0), (1, 1)), ((1, 0),)))
+    for idx, b in enumerate(model.basis):
+        entries = _basis_entries(model, idx)
+        assert set(entries.values()) <= {1, -1}
+        assert len(entries) == model.realization.size
+        dense = realized_basis_matrix(model, idx)
+        assert dense == _dense(*model.sizes, entries)
+        assert all(dense.entries[r][c] == v for (r, c), v in entries.items())
+    group4, tgens4, beta4 = embedded_standard_torus((4,))
+    model4 = build_matrix_model(
+        EvenAssocSpec(group4, tgens4, beta4, ((0, 0),), ((0, 0),)))
+    irrational = [idx for idx in range(len(model4.basis))
+                  if any(s.root.order > 2 for s in
+                         model4.realization.matrix(model4.basis[idx].t_abs).scalars)]
+    assert irrational
+    with pytest.raises(ValueError, match="not rational"):
+        _basis_entries(model4, irrational[0])
+
+
+def test_kernel_is_the_rref_kernel_up_to_scale():
+    rng = random.Random(41)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        nrows = rng.randint(1, 5)
+        dense = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(ncols)]
+                 for _ in range(nrows)]
+        columns = [{r: dense[r][j] for r in range(nrows) if dense[r][j]}
+                   for j in range(ncols)]
+        got = _kernel(columns)
+        echelon, pivots = _rref([[F(x) for x in row] for row in dense])
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(got) == len(free)
+        for vec, f in zip(got, free):
+            assert all(type(v) is int for v in vec.values())
+            expected = [F(0)] * ncols
+            expected[f] = F(1)
+            for row, p in zip(echelon, pivots):
+                expected[p] = -row[f]
+            scale = vec[f]
+            assert [F(vec.get(j, 0), scale) for j in range(ncols)] == expected
+
+
+def test_component_vectors_are_primitive_integer_matrices():
+    models = _fine_p3_models()
+    models += [build_P_model(random_p_spec(random.Random(seed)))
+               for seed in (3, 4)]
+    for model in models:
+        for items in model.components.values():
+            for rows, z in items:
+                values = list(_entries(rows).values())
+                assert values and all(type(v) is int and v for v in values)
+                assert math.gcd(*values) == 1
+                assert z in (-1, 0, 1)
+
+
+def test_bracket_equals_dense_supercommutator_on_fine_p3():
+    for model in _fine_p3_models():
+        vectors = [(rows, z) for items in model.components.values()
+                   for rows, z in items]
+        assert len(vectors) == 31
+        dense = [_dense_view(model, rows) for rows, _ in vectors]
+        for a, (x, zx) in enumerate(vectors):
+            for b in range(a, len(vectors)):
+                y, zy = vectors[b]
+                got = _dense(model.n + 1, model.n + 1, _bracket(x, zx, y, zy))
+                assert got == supercommutator(dense[a], dense[b])
+
+
+def test_verify_P_stats_count_every_unordered_pair():
+    for model in _fine_p3_models():
+        report = verify_P_graded(model)
+        assert report.ok, report.failures
+        assert report.stats["brackets_formed"] == 31 * 32 // 2 == 496
+        minus, plus = report.z_dims[-1], report.z_dims[1]
+        vanishing = minus * (minus + 1) // 2 + plus * (plus + 1) // 2
+        assert report.stats["membership_checks"] == 496 - vanishing == 420
+
+
+def _dense_closure_failures(model):
+    """verify_P_graded's bracket closure, redone on dense rational
+    matrices with supercommutator and row reduction."""
+    failures = []
+    group = model.ambient.base_group
+    dense = {g: [(_dense_view(model, rows), z) for rows, z in items]
+             for g, items in model.components.items()}
+    spans = {g: span_of([m for m, _ in items]) for g, items in dense.items()}
+    degrees = list(dense)
+    for gi, g in enumerate(degrees):
+        for h in degrees[gi:]:
+            target = group.add(g, h)
+            for a, (x, zx) in enumerate(dense[g]):
+                for y, zy in dense[h][a if g == h else 0:]:
+                    lie = supercommutator(x, y)
+                    if zx + zy in (2, -2):
+                        if not lie.is_zero():
+                            failures.append(f"bracket of z-degrees {zx},{zy} "
+                                            "does not vanish")
+                    elif not (in_span(spans[target], lie) if target in spans
+                              else lie.is_zero()):
+                        failures.append(f"bracket of components {g} and {h} "
+                                        f"leaves the component at {target}")
+    return failures
+
+
+PINNED_OUTSIDE_P_FAILURES = (
+    ["bracket of components (-3,) and (3,) leaves the component at (0,)"]
+    + ["bracket of components (-2,) and (0,) leaves the component at (-2,)"] * 2
+    + ["bracket of components (-1,) and (0,) leaves the component at (-1,)"] * 2
+    + ["bracket of components (-1,) and (1,) leaves the component at (0,)"] * 3
+    + ["bracket of components (0,) and (1,) leaves the component at (1,)"] * 2
+    + ["bracket of components (0,) and (2,) leaves the component at (2,)"] * 2)
+
+
+def test_verify_P_rejects_a_component_vector_outside_P():
+    model = build_P_model(PSpec(Z, (), TRIVIAL_BETA, ((0,), (1,), (2,)), (0,)))
+    items = model.components[(0,)]
+    index = next(i for i, (_, z) in enumerate(items) if z == 0)
+    # E_00 has degree 0 and Z-degree 0 in the ambient grading, but it is
+    # not supertraceless, so it is not in P(2)
+    items[index] = ({0: {0: 1}}, 0)
+    report = verify_P_graded(model)
+    assert not report.ok
+    assert report.failures == PINNED_OUTSIDE_P_FAILURES
+    assert report.failures == _dense_closure_failures(model)
+    assert report.dims == {(-3,): 1, (-2,): 2, (-1,): 3, (0,): 3, (1,): 3,
+                           (2,): 3, (3,): 1, (4,): 1}
