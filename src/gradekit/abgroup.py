@@ -375,10 +375,6 @@ def compose_elements(group: FinGenAbGroup, x: Coords, y: Coords) -> Coords:
     return group.add(x, y)
 
 
-def element_order(group: FinGenAbGroup, x: Coords) -> Optional[int]:
-    return group.element_order(x)
-
-
 def solve_square(group: FinGenAbGroup, a: Coords) -> Optional[Coords]:
     """One x with 2x = a, or None.  Deterministic per coordinate."""
     a = group.reduce(a)

@@ -61,13 +61,6 @@ class RootOfUnity:
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity(self.exponent * k)
 
-    def to_json(self) -> list[int]:
-        return [self.exponent.numerator, self.exponent.denominator]
-
-    @classmethod
-    def from_json(cls, obj: Sequence[int]) -> "RootOfUnity":
-        return cls(Fraction(int(obj[0]), int(obj[1])))
-
     def __str__(self) -> str:
         if self.exponent == 0:
             return "1"
@@ -132,6 +125,53 @@ class Bicharacter:
         n = [[int(v * m) for v in row] for row in self.q]
         return m, n
 
+    @cached_property
+    def _rows_by_order(self) -> dict[int, tuple[tuple[Coords, Coords], ...]]:
+        """Domain elements x grouped by order, lexicographic within an
+        order, each with its integer row r = x N mod m, so that
+        beta(x, y) = exp(2 pi i (r . y) / m) for (m, N) = _int_matrix."""
+        m, n = self._int_matrix
+        k = self.domain.rank
+        out: dict[int, list[tuple[Coords, Coords]]] = {}
+        for x in self.domain.elements():
+            row = tuple(sum(x[i] * n[i][j] for i in range(k) if x[i]) % m
+                        for j in range(k))
+            out.setdefault(self.domain.element_order(x), []).append((x, row))
+        return {o: tuple(elems) for o, elems in out.items()}
+
+    @cached_property
+    def _heights(self) -> dict[Coords, tuple[int, ...]]:
+        """Each domain element's p-heights, one per prime p dividing the
+        order: the largest h with x in p^h times the domain, or -1 when
+        the p-part of x is zero.  Group isomorphisms keep them."""
+        moduli = self.domain.torsion
+        primes, rest, p = [], self.domain.order(), 2
+        while rest > 1:
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+
+        def valuation(p: int, c: int) -> int:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            return v
+
+        # the p-part of c in Z/d is zero when the p-part of d divides c;
+        # otherwise its p-height is the valuation of c
+        parts = [(p, [p ** valuation(p, d) for d in moduli]) for p in primes]
+        return {x: tuple(min((valuation(p, c) for c, top in zip(x, tops)
+                              if c % top), default=-1)
+                         for p, tops in parts)
+                for x in self.domain.elements()}
+
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        return self.radical().order() == 1
+
     def radical(self) -> Subgroup:
         """Elements pairing trivially with the whole domain."""
         k = self.domain.rank
@@ -147,7 +187,7 @@ class Bicharacter:
         return Subgroup(self.domain, [z[:k] for z in ker])
 
     def is_nondegenerate(self) -> bool:
-        return self.radical().order() == 1
+        return self._nondegenerate
 
     def orthogonal_complement(self, sub: Subgroup) -> Subgroup:
         """Elements pairing trivially with every element of `sub`."""
@@ -265,6 +305,17 @@ def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
     and phi(s) = t for every pinned pair (s, t).  Requires b1
     nondegenerate: any pairing-preserving homomorphism is then injective,
     so equal orders make it bijective.
+
+    Pairings are compared as integers modulo the lcm of the two exponent
+    denominators.  Pins must agree in order, in p-heights and in their
+    pairings with each other.  Generators in the support of a pin are
+    assigned first, pin by pin, so each pin is checked as soon as its
+    support is assigned; before that, a pin (s, t) already asks that
+    b2(phi e, t) = b1(e, s) for each generator e.  A candidate image must
+    have its generator's order and pair with the images chosen so far as
+    the generators do, and the map it extends to the span of the
+    generators assigned so far must stay injective and keep p-heights,
+    as any isomorphism does.
     """
     g1, g2 = b1.domain, b2.domain
     if g1.order() != g2.order():
@@ -272,50 +323,93 @@ def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
     if not b1.is_nondegenerate():
         raise ValueError("source bicharacter must be nondegenerate")
     pins = [(g1.reduce(s), g2.reduce(t)) for s, t in pins]
+    m1, n1 = b1._int_matrix
+    m2, n2 = b2._int_matrix
+    mod = lcm(m1, m2)
+    f1, f2 = mod // m1, mod // m2
+
+    def pairing(n: list[list[int]], f: int, x: Coords, y: Coords) -> int:
+        """beta(x, y) for beta = n / m, times mod = f * m, reduced."""
+        return sum(a * c * b for a, row in zip(x, n) if a
+                   for c, b in zip(row, y)) * f % mod
+
+    heights1, heights2 = b1._heights, b2._heights
+    if any(g1.element_order(s) != g2.element_order(t)
+           or heights1[s] != heights2[t] for s, t in pins):
+        return None
+    if any(pairing(n1, f1, s, s2) != pairing(n2, f2, t, t2)
+           for a, (s, t) in enumerate(pins) for s2, t2 in pins[:a]):
+        return None
     k = g1.rank
     if k == 0:
-        return () if all(not any(t) for _, t in pins) else None
+        return ()
 
-    elems2 = sorted(g2.elements())
-    by_order: dict[int, list[Coords]] = {}
-    for e in elems2:
-        by_order.setdefault(g2.element_order(e), []).append(e)
-    unit_orders = [g1.element_order(g1.unit(i)) for i in range(k)]
-    # pin (s, t) is checked once the last generator with a nonzero
-    # coefficient in s has been assigned
+    order: list[int] = []
+    for s, _ in pins:
+        order += [i for i in range(k) if s[i] and i not in order]
+    order += [i for i in range(k) if i not in order]
+    depth_of = {gen: depth for depth, gen in enumerate(order)}
+    # pin (s, t) is checked once every generator in its support is assigned
     pin_at: dict[int, list[tuple[Coords, Coords]]] = {}
     for s, t in pins:
-        last = max((i for i in range(k) if s[i]), default=-1)
-        if last < 0:
-            if any(t):
-                return None
-            continue
-        pin_at.setdefault(last, []).append((s, t))
+        if any(s):
+            last = max(depth_of[i] for i in range(k) if s[i])
+            pin_at.setdefault(last, []).append((s, t))
+    # want[d]: the pairings of generator order[d] with the generators
+    # assigned before it; pinned[d]: (t, b1(order[d], s)) per pin (s, t)
+    want = [[pairing(n1, f1, g1.unit(gen), g1.unit(order[j]))
+             for j in range(d)] for d, gen in enumerate(order)]
+    pinned = [[(t, pairing(n1, f1, g1.unit(gen), s)) for s, t in pins]
+              for gen in order]
+    cands = [b2._rows_by_order.get(g1.torsion[gen], ()) for gen in order]
+
+    def add(x: Coords, y: Coords, moduli: tuple[int, ...]) -> Coords:
+        return tuple((a + b) % d for a, b, d in zip(x, y, moduli))
+
+    def grow(known: dict[Coords, Coords], gen: int, cand: Coords
+             ) -> Optional[dict[Coords, Coords]]:
+        """The map `known` extended to one more generator, sent to cand;
+        None unless it stays injective and keeps every p-height."""
+        steps = [(g1.zero(), g2.zero())]
+        for _ in range(g1.torsion[gen] - 1):
+            s, t = steps[-1]
+            steps.append((add(s, g1.unit(gen), g1.torsion),
+                          add(t, cand, g2.torsion)))
+        grown: dict[Coords, Coords] = {}
+        hit: set[Coords] = set()
+        for src, img in known.items():
+            for s, t in steps:
+                s, t = add(src, s, g1.torsion), add(img, t, g2.torsion)
+                if t in hit or heights1[s] != heights2[t]:
+                    return None
+                hit.add(t)
+                grown[s] = t
+        return grown
 
     images: list[Coords] = []
+    # maps[d]: the partial isomorphism on the span of the first d generators
+    maps: list[dict[Coords, Coords]] = [{g1.zero(): g2.zero()}]
 
-    def apply(x: Coords) -> Coords:
-        acc = g2.zero()
-        for c, im in zip(x, images):
-            if c:
-                acc = g2.add(acc, g2.scale(c, im))
-        return acc
-
-    def extend(i: int) -> bool:
-        if i == k:
+    def extend(depth: int) -> bool:
+        if depth == k:
             return True
-        for cand in by_order.get(unit_orders[i], ()):
-            ok = all(b2.value(cand, images[j]).exponent == b1.q[i][j]
-                     for j in range(i))
-            if not ok:
+        partners = list(zip(images, want[depth])) + pinned[depth]
+        for cand, row in cands[depth]:
+            if any((sum(r * y for r, y in zip(row, other)) * f2 - w) % mod
+                   for other, w in partners):
+                continue
+            grown = grow(maps[depth], order[depth], cand)
+            if grown is None or any(grown[s] != t
+                                    for s, t in pin_at.get(depth, ())):
                 continue
             images.append(cand)
-            if all(apply(s) == t for s, t in pin_at.get(i, ())):
-                if extend(i + 1):
-                    return True
+            maps.append(grown)
+            if extend(depth + 1):
+                return True
             images.pop()
+            maps.pop()
         return False
 
     if not extend(0):
         return None
-    return tuple(images)
+    return tuple(images[depth_of[gen]] for gen in range(k))

@@ -285,20 +285,78 @@ def enumerate_even_fine(m: int, n: int) -> list[FineGradingDescriptor]:
     return out
 
 
+def _two_height(x: Coords) -> int:
+    """2-height of a nonzero x in a group of 2-power cyclic factors: the
+    largest k with x in 2^k times the group."""
+    return min((c & -c).bit_length() - 1 for c in x if c)
+
+
+def _close_orbit(orbit: set[Coords], isometries: list[tuple[Coords, ...]],
+                 moduli: tuple[int, ...]) -> None:
+    """Add to `orbit` its images under every composite of `isometries`,
+    each given by the images of the unit generators."""
+    todo = list(orbit)
+    while todo:
+        y = todo.pop()
+        for images in isometries:
+            acc = [0] * len(moduli)
+            for c, image in zip(y, images):
+                if c:
+                    acc = [a + c * b for a, b in zip(acc, image)]
+            z = tuple(a % d for a, d in zip(acc, moduli))
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+
+
 def _involution_orbits(beta: Bicharacter) -> list[Coords]:
-    """Representatives of the pairing-automorphism orbits of order-2
-    elements, smallest representative first."""
-    group = beta.domain
-    zero = group.zero()
-    involutions = sorted(x for x in group.elements()
-                         if x != zero and group.scale(2, x) == zero)
-    reps: list[Coords] = []
+    """Representatives of the isometry orbits of the involutions of
+    (T, beta), each the lexicographically least member of its orbit,
+    smallest representative first.
+
+    Each coordinate of T must have 2-power or odd order.  Every
+    involution lies in the 2-power coordinates T_2, which beta pairs
+    trivially with the rest, and every isometry of T_2 extends by the
+    identity; so orbits are searched in T_2 and embedded back with zeros.
+    Involutions are taken in lexicographic order.  One already reached
+    from a representative by a composite of isometries found so far
+    joins its orbit; otherwise each representative of the same 2-height
+    (an isometry keeps heights) is searched for an isometry onto it, and
+    the first one found joins it and closes the orbit under the
+    isometries found.  An involution no search reaches starts an orbit.
+    """
+    moduli = beta.domain.torsion
+    two = [i for i, d in enumerate(moduli) if d & (d - 1) == 0]
+    if any(d % 2 == 0 for d in moduli if d & (d - 1)):
+        raise ValueError("each coordinate must have 2-power or odd order")
+    beta2 = Bicharacter(FinGenAbGroup(0, tuple(moduli[i] for i in two)),
+                        tuple(tuple(beta.q[i][j] for j in two) for i in two))
+    moduli2 = beta2.domain.torsion
+    involutions = itertools.product(*((0, d // 2) for d in moduli2))
+    next(involutions)  # zero
+    # (representative, the isometries found from it, the members of its
+    # orbit they reach)
+    reps: list[tuple[Coords, list[tuple[Coords, ...]], set[Coords]]] = []
     for x in involutions:
-        if any(beta_isomorphism(beta, beta, [(rep, x)]) is not None
-               for rep in reps):
+        if any(x in orbit for _, _, orbit in reps):
             continue
-        reps.append(x)
-    return reps
+        for rep, found, orbit in reps:
+            if _two_height(rep) != _two_height(x):
+                continue
+            images = beta_isomorphism(beta2, beta2, [(rep, x)])
+            if images is not None:
+                found.append(images)
+                _close_orbit(orbit, found, moduli2)
+                break
+        else:
+            reps.append((x, [], {x}))
+    out = []
+    for rep, _, _ in reps:
+        full = [0] * len(moduli)
+        for i, c in zip(two, rep):
+            full[i] = c
+        out.append(tuple(full))
+    return out
 
 
 def enumerate_odd_fine(n: int) -> list[FineGradingDescriptor]:

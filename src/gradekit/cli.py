@@ -4,8 +4,10 @@ Four subcommands: verify builds a model and checks it, iso runs the
 isomorphism deciders, fine lists fine gradings, ugroup computes the
 universal grading group.  Exit codes: 0 for pass/isomorphic, 1 for a
 domain failure or a negative verdict (told apart by the "verdict"
-field), 2 for unparseable input.  Output is a single JSON document with
-sorted keys, so identical inputs give identical bytes.
+field), 2 for unparseable input, 3 for an internal error (a broken
+invariant inside the library, reported on stderr with no output).
+Output is a single JSON document with sorted keys, so identical inputs
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -318,6 +320,10 @@ def run(argv: Optional[Sequence[str]] = None) -> tuple[Optional[dict], int]:
         return handler(*handler_args)
     except ValueError as exc:
         return {"verdict": "error", "error": str(exc)}, 1
+    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+        print(f"gradekit: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return None, 3
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

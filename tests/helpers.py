@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from gradekit.abgroup import (
     FinGenAbGroup,
@@ -176,3 +177,88 @@ def random_p_candidate_spec(rng):
     gamma0 = tuple(random_element(rng, group) for _ in range(k))
     gamma1 = tuple(random_element(rng, group) for _ in range(k))
     return EvenAssocSpec(group, tgens, beta, gamma0, gamma1)
+
+
+def standard_isometries(h):
+    """(elements, walk) for H x H^ with H = Z/h1 x ... and its standard
+    pairing, computed without gradekit: walk(leaf) calls leaf(images)
+    once for every automorphism keeping the pairing, where images[i] is
+    the index in `elements` of the image of the i-th unit generator.
+
+    It assigns the unit generators in turn, each to every element it
+    can go to: one killed by the generator's order that pairs with the
+    images so far as the generators do.  The pairing is nondegenerate,
+    so every such map is injective, hence an automorphism.
+    """
+    mods = tuple(h) + tuple(h)
+    p, n = len(h), 2 * len(h)
+    elems = list(itertools.product(*(range(d) for d in mods)))
+    index = {x: i for i, x in enumerate(elems)}
+    e = lcm(*h)
+
+    def pair(x, y):
+        return sum((x[i] * y[p + i] - x[p + i] * y[i]) * (e // h[i])
+                   for i in range(p)) % e
+
+    # sets of element indices as bit masks
+    by_value = [[0] * e for _ in elems]
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            by_value[i][pair(x, y)] |= 1 << j
+    killed = {d: sum(1 << j for j, y in enumerate(elems)
+                     if all(d * c % m == 0 for c, m in zip(y, mods)))
+              for d in set(mods)}
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    want = [[pair(units[j], units[i]) for j in range(i)] for i in range(n)]
+
+    def walk(leaf):
+        images = []
+
+        def extend(i):
+            cand = killed[mods[i]]
+            for j, w in enumerate(want[i]):
+                cand &= by_value[images[j]][w]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                images.append(low.bit_length() - 1)
+                if i + 1 == n:
+                    leaf(images)
+                else:
+                    extend(i + 1)
+                images.pop()
+
+        extend(0)
+
+    return elems, walk
+
+
+def brute_involution_orbits(h):
+    """The orbits of the nonzero involutions of H x H^ under its
+    isometries, as (least member, orbit, isometries walked) in order of
+    least member; one walk over every isometry per orbit."""
+    elems, walk = standard_isometries(h)
+    mods = tuple(h) + tuple(h)
+    index = {x: i for i, x in enumerate(elems)}
+    plus = [[index[tuple((a + b) % m for a, b, m in zip(x, y, mods))]
+             for y in elems] for x in elems]
+    placed, out = set(), []
+    for x in elems:
+        if not any(x) or any(2 * c % m for c, m in zip(x, mods)) or x in placed:
+            continue
+        terms = [(i, c) for i, c in enumerate(x) if c]
+        reached, count = set(), [0]
+
+        def leaf(images):
+            acc = 0
+            for i, c in terms:
+                for _ in range(c):
+                    acc = plus[acc][images[i]]
+            reached.add(acc)
+            count[0] += 1
+
+        walk(leaf)
+        orbit = {elems[i] for i in reached}
+        placed |= orbit
+        out.append((x, orbit, count[0]))
+    return out

