@@ -371,10 +371,6 @@ class FinGenAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def compose_elements(group: FinGenAbGroup, x: Coords, y: Coords) -> Coords:
-    return group.add(x, y)
-
-
 def solve_square(group: FinGenAbGroup, a: Coords) -> Optional[Coords]:
     """One x with 2x = a, or None.  Deterministic per coordinate."""
     a = group.reduce(a)

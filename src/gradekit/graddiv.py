@@ -2,150 +2,116 @@
 
 A nondegenerate alternating bicharacter beta on a finite group T is
 realized by monomial matrices X_t of size sqrt|T|, one per t in T, with
-X_s X_t a root-of-unity multiple of X_{st} and X_u X_v = beta(u, v)
-X_v X_u.  Everything is exact: matrix entries are positive rationals
-times roots of unity, and trace identities are checked inside the
-cyclotomic field rather than with floats.
+X_s X_t a root-of-unity multiple of X_{s+t} and X_u X_v = beta(u, v)
+X_v X_u.  Write beta = exp(2 pi i N / m) with (m, N) the integer matrix
+of Bicharacter._int_matrix: every entry of every X_t is then an m-th
+root of unity zeta^e, held as its exponent e, an int modulo m.
+Products, proportionality factors and transposes are integer
+arithmetic; a trace is decided exactly by counting its fixed points per
+residue and reducing that integer polynomial modulo the m-th
+cyclotomic polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .abgroup import Coords
-from .bichar import Bicharacter, DualPairDecomposition, RootOfUnity
+from .bichar import Bicharacter, DualPairDecomposition
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A nonzero scalar: positive rational magnitude times a root of unity."""
-
-    magnitude: Fraction
-    root: RootOfUnity
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", Fraction(self.magnitude))
-        if self.magnitude <= 0:
-            raise ValueError("magnitude must be positive; fold signs into the root")
-
-    @classmethod
-    def one(cls) -> "Scalar":
-        return cls(Fraction(1), RootOfUnity.one())
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "Scalar":
-        value = Fraction(value)
-        if value == 0:
-            raise ValueError("scalars are nonzero")
-        if value < 0:
-            return cls(-value, RootOfUnity.minus_one())
-        return cls(value, RootOfUnity.one())
-
-    @classmethod
-    def from_root(cls, root: RootOfUnity) -> "Scalar":
-        return cls(Fraction(1), root)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.magnitude * other.magnitude, self.root * other.root)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(1 / self.magnitude, self.root.inverse())
-
-    def is_one(self) -> bool:
-        return self.magnitude == 1 and self.root.is_one()
-
-    def to_json(self) -> list[int]:
-        return [self.magnitude.numerator, self.magnitude.denominator,
-                self.root.exponent.numerator, self.root.exponent.denominator]
-
-    @classmethod
-    def from_json(cls, obj: Sequence[int]) -> "Scalar":
-        return cls(Fraction(int(obj[0]), int(obj[1])),
-                   RootOfUnity(Fraction(int(obj[2]), int(obj[3]))))
-
-
-@dataclass(frozen=True)
 class MonomialMatrix:
-    """Invertible matrix with one nonzero entry per row and column.
+    """Invertible matrix with one nonzero entry per row and column, each
+    entry an m-th root of unity.
 
-    Column j holds scalars[j] in row perm[j]: M e_j = scalars[j] e_{perm[j]}.
+    Column j holds zeta^exps[j] in row perm[j], zeta = exp(2 pi i / m):
+    M e_j = zeta^exps[j] e_{perm[j]}.  Exponents are kept in [0, m).
     """
 
-    n: int
-    perm: tuple[int, ...]
-    scalars: tuple[Scalar, ...]
+    __slots__ = ("m", "perm", "exps")
 
-    def __post_init__(self):
-        if len(self.perm) != self.n or len(self.scalars) != self.n:
-            raise ValueError("permutation and scalar lists must have length n")
-        if sorted(self.perm) != list(range(self.n)):
+    def __init__(self, m: int, perm: Sequence[int], exps: Sequence[int]):
+        self.m = m
+        self.perm = tuple(perm)
+        self.exps = tuple(e % m for e in exps)
+        if len(self.exps) != len(self.perm):
+            raise ValueError("permutation and exponent lists must have equal length")
+        if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm is not a permutation")
 
     @classmethod
-    def identity(cls, n: int) -> "MonomialMatrix":
-        return cls(n, tuple(range(n)), (Scalar.one(),) * n)
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        scalars = tuple(self.scalars[other.perm[j]] * other.scalars[j]
-                        for j in range(self.n))
-        return MonomialMatrix(self.n, perm, scalars)
-
-    def scale(self, s: Scalar) -> "MonomialMatrix":
-        return MonomialMatrix(self.n, self.perm, tuple(s * x for x in self.scalars))
-
-    def transpose(self) -> "MonomialMatrix":
-        perm = [0] * self.n
-        scalars = [Scalar.one()] * self.n
-        for j in range(self.n):
-            perm[self.perm[j]] = j
-            scalars[self.perm[j]] = self.scalars[j]
-        return MonomialMatrix(self.n, tuple(perm), tuple(scalars))
-
-    def inverse(self) -> "MonomialMatrix":
-        perm = [0] * self.n
-        scalars = [Scalar.one()] * self.n
-        for j in range(self.n):
-            perm[self.perm[j]] = j
-            scalars[self.perm[j]] = self.scalars[j].inverse()
-        return MonomialMatrix(self.n, tuple(perm), tuple(scalars))
-
-    def entry(self, i: int, j: int) -> Optional[Scalar]:
-        return self.scalars[j] if self.perm[j] == i else None
-
-    def trace(self) -> "CycloSum":
-        acc = CycloSum.zero()
-        for j in range(self.n):
-            if self.perm[j] == j:
-                s = self.scalars[j]
-                acc = acc + CycloSum.term(s.magnitude, s.root)
-        return acc
-
-    def proportionality(self, other: "MonomialMatrix") -> Optional[Scalar]:
-        """The scalar c with self == c * other, if one exists."""
-        if self.n != other.n or self.perm != other.perm:
-            return None
-        if self.n == 0:
-            return Scalar.one()
-        c = self.scalars[0] * other.scalars[0].inverse()
-        for a, b in zip(self.scalars[1:], other.scalars[1:]):
-            if a * b.inverse() != c:
-                return None
-        return c
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "perm": list(self.perm),
-                "scalars": [s.to_json() for s in self.scalars]}
+    def _of(cls, m: int, perm: tuple[int, ...], exps: tuple[int, ...]) -> "MonomialMatrix":
+        """A matrix from a permutation and reduced exponents, unchecked."""
+        out = object.__new__(cls)
+        out.m, out.perm, out.exps = m, perm, exps
+        return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "MonomialMatrix":
-        return cls(int(obj["n"]), tuple(int(p) for p in obj["perm"]),
-                   tuple(Scalar.from_json(s) for s in obj["scalars"]))
+    def identity(cls, n: int, m: int = 1) -> "MonomialMatrix":
+        return cls._of(m, tuple(range(n)), (0,) * n)
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MonomialMatrix) and self.m == other.m
+                and self.perm == other.perm and self.exps == other.exps)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.perm, self.exps))
+
+    def __repr__(self) -> str:
+        return f"MonomialMatrix({self.m}, {self.perm}, {self.exps})"
+
+    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        m, perm, exps = self.m, self.perm, self.exps
+        if other.m != m or len(other.perm) != len(perm):
+            raise ValueError("size or root order mismatch")
+        return MonomialMatrix._of(m, tuple([perm[p] for p in other.perm]),
+                                  tuple([(exps[p] + e) % m
+                                         for p, e in zip(other.perm, other.exps)]))
+
+    def scale(self, e: int) -> "MonomialMatrix":
+        """zeta^e times the matrix."""
+        m = self.m
+        return MonomialMatrix._of(m, self.perm, tuple((x + e) % m for x in self.exps))
+
+    def _inverse_perm(self, negate: bool) -> "MonomialMatrix":
+        perm, exps = [0] * self.n, [0] * self.n
+        for j, (p, e) in enumerate(zip(self.perm, self.exps)):
+            perm[p] = j
+            exps[p] = -e % self.m if negate else e
+        return MonomialMatrix._of(self.m, tuple(perm), tuple(exps))
+
+    def transpose(self) -> "MonomialMatrix":
+        return self._inverse_perm(False)
+
+    def inverse(self) -> "MonomialMatrix":
+        return self._inverse_perm(True)
+
+    def entry(self, i: int, j: int) -> Optional[int]:
+        """The exponent of entry (i, j), or None where the entry is 0."""
+        return self.exps[j] if self.perm[j] == i else None
+
+    def trace_counts(self) -> list[int]:
+        """Fixed points per exponent: the trace is sum_r counts[r] zeta^r."""
+        counts = [0] * self.m
+        for j, (p, e) in enumerate(zip(self.perm, self.exps)):
+            if p == j:
+                counts[e] += 1
+        return counts
+
+    def proportionality(self, other: "MonomialMatrix") -> Optional[int]:
+        """The exponent c with self == zeta^c * other, if there is one."""
+        m = self.m
+        if other.m != m or self.perm != other.perm:
+            return None
+        if not self.perm:
+            return 0
+        diffs = {(a - b) % m for a, b in zip(self.exps, other.exps)}
+        return diffs.pop() if len(diffs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -215,79 +181,22 @@ def _poly_exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return out
 
 
-class CycloSum:
-    """A finite sum of rational multiples of roots of unity, held exactly."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict[Fraction, Fraction]] = None):
-        self.terms: dict[Fraction, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[Fraction(e) % 1] = self.terms.get(Fraction(e) % 1, Fraction(0)) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> "CycloSum":
-        return cls()
-
-    @classmethod
-    def term(cls, coeff: Fraction, root: RootOfUnity) -> "CycloSum":
-        return cls({root.exponent: Fraction(coeff)})
-
-    def __add__(self, other: "CycloSum") -> "CycloSum":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CycloSum(out)
-
-    def __sub__(self, other: "CycloSum") -> "CycloSum":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return CycloSum(out)
-
-    def scale(self, c: Fraction) -> "CycloSum":
-        return CycloSum({e: v * c for e, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        """Exact zero test, by reduction modulo a cyclotomic polynomial."""
-        if not self.terms:
-            return True
-        m = 1
-        for e in self.terms:
-            m = lcm(m, e.denominator)
-        poly = [Fraction(0)] * m
-        for e, c in self.terms.items():
-            poly[int(e * m) % m] += c
-        phi = cyclotomic_polynomial(m)
-        rem = _poly_mod(poly, phi)
-        return not any(rem)
-
-    def equals_rational(self, value: Fraction | int) -> bool:
-        return (self - CycloSum.term(Fraction(value), RootOfUnity.one())).is_zero()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CycloSum) and (self - other).is_zero()
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "CycloSum(0)"
-        bits = [f"{c}*zeta^({e})" for e, c in sorted(self.terms.items())]
-        return "CycloSum(" + " + ".join(bits) + ")"
-
-
-def _poly_mod(poly: list[Fraction], den: Sequence[int]) -> list[Fraction]:
-    rem = list(poly)
-    dn = len(den) - 1
-    lead = den[-1]
+def root_sum_vanishes(counts: Sequence[int]) -> bool:
+    """Whether sum_r counts[r] zeta^r is 0, zeta = exp(2 pi i / m) and
+    m = len(counts).  Exact: the minimal polynomial of zeta is Phi_m,
+    monic with integer coefficients, so the sum vanishes exactly when
+    Phi_m divides sum_r counts[r] x^r."""
+    if not any(counts):
+        return True
+    phi = cyclotomic_polynomial(len(counts))
+    rem = list(counts)
+    dn = len(phi) - 1
     for k in range(len(rem) - 1, dn - 1, -1):
-        if rem[k]:
-            q = rem[k] / lead
-            for i, dc in enumerate(den):
-                rem[k - dn + i] -= q * dc
-    return rem[:dn]
+        q = rem[k]
+        if q:
+            for i, c in enumerate(phi):
+                rem[k - dn + i] -= q * c
+    return not any(rem[:dn])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +209,8 @@ class StandardRealization:
     T is split into dual pairs (a_i, b_i); basis vectors are labeled by
     the subgroup B generated by the b_i, sorted lexicographically.  For
     t = a + b (a in A, b in B), X_t sends e_{b'} to beta(a, b + b')
-    e_{b + b'}.
+    e_{b + b'}.  Entries are exponents modulo m, m from the pairing's
+    _int_matrix; the X_t are built on the first call of matrix.
     """
 
     def __init__(self, beta: Bicharacter,
@@ -308,53 +218,65 @@ class StandardRealization:
         self.beta = beta
         self.group = beta.domain
         self.dec = decomposition or beta.symplectic_decomposition()
-        labels = []
-        for delta in _mixed_radix(self.dec.orders):
-            acc = self.group.zero()
-            for c, g in zip(delta, self.dec.b_gens):
-                if c:
-                    acc = self.group.add(acc, self.group.scale(c, g))
-            labels.append(acc)
-        self.labels: tuple[Coords, ...] = tuple(sorted(labels))
+        self.m = beta._int_matrix[0]
+        self.labels: tuple[Coords, ...] = tuple(sorted(self._span(self.dec.b_gens)))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("dual pair generators are not independent")
         self.size = len(self.labels)
         if self.size * self.size != self.group.order():
             raise ValueError("label count does not square to the group order")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._cache: dict[Coords, MonomialMatrix] = {}
+        # t -> (a, b, X_t), filled by _build
+        self._parts: dict[Coords, tuple[Coords, Coords, MonomialMatrix]] = {}
 
-    def split(self, t: Coords) -> tuple[Coords, Coords]:
-        """t = a + b with a in the A part and b in the B part."""
-        alpha, delta = self.dec.coords_of(t)
-        a = self.group.zero()
-        for c, g in zip(alpha, self.dec.a_gens):
-            if c:
-                a = self.group.add(a, self.group.scale(c, g))
-        b = self.group.sub(self.group.reduce(t), a)
-        return a, b
+    def _span(self, gens: Sequence[Coords]) -> list[Coords]:
+        """sum_i c_i gens[i] for every c below the dual pair orders."""
+        tors = self.group.torsion
+        return [tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) % d
+                      for k, d in enumerate(tors))
+                for coeffs in _mixed_radix(self.dec.orders)]
+
+    def _build(self) -> dict[Coords, tuple[Coords, Coords, MonomialMatrix]]:
+        """Every X_t, from the (alpha, delta) coordinates of t = a + b:
+        entry j of X_t is a N (b + label j) modulo m."""
+        m, n = self.beta._int_matrix
+        tors = self.group.torsion
+        targets = {b: [tuple((x + y) % d for x, y, d in zip(b, lab, tors))
+                       for lab in self.labels] for b in self.labels}
+        perms = {b: tuple(self._index[u] for u in us) for b, us in targets.items()}
+        parts = {}
+        for a in self._span(self.dec.a_gens):
+            row = _row(a, n)
+            for b, us in targets.items():
+                t = tuple((x + y) % d for x, y, d in zip(a, b, tors))
+                exps = tuple(sum(r * u for r, u in zip(row, target)) % m
+                             for target in us)
+                parts[t] = (a, b, MonomialMatrix._of(m, perms[b], exps))
+        if len(parts) != self.size * self.size:
+            raise ValueError("dual pairs do not span the domain")
+        self._parts = parts
+        return parts
 
     def matrix(self, t: Coords) -> MonomialMatrix:
-        t = self.group.reduce(t)
-        got = self._cache.get(t)
-        if got is not None:
-            return got
-        a, b = self.split(t)
-        perm = []
-        scalars = []
-        for lab in self.labels:
-            target = self.group.add(b, lab)
-            perm.append(self._index[target])
-            scalars.append(Scalar.from_root(self.beta.value(a, target)))
-        out = MonomialMatrix(self.size, tuple(perm), tuple(scalars))
-        self._cache[t] = out
-        return out
+        parts = self._parts or self._build()
+        got = parts.get(t)
+        if got is None:
+            got = parts[self.group.reduce(t)]
+        return got[2]
 
-    def transpose_partner(self, t: Coords) -> tuple[Coords, RootOfUnity]:
-        """(u, c) with X_t^T = c * X_u; u flips the B part of t."""
-        a, b = self.split(t)
-        u = self.group.sub(a, b)
-        return u, self.beta.value(a, b)
+    def transpose_partner(self, t: Coords) -> tuple[Coords, int]:
+        """(u, c) with X_t^T = zeta^c X_u; u flips the B part of t."""
+        parts = self._parts or self._build()
+        a, b, _ = parts.get(t) or parts[self.group.reduce(t)]
+        m, n = self.beta._int_matrix
+        c = sum(r * y for r, y in zip(_row(a, n), b)) % m
+        return self.group.sub(a, b), c
+
+
+def _row(x: Coords, n: list[list[int]]) -> list[int]:
+    """The integer row x N: beta(x, y) = zeta^(x N . y) for (m, N) the
+    pairing's _int_matrix and zeta = exp(2 pi i / m)."""
+    return [sum(c * v for c, v in zip(x, col)) for col in zip(*n)]
 
 
 def _mixed_radix(radii: Sequence[int]):
@@ -366,9 +288,9 @@ def _mixed_radix(radii: Sequence[int]):
             yield (c,) + rest
 
 
-# One entry per ordered pair (t, s): (sigma(t, s), label of t + s) when
-# X_t X_s = sigma(t, s) X_{t+s} with sigma a root of unity, else None.
-ProductTable = dict[tuple[Coords, Coords], Optional[tuple[RootOfUnity, Coords]]]
+# One entry per ordered pair (t, s): (sigma, label of t + s) when
+# X_t X_s = zeta^sigma X_{t+s}, zeta = exp(2 pi i / m), else None.
+ProductTable = dict[tuple[Coords, Coords], Optional[tuple[int, Coords]]]
 
 
 def product_table(real: StandardRealization,
@@ -376,21 +298,19 @@ def product_table(real: StandardRealization,
     """Multiply X_t X_s once for every ordered pair of the domain.
 
     The label of t + s is push(t + s), or t + s itself without push.
-    The table keeps roots and labels, not matrices.
+    The table keeps exponents and labels, not matrices.
     """
-    group = real.group
-    elems = sorted(group.elements())
+    tors = real.group.torsion
+    elems = sorted(real.group.elements())
+    mats = {t: real.matrix(t) for t in elems}
     labels = {u: push(u) if push else u for u in elems}
     table: ProductTable = {}
     for t in elems:
-        xt = real.matrix(t)
+        xt = mats[t]
         for s in elems:
-            ts = group.add(t, s)
-            sigma = (xt * real.matrix(s)).proportionality(real.matrix(ts))
-            if sigma is None or sigma.magnitude != 1:
-                table[t, s] = None
-            else:
-                table[t, s] = (sigma.root, labels[ts])
+            ts = tuple([(x + y) % d for x, y, d in zip(t, s, tors)])
+            sigma = (xt * mats[s]).proportionality(mats[ts])
+            table[t, s] = None if sigma is None else (sigma, labels[ts])
     return table
 
 
@@ -402,33 +322,44 @@ def realization_failures(real: StandardRealization, table: ProductTable,
     with sigma a root of unity and sigma(t,s)/sigma(s,t) = beta(t,s),
     that is X_t X_s = beta(t,s) X_s X_t; traces must vanish away from 0
     and equal the size at 0; transposes must match their partners.
-    beta defaults to the realization's own; the products come from
-    table, filled by product_table.
+    beta defaults to the realization's own and must live on the same
+    group; commutation factors are compared as integers modulo the lcm
+    of the two root orders.  The products come from table, filled by
+    product_table.
     """
     beta = real.beta if beta is None else beta
+    if beta.domain != real.group:
+        raise ValueError("the bicharacter lives on a different group")
     group = real.group
+    m = real.m
+    mb, nb = beta._int_matrix
+    unit = lcm(m, mb)
+    fr, fb = unit // m, unit // mb
     elems = sorted(group.elements())
     e = group.zero()
     failures = []
-    if real.matrix(e) != MonomialMatrix.identity(real.size):
+    if real.matrix(e) != MonomialMatrix.identity(real.size, m):
         failures.append("X at the identity is not the identity matrix")
     for t in elems:
+        row = _row(t, nb)
         for s in elems:
             entry, back = table[t, s], table[s, t]
             if entry is None:
                 failures.append(f"X_{t} X_{s} is not a root multiple of X_(t+s)")
-            elif back is not None and entry[0] * back[0].inverse() != beta.value(t, s):
+            elif back is not None and ((entry[0] - back[0]) * fr
+                                       - sum(r * y for r, y in zip(row, s)) * fb) % unit:
                 failures.append(f"commutation factor at ({t}, {s}) is off")
     for t in elems:
-        tr = real.matrix(t).trace()
+        counts = real.matrix(t).trace_counts()
         if t == e:
-            if not tr.equals_rational(real.size):
+            counts[0] -= real.size
+            if not root_sum_vanishes(counts):
                 failures.append("trace at the identity is not the dimension")
-        elif not tr.is_zero():
+        elif not root_sum_vanishes(counts):
             failures.append(f"trace of X_{t} does not vanish")
     for t in elems:
         u, c = real.transpose_partner(t)
-        if real.matrix(t).transpose() != real.matrix(u).scale(Scalar.from_root(c)):
+        if real.matrix(t).transpose() != real.matrix(u).scale(c):
             failures.append(f"transpose identity fails at {t}")
     return failures
 

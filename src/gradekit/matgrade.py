@@ -400,6 +400,8 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     against the table's entry for its (t, s).
     """
     dg = model.degree_group
+    # degree addition: free coordinates plain, torsion ones modulo d
+    mods = (0,) * dg.free_rank + dg.torsion
     table = product_table(model.realization, model.pairing.push)
     failures = realization_failures(model.realization, table, model.pairing.beta)
     by_row: dict[int, list[BasisElement]] = {}
@@ -415,7 +417,8 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
                                 "is not a root multiple of the expected basis matrix")
                 continue
             target = model.basis[model.index[x.i, y.j, entry[1]]]
-            want = dg.add(x.degree, y.degree)
+            want = tuple((a + b) % d if d else a + b
+                         for a, b, d in zip(x.degree, y.degree, mods))
             if target.degree != want:
                 failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
                                 f"is {target.degree}, expected {want}")
@@ -457,11 +460,6 @@ def parity_element(spec: OddAssocTSpec) -> Coords:
     if ext.bit(u0) != 0:
         raise ValueError("parity element has odd parity; spec is corrupted")
     return ext.base_part(u0)
-
-
-def _quotient_by_t0(group: FinGenAbGroup, t0: Coords):
-    _, gbar, theta = subgroup_and_quotient(group, [t0])
-    return gbar, theta
 
 
 def _character_on(sub: Subgroup, vector: tuple[int, ...]):
@@ -506,7 +504,7 @@ def odd_existence_check(group: FinGenAbGroup, t0: Coords,
     t0 = group.reduce(t0)
     if group.element_order(t0) != 2:
         raise ValueError("t0 must have order 2")
-    gbar, theta = _quotient_by_t0(group, t0)
+    _, gbar, theta = subgroup_and_quotient(group, [t0])
     bar_pairing = EmbeddedPairing(gbar, tuple(theta(t) for t in tbar_gens), beta_bar)
     bar_pairing.check()
     t_plus = bar_pairing.sub.preimage_under(theta)
@@ -526,7 +524,7 @@ def _odd_g_workspace(spec: OddAssocGSpec):
     t0 = g.reduce(spec.t0)
     if g.element_order(t0) != 2:
         raise ValueError("t0 must have order 2")
-    gbar, theta = _quotient_by_t0(g, t0)
+    _, gbar, theta = subgroup_and_quotient(g, [t0])
     bar_pairing = EmbeddedPairing(gbar, tuple(theta(t) for t in spec.tbar_gens),
                                   spec.beta_bar)
     bar_pairing.check()
@@ -582,7 +580,7 @@ def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
     ext = ParityExtension(g)
     pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
     t0 = parity_element(spec)
-    gbar, theta = _quotient_by_t0(g, t0)
+    _, gbar, theta = subgroup_and_quotient(g, [t0])
     plus_dom = _bit_subgroup(pairing, ext)
     plus_elems_g = sorted(ext.base_part(pairing.push(x)) for x in plus_dom.elements())
     tbar = Subgroup(gbar, [theta(x) for x in plus_elems_g])

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .abgroup import Coords, FinGenAbGroup, Subgroup
 from .bichar import Bicharacter
-from .graddiv import Scalar, StandardRealization
+from .graddiv import StandardRealization
 from .matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
@@ -221,11 +221,11 @@ Entries = dict[tuple[int, int], int]
 Rows = dict[int, dict[int, int]]
 
 
-def _sign(s: Scalar) -> int:
-    """The scalar as +1 or -1, the only values of a rational realization."""
-    if s.magnitude == 1 and s.root.exponent.denominator <= 2:
-        return -1 if s.root.exponent else 1
-    raise ValueError(f"scalar {s} is not rational")
+def _sign(e: int, m: int) -> int:
+    """zeta_m^e as +1 or -1, the only values of a rational realization."""
+    if 2 * e % m == 0:
+        return -1 if e % m else 1
+    raise ValueError(f"root zeta_{m}^{e} is not rational")
 
 
 def _basis_entries(model: GradedMatrixModel, index: int) -> Entries:
@@ -233,8 +233,8 @@ def _basis_entries(model: GradedMatrixModel, index: int) -> Entries:
     b = model.basis[index]
     mono = model.realization.matrix(b.t_abs)
     row0, col0 = b.i * mono.n, b.j * mono.n
-    return {(row0 + mono.perm[j], col0 + j): _sign(s)
-            for j, s in enumerate(mono.scalars)}
+    return {(row0 + mono.perm[j], col0 + j): _sign(e, mono.m)
+            for j, e in enumerate(mono.exps)}
 
 
 def _dense(m: int, n: int, entries: Entries) -> BlockMatrix:

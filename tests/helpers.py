@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import Optional
 
 from gradekit.abgroup import (
     FinGenAbGroup,
@@ -262,3 +263,211 @@ def brute_involution_orbits(h):
         placed |= orbit
         out.append((x, orbit, count[0]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# a Fraction reference for the standard realization, without graddiv
+
+
+def cyclotomic(m):
+    """Phi_m, low degree first: x^m - 1 divided by Phi_d for every proper
+    divisor d of m, by exact long division."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = cyclotomic(d)
+            out = [0] * (len(num) - len(den) + 1)
+            for k in range(len(out) - 1, -1, -1):
+                q = num[k + len(den) - 1]
+                out[k] = q
+                for i, c in enumerate(den):
+                    num[k + i] -= q * c
+            assert not any(num)
+            num = out
+    return num
+
+
+class CycloSum:
+    """A finite sum of rational multiples of roots of unity, held exactly."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[dict] = None):
+        self.terms: dict[Fraction, Fraction] = {}
+        if terms:
+            for e, c in terms.items():
+                if c:
+                    key = Fraction(e) % 1
+                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
+            self.terms = {e: c for e, c in self.terms.items() if c}
+
+    @classmethod
+    def zero(cls) -> "CycloSum":
+        return cls()
+
+    @classmethod
+    def term(cls, coeff, root: RootOfUnity) -> "CycloSum":
+        return cls({root.exponent: Fraction(coeff)})
+
+    def __add__(self, other: "CycloSum") -> "CycloSum":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return CycloSum(out)
+
+    def __sub__(self, other: "CycloSum") -> "CycloSum":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) - c
+        return CycloSum(out)
+
+    def scale(self, c) -> "CycloSum":
+        return CycloSum({e: v * c for e, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        """Exact zero test, by reduction modulo Phi_m for m the lcm of the
+        denominators of the exponents present."""
+        if not self.terms:
+            return True
+        m = 1
+        for e in self.terms:
+            m = lcm(m, e.denominator)
+        rem = [Fraction(0)] * m
+        for e, c in self.terms.items():
+            rem[int(e * m) % m] += c
+        phi = cyclotomic(m)
+        dn = len(phi) - 1
+        for k in range(len(rem) - 1, dn - 1, -1):
+            if rem[k]:
+                q = rem[k] / phi[-1]
+                for i, dc in enumerate(phi):
+                    rem[k - dn + i] -= q * dc
+        return not any(rem[:dn])
+
+    def equals_rational(self, value) -> bool:
+        return (self - CycloSum.term(Fraction(value), RootOfUnity.one())).is_zero()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CycloSum) and (self - other).is_zero()
+
+
+def random_alternating(rng, h):
+    """A seeded random nondegenerate alternating bicharacter on H x H^."""
+    mods = tuple(h) + tuple(h)
+    group = FinGenAbGroup(0, mods)
+    k = len(mods)
+    while True:
+        q = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i):
+                g = gcd(mods[i], mods[j])
+                q[i][j] = Fraction(rng.randrange(g), g)
+                q[j][i] = -q[i][j] % 1
+        beta = Bicharacter(group, tuple(tuple(row) for row in q))
+        if beta.is_nondegenerate():
+            return beta
+
+
+class ReferenceRealization:
+    """The standard realization of beta as (perm, exponents) pairs, built
+    straight from Bicharacter.value: entry j of X_t is the root
+    exp(2 pi i exps[j]), exps[j] a Fraction in [0, 1).
+
+    A and B are spanned by the dual pairs of beta.symplectic_decomposition;
+    basis vectors are labeled by B sorted, and column j of X_{a+b} holds
+    beta(a, b + label_j) in the row of b + label_j.
+    """
+
+    def __init__(self, beta):
+        self.beta = beta
+        group = self.group = beta.domain
+        dec = beta.symplectic_decomposition()
+
+        def span(gens):
+            out = {group.zero()}
+            for g, o in zip(gens, dec.orders):
+                out = {group.add(x, group.scale(c, g)) for x in out for c in range(o)}
+            return sorted(out)
+
+        labels = span(dec.b_gens)
+        self.size = len(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
+        self.mats, self.split = {}, {}
+        for a in span(dec.a_gens):
+            for b in labels:
+                targets = [group.add(b, lab) for lab in labels]
+                t = group.add(a, b)
+                self.split[t] = (a, b)
+                self.mats[t] = (tuple(index[u] for u in targets),
+                                tuple(beta.value(a, u).exponent for u in targets))
+
+    @staticmethod
+    def transpose(x):
+        p, r = x
+        perm, exps = [0] * len(p), [None] * len(p)
+        for j, (i, c) in enumerate(zip(p, r)):
+            perm[i], exps[i] = j, c
+        return tuple(perm), tuple(exps)
+
+    def elements(self):
+        return sorted(self.group.elements())
+
+    def table(self):
+        """{(t, s): (c, t + s)} with X_t X_s = exp(2 pi i c) X_{t+s}, or
+        None there."""
+        out = {}
+        for t in self.elements():
+            pt, et = self.mats[t]
+            for s in self.elements():
+                ps, es = self.mats[s]
+                ts = self.group.add(t, s)
+                pz, ez = self.mats[ts]
+                ratios = {(et[i] + c - z) % 1 for i, c, z in zip(ps, es, ez)}
+                if tuple(pt[i] for i in ps) != pz or len(ratios) != 1:
+                    out[t, s] = None
+                else:
+                    out[t, s] = (ratios.pop(), ts)
+        return out
+
+    def trace(self, t):
+        acc = CycloSum.zero()
+        for j, (i, c) in enumerate(zip(*self.mats[t])):
+            if i == j:
+                acc = acc + CycloSum.term(1, RootOfUnity(c))
+        return acc
+
+    def transpose_partner(self, t):
+        """(a - b, the exponent of beta(a, b)) for t = a + b."""
+        a, b = self.split[t]
+        return self.group.sub(a, b), self.beta.value(a, b).exponent
+
+    def failures(self, table=None):
+        """The identities that fail, with the texts and in the order of
+        graddiv.realization_failures; table defaults to self.table()."""
+        group, size = self.group, self.size
+        elems = self.elements()
+        e = group.zero()
+        table = self.table() if table is None else table
+        out = []
+        if self.mats[e] != (tuple(range(size)), (Fraction(0),) * size):
+            out.append("X at the identity is not the identity matrix")
+        for t in elems:
+            for s in elems:
+                entry, back = table[t, s], table[s, t]
+                if entry is None:
+                    out.append(f"X_{t} X_{s} is not a root multiple of X_(t+s)")
+                elif back is not None and \
+                        (entry[0] - back[0]) % 1 != self.beta.value(t, s).exponent:
+                    out.append(f"commutation factor at ({t}, {s}) is off")
+        for t in elems:
+            if t == e:
+                if not self.trace(t).equals_rational(size):
+                    out.append("trace at the identity is not the dimension")
+            elif not self.trace(t).is_zero():
+                out.append(f"trace of X_{t} does not vanish")
+        for t in elems:
+            u, c = self.transpose_partner(t)
+            perm, exps = self.mats[u]
+            if self.transpose(self.mats[t]) != (perm, tuple((c + r) % 1 for r in exps)):
+                out.append(f"transpose identity fails at {t}")
+        return out

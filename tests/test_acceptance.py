@@ -25,7 +25,7 @@ from gradekit.classify import (
     iso_lie_typeI,
     iso_odd_assoc,
 )
-from gradekit.graddiv import MonomialMatrix, Scalar, StandardRealization
+from gradekit.graddiv import MonomialMatrix, StandardRealization
 from gradekit.matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
@@ -134,8 +134,8 @@ def test_realization_commutation_and_transpose_identities():
                 for v in elems:
                     lhs = real.matrix(u) * real.matrix(v)
                     rhs = real.matrix(v) * real.matrix(u)
-                    assert lhs.proportionality(rhs) == \
-                        Scalar.from_root(beta.value(u, v))
+                    assert RootOfUnity(Fraction(lhs.proportionality(rhs), real.m)) \
+                        == beta.value(u, v)
     # transpose fixes every degree over an elementary 2-group
     for beta in (TRIVIAL_BETA, b2, b22):
         real = StandardRealization(beta)
@@ -143,7 +143,7 @@ def test_realization_commutation_and_transpose_identities():
             partner, factor = real.transpose_partner(t)
             assert partner == t
             assert real.matrix(t).transpose().proportionality(
-                real.matrix(partner)) == Scalar.from_root(factor)
+                real.matrix(partner)) == factor
     _budget(start, 5.0)
 
 
@@ -393,6 +393,26 @@ def test_fine_gradings_of_p7_verify():
     _budget(start, 10.0)
 
 
+def test_fine_gradings_of_m66_verify():
+    """Every fine grading of M(6,6) that `fine` emits, odd and even, verifies
+    in under a second, with one product per ordered pair of T."""
+    start = time.perf_counter()
+    descs = list(enumerate_odd_fine(6)) + list(enumerate_even_fine(6, 6))
+    orders = []
+    for desc in descs:
+        one = time.perf_counter()
+        model = build_matrix_model(desc.spec)
+        report = verify_grading(model)
+        assert report.ok, report.failures
+        order = model.pairing.beta.domain.order()
+        assert report.stats["distinct_products"] == order ** 2
+        orders.append(order)
+        _budget(one, 1.0)
+    assert orders == [4, 16, 16, 36, 144, 144, 1, 4, 9, 36]
+    assert [len(desc.spec.gamma) for desc in descs[:6]] == [6, 3, 3, 2, 1, 1]
+    _budget(start, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # 8. the superadjoint carries components onto the inverse grading
 
@@ -424,11 +444,10 @@ def _assert_superadjoint_maps_components(spec):
 def _monomial_intertwiner(real1, real2, partner, gens):
     """A monomial Q with Q^-1 X_{p(t)} Q proportional to X'_t on gens."""
     size = real1.size
-    one = Scalar.one()
-    roots = [Scalar.from_root(RootOfUnity(Fraction(k, 4))) for k in range(4)]
     for perm in itertools.permutations(range(size)):
-        for scal in itertools.product(roots, repeat=size - 1):
-            q = MonomialMatrix(size, perm, (one,) + scal)
+        # the four 4th roots, exponents modulo 4
+        for exps in itertools.product(range(4), repeat=size - 1):
+            q = MonomialMatrix(4, perm, (0,) + exps)
             qi = q.inverse()
             if all((qi * real1.matrix(partner[t]) * q).proportionality(
                     real2.matrix(t)) is not None for t in gens):
@@ -459,7 +478,7 @@ def test_superadjoint_carries_components_onto_inverse_data():
         mate, factor = real.transpose_partner(t)
         partner[t] = mate
         assert real.matrix(t).transpose().proportionality(
-            real.matrix(mate)) == Scalar.from_root(factor)
+            real.matrix(mate)) == factor
     assert sorted(partner.values()) == elems
     for t in elems:
         assert partner[partner[t]] == t

@@ -5,15 +5,16 @@ import pytest
 
 from gradekit.bichar import RootOfUnity, standard_pair
 from gradekit.graddiv import (
-    CycloSum,
     MonomialMatrix,
-    Scalar,
     StandardRealization,
     cyclotomic_polynomial,
     product_table,
     realization_failures,
+    root_sum_vanishes,
     verify_realization,
 )
+
+from helpers import CycloSum, ReferenceRealization, cyclotomic, random_alternating
 
 F = Fraction
 
@@ -22,24 +23,24 @@ def root(num, den):
     return RootOfUnity(F(num, den))
 
 
-def test_scalar():
-    s = Scalar.from_rational(F(-3, 2))
-    assert s.magnitude == F(3, 2) and s.root == RootOfUnity.minus_one()
-    assert (s * s).root.is_one() and (s * s).magnitude == F(9, 4)
-    assert s.inverse() * s == Scalar.one()
-    assert Scalar.from_json(s.to_json()) == s
+def test_exponents_are_residues():
+    a = MonomialMatrix(12, (1, 0), (-3, 14))
+    assert a.exps == (9, 2) and a.n == 2
+    assert a.scale(3).scale(9) == a
+    assert a.inverse() * a == MonomialMatrix.identity(2, 12)
+    assert a.scale(6) * a.scale(6) == a * a
     with pytest.raises(ValueError):
-        Scalar(F(-1), RootOfUnity.one())
+        MonomialMatrix(4, (0, 0), (0, 0))
     with pytest.raises(ValueError):
-        Scalar.from_rational(0)
+        MonomialMatrix(4, (0, 1), (0,))
+    with pytest.raises(ValueError):
+        MonomialMatrix(4, (0,), (0,)) * MonomialMatrix(2, (0,), (0,))
 
 
-def random_monomial(rng, n):
+def random_monomial(rng, n, m=12):
     perm = list(range(n))
     rng.shuffle(perm)
-    scalars = tuple(Scalar(F(rng.randint(1, 5)), root(rng.randrange(12), 12))
-                    for _ in range(n))
-    return MonomialMatrix(n, tuple(perm), scalars)
+    return MonomialMatrix(m, perm, [rng.randrange(m) for _ in range(n)])
 
 
 def test_monomial_algebra():
@@ -50,33 +51,40 @@ def test_monomial_algebra():
         b = random_monomial(rng, n)
         c = random_monomial(rng, n)
         assert (a * b) * c == a * (b * c)
-        assert a * MonomialMatrix.identity(n) == a
-        assert a * a.inverse() == MonomialMatrix.identity(n)
+        assert a * MonomialMatrix.identity(n, 12) == a
+        assert a * a.inverse() == MonomialMatrix.identity(n, 12)
         assert a.transpose().transpose() == a
         assert (a * b).transpose() == b.transpose() * a.transpose()
         assert (a * b).inverse() == b.inverse() * a.inverse()
-        assert MonomialMatrix.from_json(a.to_json()) == a
 
 
 def test_monomial_entry_and_trace():
-    m = MonomialMatrix(2, (1, 0), (Scalar.from_rational(2), Scalar.from_rational(-3)))
-    assert m.entry(1, 0) == Scalar.from_rational(2)
+    m = MonomialMatrix(2, (1, 0), (0, 1))
+    assert m.entry(1, 0) == 0 and m.entry(0, 1) == 1
     assert m.entry(0, 0) is None
-    assert m.trace().is_zero()
-    d = MonomialMatrix(2, (0, 1), (Scalar.from_rational(1), Scalar.from_rational(-1)))
-    assert d.trace().is_zero()
-    i2 = MonomialMatrix.identity(2)
-    assert i2.trace().equals_rational(2)
+    assert m.trace_counts() == [0, 0]
+    assert root_sum_vanishes(m.trace_counts())
+    d = MonomialMatrix(2, (0, 1), (0, 1))
+    assert d.trace_counts() == [1, 1]
+    assert root_sum_vanishes(d.trace_counts())
+    i2 = MonomialMatrix.identity(2, 2)
+    counts = i2.trace_counts()
+    assert counts == [2, 0] and not root_sum_vanishes(counts)
+    counts[0] -= 2
+    assert root_sum_vanishes(counts)
 
 
 def test_proportionality():
     rng = random.Random(9)
     a = random_monomial(rng, 4)
-    c = Scalar(F(2), root(1, 3))
-    assert a.scale(c).proportionality(a) == c
+    assert a.scale(4).proportionality(a) == 4
+    assert a.proportionality(a) == 0
     b = random_monomial(rng, 4)
     if b.perm != a.perm:
         assert a.proportionality(b) is None
+    skew = MonomialMatrix(12, a.perm, a.exps[:-1] + (a.exps[-1] + 1,))
+    assert skew.proportionality(a) is None
+    assert MonomialMatrix(6, a.perm, a.exps).proportionality(a) is None
 
 
 def test_cyclotomic_polynomials():
@@ -86,20 +94,23 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    for m in range(1, 31):
+        assert list(cyclotomic_polynomial(m)) == cyclotomic(m)
 
 
-def test_cyclosum_zero_sums():
+def test_root_sum_zero_sums():
     for m in (2, 3, 4, 5, 6, 8, 12):
-        acc = CycloSum.zero()
-        for k in range(m):
-            acc = acc + CycloSum.term(F(1), root(k, m))
-        assert acc.is_zero(), f"full character sum over Z/{m}"
-    assert not (CycloSum.term(F(1), root(0, 1)) + CycloSum.term(F(1), root(1, 3))).is_zero()
-    assert not CycloSum.term(F(1), root(1, 4)).is_zero()
+        assert root_sum_vanishes([1] * m), f"full character sum over Z/{m}"
+    # 1 + zeta_3, zeta_4
+    assert not root_sum_vanishes([1, 1, 0])
+    assert not root_sum_vanishes([0, 1, 0, 0])
 
 
-def test_cyclosum_cross_denominator():
-    # zeta_6 == -zeta_3^2
+def test_root_sum_cross_denominator():
+    # zeta_6 == -zeta_3^2 == -zeta_6^4, so zeta_6 + zeta_6^4 vanishes
+    assert root_sum_vanishes([0, 1, 0, 0, 1, 0])
+    assert not root_sum_vanishes([0, 1, 0, 0, 0, 0])
+    # the same sums as the moved CycloSum writes them
     lhs = CycloSum.term(F(1), root(1, 6))
     rhs = CycloSum.term(F(1), root(2, 3)).scale(F(-1))
     assert lhs == rhs
@@ -107,26 +118,43 @@ def test_cyclosum_cross_denominator():
     assert lhs.equals_rational(0) is False
 
 
+def test_root_sum_agrees_with_cyclosum():
+    rng = random.Random(17)
+    for m in range(1, 13):
+        for _ in range(40):
+            counts = [rng.randint(-2, 2) for _ in range(m)]
+            if rng.random() < 0.5:
+                # add a multiple of a vanishing full sum over a divisor
+                d = rng.choice([d for d in range(1, m + 1) if m % d == 0 and d > 1]
+                               or [m])
+                k = rng.randrange(m)
+                for j in range(d):
+                    counts[(k + j * (m // d)) % m] += 1
+            ref = CycloSum.zero()
+            for r, c in enumerate(counts):
+                ref = ref + CycloSum.term(F(c), root(r, m))
+            assert root_sum_vanishes(counts) == ref.is_zero(), (m, counts)
+
+
 def test_realization_z2_matrices():
     _, beta = standard_pair([2])
     real = StandardRealization(beta)
-    assert real.size == 2
-    one = Scalar.one()
-    neg = Scalar.from_root(RootOfUnity.minus_one())
+    assert real.size == 2 and real.m == 2
     # the pair is a = (0,1), b = (1,0); labels are (0,0), (1,0)
-    assert real.matrix((0, 1)) == MonomialMatrix(2, (0, 1), (one, neg))
-    assert real.matrix((1, 0)) == MonomialMatrix(2, (1, 0), (one, one))
-    assert real.matrix((1, 1)) == MonomialMatrix(2, (1, 0), (neg, one))
-    assert real.matrix((0, 0)) == MonomialMatrix.identity(2)
+    assert real.matrix((0, 1)) == MonomialMatrix(2, (0, 1), (0, 1))
+    assert real.matrix((1, 0)) == MonomialMatrix(2, (1, 0), (0, 0))
+    assert real.matrix((1, 1)) == MonomialMatrix(2, (1, 0), (1, 0))
+    assert real.matrix((0, 0)) == MonomialMatrix.identity(2, 2)
+    assert real.matrix((2, 3)) == real.matrix((0, 1))
 
 
 def test_realization_transpose_partner():
     _, beta = standard_pair([2])
     real = StandardRealization(beta)
     u, c = real.transpose_partner((1, 1))
-    assert u == (1, 1) and c == RootOfUnity.minus_one()
+    assert u == (1, 1) and c == 1
     u, c = real.transpose_partner((0, 1))
-    assert u == (0, 1) and c.is_one()
+    assert u == (0, 1) and c == 0
 
 
 @pytest.mark.parametrize("h", [[2], [3], [4], [2, 2]])
@@ -144,21 +172,26 @@ def test_product_table():
     for (t, s), (sigma, label) in table.items():
         ts = beta.domain.add(t, s)
         assert label == ("label",) + ts
-        assert real.matrix(t) * real.matrix(s) == \
-            real.matrix(ts).scale(Scalar.from_root(sigma))
-        assert sigma * table[s, t][0].inverse() == beta.value(t, s)
+        assert real.matrix(t) * real.matrix(s) == real.matrix(ts).scale(sigma)
+        assert root(sigma - table[s, t][0], real.m) == beta.value(t, s)
 
 
-class ScaledAt(StandardRealization):
-    """A standard realization with X_at replaced by factor * X_at."""
+class Altered(StandardRealization):
+    """A standard realization with X_at changed by alter."""
 
-    def __init__(self, beta, at, factor):
+    def __init__(self, beta, at, alter):
         super().__init__(beta)
-        self.at, self.factor = at, factor
+        self.at, self.alter = at, alter
 
     def matrix(self, t):
         out = super().matrix(t)
-        return out.scale(self.factor) if self.group.reduce(t) == self.at else out
+        return self.alter(out) if self.group.reduce(t) == self.at else out
+
+
+def bump(j):
+    """Multiply entry j (by column) by zeta."""
+    return lambda x: MonomialMatrix(x.m, x.perm,
+                                    x.exps[:j] + (x.exps[j] + 1,) + x.exps[j + 1:])
 
 
 def test_realization_failures_name_each_broken_identity():
@@ -168,18 +201,18 @@ def test_realization_failures_name_each_broken_identity():
     wrong = realization_failures(real, product_table(real), beta.inverse())
     assert wrong and all(f.startswith("commutation factor") for f in wrong)
 
-    minus = ScaledAt(beta, (0, 0), Scalar.from_root(RootOfUnity.minus_one()))
+    minus = Altered(beta, (0, 0), lambda x: x.scale(x.m // 2))
     assert realization_failures(minus, product_table(minus)) == [
         "X at the identity is not the identity matrix",
         "trace at the identity is not the dimension",
     ]
 
-    doubled = ScaledAt(beta, (1, 0), Scalar(F(2), RootOfUnity.one()))
-    failures = realization_failures(doubled, product_table(doubled))
+    bumped = Altered(beta, (1, 0), bump(0))
+    failures = realization_failures(bumped, product_table(bumped))
     assert "X_(1, 0) X_(0, 1) is not a root multiple of X_(t+s)" in failures
     assert "transpose identity fails at (3, 0)" in failures
     with pytest.raises(ValueError, match="not a root multiple"):
-        verify_realization(doubled)
+        verify_realization(bumped)
 
 
 def test_realization_size():
@@ -187,3 +220,51 @@ def test_realization_size():
     real = StandardRealization(beta)
     assert real.size == 8
     assert len({real.matrix(t) for t in beta.domain.elements()}) == beta.domain.order()
+
+
+SHAPES = [(2,), (3,), (4,), (2, 2), (6,), (2, 4), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("h", SHAPES)
+def test_integer_core_matches_the_fraction_reference(h):
+    rng = random.Random(SHAPES.index(h))
+    beta = random_alternating(rng, h)
+    real = StandardRealization(beta)
+    ref = ReferenceRealization(beta)
+    m = real.m
+    assert m == beta._int_matrix[0]
+    elems = ref.elements()
+    for t in elems:
+        x = real.matrix(t)
+        assert (x.perm, tuple(F(e, m) for e in x.exps)) == ref.mats[t]
+    table = product_table(real)
+    want = ref.table()
+    for (t, s), entry in want.items():
+        got = table[t, s]
+        assert got is not None and entry is not None
+        assert (F(got[0], m), got[1]) == entry
+    for t in elems:
+        u, c = real.transpose_partner(t)
+        assert (u, F(c, m)) == ref.transpose_partner(t)
+        counts = real.matrix(t).trace_counts()
+        if t == beta.domain.zero():
+            counts[0] -= real.size
+            assert root_sum_vanishes(counts) == ref.trace(t).equals_rational(real.size)
+        else:
+            assert root_sum_vanishes(counts) == ref.trace(t).is_zero()
+    assert realization_failures(real, table) == ref.failures(want) == []
+
+
+@pytest.mark.parametrize("h", SHAPES)
+def test_altered_exponent_gives_the_reference_failures(h):
+    rng = random.Random(100 + SHAPES.index(h))
+    beta = random_alternating(rng, h)
+    ref = ReferenceRealization(beta)
+    at = rng.choice(ref.elements())
+    j = rng.randrange(ref.size)
+    real = Altered(beta, at, bump(j))
+    perm, exps = ref.mats[at]
+    ref.mats[at] = (perm, exps[:j] + ((exps[j] + F(1, real.m)) % 1,) + exps[j + 1:])
+    want = ref.failures()
+    assert want
+    assert realization_failures(real, product_table(real)) == want

@@ -425,9 +425,10 @@ def test_basis_entries_match_the_realization_and_reject_irrational_roots():
     group4, tgens4, beta4 = embedded_standard_torus((4,))
     model4 = build_matrix_model(
         EvenAssocSpec(group4, tgens4, beta4, ((0, 0),), ((0, 0),)))
+    real4 = model4.realization
     irrational = [idx for idx in range(len(model4.basis))
-                  if any(s.root.order > 2 for s in
-                         model4.realization.matrix(model4.basis[idx].t_abs).scalars)]
+                  if any(2 * e % real4.m for e in
+                         real4.matrix(model4.basis[idx].t_abs).exps)]
     assert irrational
     with pytest.raises(ValueError, match="not rational"):
         _basis_entries(model4, irrational[0])
