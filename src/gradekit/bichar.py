@@ -19,7 +19,6 @@ from .abgroup import (
     Coords,
     FinGenAbGroup,
     Subgroup,
-    coordinates_in_basis,
     left_kernel,
 )
 
@@ -265,16 +264,6 @@ class DualPairDecomposition:
     @property
     def b_gens(self) -> tuple[Coords, ...]:
         return tuple(b for _, b, _ in self.pairs)
-
-    def coords_of(self, t: Coords) -> tuple[Coords, Coords]:
-        """Write t as sum alpha_i a_i + delta_i b_i; return (alpha, delta)."""
-        basis = list(self.a_gens) + list(self.b_gens)
-        orders = list(self.orders) + list(self.orders)
-        c = coordinates_in_basis(self.beta.domain, basis, orders, t)
-        if c is None:
-            raise ValueError("element does not lie in the span of the dual pairs")
-        p = len(self.pairs)
-        return c[:p], c[p:]
 
 
 def standard_pair(h_moduli: Sequence[int]) -> tuple[FinGenAbGroup, Bicharacter]:

@@ -18,17 +18,17 @@ from typing import Optional, Union
 from .abgroup import Coords, FinGenAbGroup, Subgroup
 from .bichar import Bicharacter, beta_isomorphism, standard_pair
 from .matgrade import (
+    CheckedSpec,
+    CosetMultiset,
     EmbeddedPairing,
     EvenAssocSpec,
     OddAssocGSpec,
     OddAssocTSpec,
     ParityExtension,
-    build_matrix_model,
-    odd_t_form,
-    validate_spec,
-    xi_multiset,
+    check_spec,
+    coset_shifts,
 )
-from .superlie import PSpec, superadjoint_spec, validate_p_spec
+from .superlie import PSpec, check_p_spec
 
 TRIVIAL_BETA = Bicharacter(FinGenAbGroup(0, ()), ())
 
@@ -45,12 +45,46 @@ class IsoWitness:
     delta: int = 1
 
 
-def _same_division_data(p1: EmbeddedPairing, p2: EmbeddedPairing) -> bool:
-    """T = T' as subgroups of the ambient group and beta = beta' on it."""
+def _same_division_data(p1: EmbeddedPairing, p2: EmbeddedPairing,
+                        delta: int = 1) -> bool:
+    """T = T' as subgroups of the ambient group and beta^delta = beta' on it.
+
+    delta = -1 compares the superadjoint of the first grading, which keeps
+    T, inverts beta and negates every block degree (see `_xi`).
+    """
     if p1.sub != p2.sub:
         return False
     gens = [g for g, _ in p1.sub.smith_gens]
-    return all(p1.value(x, y) == p2.value(x, y) for x in gens for y in gens)
+    return all(p1.value(x, y) ** delta == p2.value(x, y)
+               for x in gens for y in gens)
+
+
+def _common_group(c1: CheckedSpec, c2: CheckedSpec) -> FinGenAbGroup:
+    if c1.spec.group != c2.spec.group:
+        raise ValueError("specs live over different ambient groups")
+    return c1.spec.group
+
+
+def _xi(group: FinGenAbGroup, sub: Subgroup, gamma, delta: int = 1) -> CosetMultiset:
+    """Coset multiset of the block degrees, negated when delta = -1."""
+    return CosetMultiset.from_tuple(group, sub, (group.scale(delta, x) for x in gamma))
+
+
+def _iso_even(c1: CheckedSpec, c2: CheckedSpec, delta: int = 1) -> Optional[IsoWitness]:
+    group = _common_group(c1, c2)
+    if not _same_division_data(c1.pairing, c2.pairing, delta):
+        return None
+    s1, s2, tsub = c1.spec, c2.spec, c1.pairing.sub
+    xi10, xi11 = _xi(group, tsub, s1.gamma0, delta), _xi(group, tsub, s1.gamma1, delta)
+    xi20, xi21 = _xi(group, tsub, s2.gamma0), _xi(group, tsub, s2.gamma1)
+    g = next(coset_shifts([(xi10, xi20), (xi11, xi21)]), None)
+    if g is not None:
+        return IsoWitness(g)
+    if len(s1.gamma0) == len(s1.gamma1):
+        g = next(coset_shifts([(xi10, xi21), (xi11, xi20)]), None)
+        if g is not None:
+            return IsoWitness(g, swap=True)
+    return None
 
 
 def iso_even_assoc(s1: EvenAssocSpec, s2: EvenAssocSpec) -> Optional[IsoWitness]:
@@ -60,42 +94,21 @@ def iso_even_assoc(s1: EvenAssocSpec, s2: EvenAssocSpec) -> Optional[IsoWitness]
     multisets; when the two sides of the matrix have equal size the
     swapped matching is also allowed.
     """
-    s1, s2 = validate_spec(s1), validate_spec(s2)
-    group = s1.group
-    if group != s2.group:
-        raise ValueError("specs live over different ambient groups")
-    p1 = EmbeddedPairing(group, s1.tgens, s1.beta)
-    p2 = EmbeddedPairing(group, s2.tgens, s2.beta)
-    if not _same_division_data(p1, p2):
+    return _iso_even(check_spec(s1), check_spec(s2))
+
+
+def _iso_odd(c1: CheckedSpec, c2: CheckedSpec, delta: int = 1) -> Optional[IsoWitness]:
+    group = _common_group(c1, c2)
+    if not _same_division_data(c1.pairing, c2.pairing, delta):
         return None
-    tsub = p1.sub
-    xi10 = xi_multiset(group, tsub, s1.gamma0)
-    xi11 = xi_multiset(group, tsub, s1.gamma1)
-    xi20 = xi_multiset(group, tsub, s2.gamma0)
-    xi21 = xi_multiset(group, tsub, s2.gamma1)
-    base = xi10.reps()[0]
-    for rep in xi20.reps():
-        g = group.sub(rep, base)
-        if xi10.shift(g) == xi20 and xi11.shift(g) == xi21:
-            return IsoWitness(g)
-    if len(s1.gamma0) == len(s1.gamma1):
-        for rep in xi21.reps():
-            g = group.sub(rep, base)
-            if xi10.shift(g) == xi21 and xi11.shift(g) == xi20:
-                return IsoWitness(g, swap=True)
-    return None
-
-
-def _as_t_variant(spec: OddSpec) -> OddAssocTSpec:
-    if isinstance(spec, OddAssocGSpec):
-        spec = odd_t_form(spec)
-    return validate_spec(spec)
-
-
-def _even_support_part(group: FinGenAbGroup, pairing: EmbeddedPairing) -> Subgroup:
-    """T cap G: the even-degree part of the support, inside the base group."""
-    members = [t[:-1] for t in pairing.sub.elements() if t[-1] % 2 == 0]
-    return Subgroup(group, members)
+    s1, s2 = c1.spec, c2.spec
+    if len(s1.gamma) != len(s2.gamma):
+        return None
+    # T cap G: the even-degree part of the support, inside the base group
+    teven = Subgroup(group, [t[:-1] for t in c1.pairing.sub.elements() if t[-1] % 2 == 0])
+    pair = (_xi(group, teven, s1.gamma, delta), _xi(group, teven, s2.gamma))
+    g = next(coset_shifts([pair]), None)
+    return None if g is None else IsoWitness(g)
 
 
 def iso_odd_assoc(s1: OddSpec, s2: OddSpec) -> Optional[IsoWitness]:
@@ -105,26 +118,7 @@ def iso_odd_assoc(s1: OddSpec, s2: OddSpec) -> Optional[IsoWitness]:
     folds the parity element, the quotient pairing and the square root u
     into the support subgroup of G x Z/2 and its bicharacter.
     """
-    s1, s2 = _as_t_variant(s1), _as_t_variant(s2)
-    group = s1.group
-    if group != s2.group:
-        raise ValueError("specs live over different ambient groups")
-    ext = ParityExtension(group)
-    p1 = EmbeddedPairing(ext.group, s1.tgens, s1.beta)
-    p2 = EmbeddedPairing(ext.group, s2.tgens, s2.beta)
-    if not _same_division_data(p1, p2):
-        return None
-    if len(s1.gamma) != len(s2.gamma):
-        return None
-    teven = _even_support_part(group, p1)
-    xi1 = xi_multiset(group, teven, s1.gamma)
-    xi2 = xi_multiset(group, teven, s2.gamma)
-    base = xi1.reps()[0]
-    for rep in xi2.reps():
-        g = group.sub(rep, base)
-        if xi1.shift(g) == xi2:
-            return IsoWitness(g)
-    return None
+    return _iso_odd(check_spec(s1), check_spec(s2))
 
 
 def iso_lie_typeI(s1, s2, kind: Optional[str] = None) -> Optional[IsoWitness]:
@@ -137,15 +131,12 @@ def iso_lie_typeI(s1, s2, kind: Optional[str] = None) -> Optional[IsoWitness]:
     even = isinstance(s1, EvenAssocSpec)
     if kind is not None and kind != ("even" if even else "odd"):
         raise ValueError(f"kind {kind!r} does not match the spec types")
-    if not even:
-        # convert once; the superadjoint of the converted spec is the
-        # converted superadjoint
-        s1, s2 = _as_t_variant(s1), _as_t_variant(s2)
-    decider = iso_even_assoc if even else iso_odd_assoc
-    witness = decider(s1, s2)
+    c1, c2 = check_spec(s1), check_spec(s2)
+    decider = _iso_even if even else _iso_odd
+    witness = decider(c1, c2)
     if witness is not None:
         return witness
-    witness = decider(superadjoint_spec(s1), s2)
+    witness = decider(c1, c2, -1)
     if witness is not None:
         return IsoWitness(witness.g, witness.swap, -1)
     return None
@@ -159,24 +150,14 @@ def iso_P(s1: PSpec, s2: PSpec) -> Optional[IsoWitness]:
     cosets of an elementary 2-group, so one representative per matching
     coset decides.
     """
-    s1, s2 = validate_p_spec(s1), validate_p_spec(s2)
-    group = s1.group
-    if group != s2.group:
-        raise ValueError("specs live over different ambient groups")
-    p1 = EmbeddedPairing(group, s1.tgens, s1.beta)
-    p2 = EmbeddedPairing(group, s2.tgens, s2.beta)
-    if not _same_division_data(p1, p2):
+    c1, c2 = check_p_spec(s1), check_p_spec(s2)
+    group = _common_group(c1, c2)
+    if not _same_division_data(c1.pairing, c2.pairing):
         return None
+    s1, s2, tsub = c1.spec, c2.spec, c1.pairing.sub
     if len(s1.gamma) != len(s2.gamma):
         return None
-    tsub = p1.sub
-    xi1 = xi_multiset(group, tsub, s1.gamma)
-    xi2 = xi_multiset(group, tsub, s2.gamma)
-    base = xi1.reps()[0]
-    for rep in xi2.reps():
-        g = group.sub(rep, base)
-        if xi1.shift(g) != xi2:
-            continue
+    for g in coset_shifts([(_xi(group, tsub, s1.gamma), _xi(group, tsub, s2.gamma))]):
         if group.add(group.scale(2, g), s1.g0) == s2.g0:
             return IsoWitness(g)
     return None

@@ -46,11 +46,15 @@ class SpecFormatError(Exception):
     a well-formed spec that fails validation (exit code 1)."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python, JSON true is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _coords(obj) -> Coords:
-    try:
-        return tuple(int(c) for c in obj)
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"bad element coordinates {obj!r}") from exc
+    if not isinstance(obj, list) or not all(_is_int(c) for c in obj):
+        raise SpecFormatError(f"bad element coordinates {obj!r}")
+    return tuple(obj)
 
 
 def _coords_list(obj) -> tuple[Coords, ...]:
@@ -60,9 +64,13 @@ def _coords_list(obj) -> tuple[Coords, ...]:
 
 
 def _group(obj) -> FinGenAbGroup:
+    torsion = obj.get("torsion", []) if isinstance(obj, dict) else None
+    if not (isinstance(torsion, list) and all(_is_int(d) for d in torsion)
+            and _is_int(obj.get("free"))):
+        raise SpecFormatError(f"bad group {obj!r}")
     try:
         return FinGenAbGroup.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecFormatError(f"bad group {obj!r}") from exc
 
 

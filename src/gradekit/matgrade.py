@@ -7,6 +7,13 @@ explicit matrix models, verifies them, coarsens them, converts between
 the two descriptions of gradings with odd support, and computes
 universal grading groups.
 
+Validation happens once per spec, in `check_spec`.  It reduces
+coordinates, converts a G-description to explicit support, builds the
+spec's one `EmbeddedPairing` and checks it, and for odd specs finds the
+parity element t0.  `build_matrix_model` and the deciders in `classify`
+read the `CheckedSpec` it returns; `validate_spec` returns its reduced
+input.
+
 Coordinates: elements of G# carry the parity bit as the last
 coordinate.  Subgroup generators handed to a spec must be independent
 (the listed generators map isomorphically onto the subgroup they
@@ -18,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .abgroup import (
     Coords,
@@ -110,9 +117,6 @@ class EmbeddedPairing:
     def value(self, x: Coords, y: Coords) -> RootOfUnity:
         return self.beta.value(self.abstract_coords(x), self.abstract_coords(y))
 
-    def contains(self, x: Coords) -> bool:
-        return self.sub.contains(x)
-
 
 # ---------------------------------------------------------------------------
 # specs
@@ -159,54 +163,59 @@ class OddAssocGSpec:
 GradingSpec = Union[EvenAssocSpec, OddAssocTSpec, OddAssocGSpec]
 
 
+@dataclass(frozen=True)
+class CheckedSpec:
+    """A spec that passed `check_spec`: the input with coordinates
+    reduced, its explicit-support form (the input itself unless it is a
+    G-description), the one checked pairing of that form, and for odd
+    specs the parity element t0 in G."""
+
+    source: object
+    spec: object
+    pairing: EmbeddedPairing
+    t0: Optional[Coords] = None
+
+
+def check_spec(spec: GradingSpec) -> CheckedSpec:
+    """Validate a spec once and derive (T, beta, t0) from it."""
+    if not isinstance(spec, (EvenAssocSpec, OddAssocTSpec, OddAssocGSpec)):
+        raise TypeError(f"not a grading spec: {type(spec).__name__}")
+    g = spec.group
+    ext = ParityExtension(g)
+
+    def reduced(xs, group=g):
+        return tuple(group.reduce(x) for x in xs)
+
+    if isinstance(spec, EvenAssocSpec):
+        source = replace(spec, tgens=reduced(spec.tgens), gamma0=reduced(spec.gamma0),
+                         gamma1=reduced(spec.gamma1))
+        if not source.gamma0 or not source.gamma1:
+            raise ValueError("both block-degree tuples must be nonempty")
+        pairing = EmbeddedPairing(g, source.tgens, source.beta)
+        pairing.check()
+        return CheckedSpec(source, source, pairing)
+    if isinstance(spec, OddAssocTSpec):
+        source = replace(spec, tgens=reduced(spec.tgens, ext.group),
+                         gamma=reduced(spec.gamma))
+    else:
+        source = replace(spec, t0=g.reduce(spec.t0), tbar_gens=reduced(spec.tbar_gens),
+                         u=g.reduce(spec.u), gamma=reduced(spec.gamma))
+    if not source.gamma:
+        raise ValueError("the block-degree tuple must be nonempty")
+    out = source if isinstance(source, OddAssocTSpec) else build_odd_from_G(source)
+    pairing = EmbeddedPairing(ext.group, out.tgens, out.beta)
+    pairing.check()
+    if all(ext.bit(t) == 0 for t in out.tgens):
+        raise ValueError("support has no odd elements; use an even spec")
+    t0 = _parity_element(pairing, ext)
+    if out is not source and t0 != source.t0:
+        raise RuntimeError("constructed support has the wrong parity element")
+    return CheckedSpec(source, out, pairing, t0)
+
+
 def validate_spec(spec: GradingSpec) -> GradingSpec:
     """Check a spec and return it with all coordinates reduced."""
-    if isinstance(spec, EvenAssocSpec):
-        g = spec.group
-        out = EvenAssocSpec(g,
-                            tuple(g.reduce(t) for t in spec.tgens),
-                            spec.beta,
-                            tuple(g.reduce(x) for x in spec.gamma0),
-                            tuple(g.reduce(x) for x in spec.gamma1))
-        if not out.gamma0 or not out.gamma1:
-            raise ValueError("both block-degree tuples must be nonempty")
-        EmbeddedPairing(g, out.tgens, out.beta).check()
-        return out
-    if isinstance(spec, OddAssocTSpec):
-        g = spec.group
-        ext = ParityExtension(g)
-        out = OddAssocTSpec(g,
-                            tuple(ext.group.reduce(t) for t in spec.tgens),
-                            spec.beta,
-                            tuple(g.reduce(x) for x in spec.gamma))
-        if not out.gamma:
-            raise ValueError("the block-degree tuple must be nonempty")
-        pairing = EmbeddedPairing(ext.group, out.tgens, out.beta)
-        pairing.check()
-        if all(ext.bit(t) == 0 for t in out.tgens):
-            raise ValueError("support has no odd elements; use an even spec")
-        parity_element(out)
-        return out
-    if isinstance(spec, OddAssocGSpec):
-        return _validate_odd_g(spec)[0]
-    raise TypeError(f"not a grading spec: {type(spec).__name__}")
-
-
-def _validate_odd_g(spec: OddAssocGSpec) -> tuple[OddAssocGSpec, OddAssocTSpec]:
-    """The reduced G-description and its conversion; converting validates."""
-    g = spec.group
-    out = OddAssocGSpec(g, g.reduce(spec.t0),
-                        tuple(g.reduce(t) for t in spec.tbar_gens),
-                        spec.beta_bar, g.reduce(spec.u),
-                        tuple(g.reduce(x) for x in spec.gamma))
-    if not out.gamma:
-        raise ValueError("the block-degree tuple must be nonempty")
-    return out, build_odd_from_G(out)
-
-
-def odd_t_form(spec: OddAssocGSpec) -> OddAssocTSpec:
-    """Validate a G-description and convert it to explicit support, once."""
-    return _validate_odd_g(spec)[1]
+    return check_spec(spec).source
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +248,17 @@ class CosetMultiset:
         return tuple(rep for rep, _ in self.counts)
 
 
-def xi_multiset(group: FinGenAbGroup, sub: Subgroup,
-                gamma: Iterable[Coords]) -> CosetMultiset:
-    """The multiset of cosets hit by the block-degree tuple."""
-    return CosetMultiset.from_tuple(group, sub, gamma)
+def coset_shifts(pairs: Sequence[tuple[CosetMultiset, CosetMultiset]]
+                 ) -> Iterator[Coords]:
+    """Every g with xi.shift(g) == target for each (xi, target) given,
+    found among the differences of the first pair's representatives."""
+    first, target = pairs[0]
+    group = first.group
+    base = first.reps()[0]
+    for rep in target.reps():
+        g = group.sub(rep, base)
+        if all(xi.shift(g) == want for xi, want in pairs):
+            yield g
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +312,20 @@ class GradedMatrixModel:
         return out
 
 
-def _even_model(spec: EvenAssocSpec) -> GradedMatrixModel:
+def _even_model(spec: EvenAssocSpec, pairing: EmbeddedPairing) -> GradedMatrixModel:
     g = spec.group
-    pairing = EmbeddedPairing(g, spec.tgens, spec.beta)
     real = StandardRealization(spec.beta)
     d = real.size
     gamma = spec.gamma0 + spec.gamma1
     k0 = len(spec.gamma0)
     sizes = (k0 * d, len(spec.gamma1) * d)
-    dom_elems = sorted(spec.beta.domain.elements())
+    dom_elems = [(t_abs, pairing.push(t_abs))
+                 for t_abs in sorted(spec.beta.domain.elements())]
     basis = []
     for i, gi in enumerate(gamma):
         for j, gj in enumerate(gamma):
             side_i, side_j = int(i >= k0), int(j >= k0)
-            for t_abs in dom_elems:
-                t = pairing.push(t_abs)
+            for t_abs, t in dom_elems:
                 degree = g.add(g.sub(gi, gj), t)
                 basis.append(BasisElement(i, j, t, t_abs, degree,
                                           side_i ^ side_j, side_i - side_j))
@@ -320,26 +335,24 @@ def _even_model(spec: EvenAssocSpec) -> GradedMatrixModel:
                              real, eps, {}, None)
 
 
-def _odd_model(spec: OddAssocTSpec) -> GradedMatrixModel:
+def _odd_model(spec: OddAssocTSpec, pairing: EmbeddedPairing,
+               t0: Coords) -> GradedMatrixModel:
     g = spec.group
     ext = ParityExtension(g)
-    pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
     real = StandardRealization(spec.beta)
     d = real.size
     if (len(spec.gamma) * d) % 2:
         raise ValueError("matrix size is odd; support cannot be odd")
     half = len(spec.gamma) * d // 2
-    t0 = parity_element(spec)
     u0 = ext.embed(t0)
     u0_abs = pairing.abstract_coords(u0)
     dom = spec.beta.domain
-    dom_elems = sorted(dom.elements())
+    dom_elems = [(t_abs, pairing.push(t_abs)) for t_abs in sorted(dom.elements())]
     basis = []
     for i, gi in enumerate(spec.gamma):
         for j, gj in enumerate(spec.gamma):
             block = ext.embed(g.sub(gi, gj))
-            for t_abs in dom_elems:
-                t = pairing.push(t_abs)
+            for t_abs, t in dom_elems:
                 degree = ext.group.add(block, t)
                 basis.append(BasisElement(i, j, t, t_abs, degree,
                                           ext.bit(t), 0))
@@ -353,13 +366,12 @@ def _odd_model(spec: OddAssocTSpec) -> GradedMatrixModel:
                              pairing, real, eps, partner, u0)
 
 
-def build_matrix_model(spec: GradingSpec) -> GradedMatrixModel:
-    if isinstance(spec, OddAssocGSpec):
-        return _odd_model(odd_t_form(spec))
-    spec = validate_spec(spec)
-    if isinstance(spec, EvenAssocSpec):
-        return _even_model(spec)
-    return _odd_model(spec)
+def build_matrix_model(spec: Union[GradingSpec, CheckedSpec]) -> GradedMatrixModel:
+    """The model of a spec, or of a spec `check_spec` has already passed."""
+    checked = spec if isinstance(spec, CheckedSpec) else check_spec(spec)
+    if checked.t0 is None:
+        return _even_model(checked.spec, checked.pairing)
+    return _odd_model(checked.spec, checked.pairing, checked.t0)
 
 
 def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
@@ -445,12 +457,10 @@ def _bit_subgroup(pairing: EmbeddedPairing, ext: ParityExtension) -> Subgroup:
     return Subgroup(z2, []).preimage_under(to_bit)
 
 
-def parity_element(spec: OddAssocTSpec) -> Coords:
-    """The order-2 element of G whose character separates even from odd support."""
-    ext = ParityExtension(spec.group)
-    pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
+def _parity_element(pairing: EmbeddedPairing, ext: ParityExtension) -> Coords:
+    """parity_element of the support a pairing inside G# lives on."""
     plus = _bit_subgroup(pairing, ext)
-    comp = spec.beta.orthogonal_complement(plus)
+    comp = pairing.beta.orthogonal_complement(plus)
     if comp.order() != 2:
         raise ValueError("orthogonal complement of the even support "
                          f"has order {comp.order()}, expected 2")
@@ -460,6 +470,12 @@ def parity_element(spec: OddAssocTSpec) -> Coords:
     if ext.bit(u0) != 0:
         raise ValueError("parity element has odd parity; spec is corrupted")
     return ext.base_part(u0)
+
+
+def parity_element(spec: OddAssocTSpec) -> Coords:
+    """The order-2 element of G whose character separates even from odd support."""
+    ext = ParityExtension(spec.group)
+    return _parity_element(EmbeddedPairing(ext.group, spec.tgens, spec.beta), ext)
 
 
 def _character_on(sub: Subgroup, vector: tuple[int, ...]):
@@ -493,14 +509,11 @@ def _canonical_chi(group: FinGenAbGroup, t_plus: Subgroup, t0: Coords):
     raise ValueError("no character separates t0; is it the identity?")
 
 
-def odd_existence_check(group: FinGenAbGroup, t0: Coords,
-                        tbar_gens: tuple[Coords, ...],
-                        beta_bar: Bicharacter) -> bool:
-    """Whether the given quotient data extends to an odd grading support.
-
-    tbar_gens are lifts in G; the test compares the complement of the
-    pushed-down two-torsion with the squares of the quotient group.
-    """
+def _quotient_data(group: FinGenAbGroup, t0: Coords,
+                   tbar_gens: tuple[Coords, ...], beta_bar: Bicharacter):
+    """t0 reduced, the projection theta onto G/<t0>, the checked pairing
+    beta_bar on the images of the lifts, T+ (its preimage in G), and the
+    verdict of odd_existence_check."""
     t0 = group.reduce(t0)
     if group.element_order(t0) != 2:
         raise ValueError("t0 must have order 2")
@@ -515,22 +528,31 @@ def odd_existence_check(group: FinGenAbGroup, t0: Coords,
     comp = beta_bar.orthogonal_complement(r_abstract)
     r_comp = Subgroup(gbar, [bar_pairing.push(x) for x, _ in comp.smith_gens])
     gbar_squares, _ = squares_and_two_torsion(gbar)
-    return r_comp.is_subset_of(gbar_squares)
+    return t0, theta, bar_pairing, t_plus, r_comp.is_subset_of(gbar_squares)
 
 
-def _odd_g_workspace(spec: OddAssocGSpec):
-    """Shared derivation for the G-description: chi, a, and the quotient data."""
+def odd_existence_check(group: FinGenAbGroup, t0: Coords,
+                        tbar_gens: tuple[Coords, ...],
+                        beta_bar: Bicharacter) -> bool:
+    """Whether the given quotient data extends to an odd grading support.
+
+    tbar_gens are lifts in G; the test compares the complement of the
+    pushed-down two-torsion with the squares of the quotient group.
+    """
+    return _quotient_data(group, t0, tbar_gens, beta_bar)[-1]
+
+
+def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
+    """Convert the G-description of an odd grading to explicit support in G#.
+
+    `check_spec` checks the pairing of the result and that its parity
+    element is the given t0.
+    """
     g = spec.group
-    t0 = g.reduce(spec.t0)
-    if g.element_order(t0) != 2:
-        raise ValueError("t0 must have order 2")
-    _, gbar, theta = subgroup_and_quotient(g, [t0])
-    bar_pairing = EmbeddedPairing(gbar, tuple(theta(t) for t in spec.tbar_gens),
-                                  spec.beta_bar)
-    bar_pairing.check()
-    if not odd_existence_check(g, t0, spec.tbar_gens, spec.beta_bar):
+    t0, theta, bar_pairing, t_plus, extends = _quotient_data(
+        g, spec.t0, spec.tbar_gens, spec.beta_bar)
+    if not extends:
         raise ValueError("no odd grading exists for this quotient data")
-    t_plus = bar_pairing.sub.preimage_under(theta)
     chi = _canonical_chi(g, t_plus, t0)
     # the unique element pairing (via beta_bar) as chi squared
     a_bar = None
@@ -542,13 +564,6 @@ def _odd_g_workspace(spec: OddAssocGSpec):
     assert a_bar is not None, "chi^2 must be represented by the nondegenerate pairing"
     a = next(x for x in t_plus.elements()
              if theta(x) == a_bar and chi(x).is_one())
-    return t0, gbar, theta, bar_pairing, t_plus, chi, a
-
-
-def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
-    """Convert the G-description of an odd grading to explicit support in G#."""
-    g = spec.group
-    t0, gbar, theta, bar_pairing, t_plus, chi, a = _odd_g_workspace(spec)
     u = g.reduce(spec.u)
     if g.scale(2, u) != a:
         raise ValueError(f"u squared is {g.scale(2, u)}, expected {a}")
@@ -567,11 +582,7 @@ def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
     orders = tuple(o for _, o in tu.smith_gens)
     q = tuple(tuple(beta_u(x, y).exponent for y in gens) for x in gens)
     beta = Bicharacter(FinGenAbGroup(0, orders), q)
-    out = OddAssocTSpec(g, gens, beta, spec.gamma)
-    got_t0 = parity_element(out)
-    if got_t0 != t0:
-        raise RuntimeError("constructed support has the wrong parity element")
-    return out
+    return OddAssocTSpec(g, gens, beta, spec.gamma)
 
 
 def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
@@ -579,7 +590,7 @@ def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
     g = spec.group
     ext = ParityExtension(g)
     pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
-    t0 = parity_element(spec)
+    t0 = _parity_element(pairing, ext)
     _, gbar, theta = subgroup_and_quotient(g, [t0])
     plus_dom = _bit_subgroup(pairing, ext)
     plus_elems_g = sorted(ext.base_part(pairing.push(x)) for x in plus_dom.elements())

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
-from .abgroup import Coords, FinGenAbGroup, Subgroup
+from .abgroup import Coords, FinGenAbGroup
 from .bichar import Bicharacter
-from .graddiv import StandardRealization
 from .matgrade import (
+    CheckedSpec,
+    CosetMultiset,
     EmbeddedPairing,
     EvenAssocSpec,
     GradedMatrixModel,
@@ -32,9 +33,9 @@ from .matgrade import (
     OddAssocGSpec,
     OddAssocTSpec,
     build_matrix_model,
+    check_spec,
+    coset_shifts,
     presented_quotient,
-    validate_spec,
-    xi_multiset,
 )
 
 F0 = Fraction(0)
@@ -393,7 +394,9 @@ class PSpec:
     g0: Coords
 
 
-def validate_p_spec(spec: PSpec) -> PSpec:
+def check_p_spec(spec: PSpec) -> CheckedSpec:
+    """Validate a P spec once: the spec with coordinates reduced and its
+    one checked pairing."""
     g = spec.group
     out = PSpec(g, tuple(g.reduce(t) for t in spec.tgens), spec.beta,
                 tuple(g.reduce(x) for x in spec.gamma), g.reduce(spec.g0))
@@ -403,10 +406,15 @@ def validate_p_spec(spec: PSpec) -> PSpec:
         raise ValueError("support must be an elementary 2-group")
     pairing = EmbeddedPairing(g, out.tgens, out.beta)
     pairing.check()
-    size = len(out.gamma) * StandardRealization(out.beta).size
+    # a nondegenerate pairing on T is realized in size sqrt(|T|)
+    size = len(out.gamma) * isqrt(out.beta.domain.order())
     if size < 3:
         raise ValueError(f"matrix half size is {size}; P(n) needs n >= 2")
-    return out
+    return CheckedSpec(out, out, pairing)
+
+
+def validate_p_spec(spec: PSpec) -> PSpec:
+    return check_p_spec(spec).spec
 
 
 def ambient_even_spec(spec: PSpec) -> EvenAssocSpec:
@@ -516,8 +524,11 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, in
 
 
 def build_P_model(spec: PSpec) -> PGradedModel:
-    spec = validate_p_spec(spec)
-    ambient = build_matrix_model(ambient_even_spec(spec))
+    checked = check_p_spec(spec)
+    spec = checked.spec
+    # the ambient even spec has the same (T, beta), so its pairing is checked
+    ambient = build_matrix_model(CheckedSpec(spec, ambient_even_spec(spec),
+                                             checked.pairing))
     model = PGradedModel(spec, ambient, p_intersection(ambient))
     expected = 2 * (model.n + 1) ** 2 - 1
     if model.total_dim() != expected:
@@ -595,18 +606,12 @@ def P_restriction_condition(spec: EvenAssocSpec) -> Optional[Coords]:
     Returns None when the support is not an elementary 2-group or no shift
     matches the two block-degree multisets.
     """
-    spec = validate_spec(spec)
-    if len(spec.gamma0) != len(spec.gamma1):
+    checked = check_spec(spec)
+    spec = checked.spec
+    if len(spec.gamma0) != len(spec.gamma1) or \
+            any(t != 2 for t in spec.beta.domain.torsion):
         return None
-    if any(t != 2 for t in spec.beta.domain.torsion):
-        return None
-    group = spec.group
-    tsub = Subgroup(group, list(spec.tgens))
-    xi0_inv = xi_multiset(group, tsub, [group.neg(x) for x in spec.gamma0])
-    xi1 = xi_multiset(group, tsub, spec.gamma1)
-    base = xi0_inv.reps()[0]
-    for rep in xi1.reps():
-        g0 = group.sub(rep, base)
-        if xi0_inv.shift(g0) == xi1:
-            return g0
-    return None
+    group, tsub = spec.group, checked.pairing.sub
+    xi0_inv = CosetMultiset.from_tuple(group, tsub, [group.neg(x) for x in spec.gamma0])
+    xi1 = CosetMultiset.from_tuple(group, tsub, spec.gamma1)
+    return next(coset_shifts([(xi0_inv, xi1)]), None)

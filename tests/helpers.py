@@ -27,17 +27,40 @@ from gradekit.matgrade import (
 TRIVIAL_BETA = Bicharacter(FinGenAbGroup(0, ()), ())
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every later call of owner.name, a module
+    function looked up through the module or a method of a class."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def count_odd_conversions(monkeypatch) -> list:
     """Record every later call of matgrade.build_odd_from_G."""
-    calls = []
-    original = matgrade.build_odd_from_G
+    return count_calls(monkeypatch, matgrade, "build_odd_from_G")
 
-    def counted(spec):
-        calls.append(spec)
-        return original(spec)
 
-    monkeypatch.setattr(matgrade, "build_odd_from_G", counted)
-    return calls
+# the steps a spec's one validation pass takes once each, and the build
+# of a realization
+ONE_PASS_STEPS = {
+    "pairings": (EmbeddedPairing, "__init__"),
+    "checks": (EmbeddedPairing, "check"),
+    "parities": (matgrade, "_parity_element"),
+    "quotients": (matgrade, "subgroup_and_quotient"),
+    "decompositions": (Bicharacter, "symplectic_decomposition"),
+}
+
+
+def count_one_pass(monkeypatch) -> dict:
+    """{step: calls} for every step of ONE_PASS_STEPS, recorded from now on."""
+    return {step: count_calls(monkeypatch, owner, name)
+            for step, (owner, name) in ONE_PASS_STEPS.items()}
 
 
 def embedded_standard_torus(h, free=0, extra=()):

@@ -333,7 +333,7 @@ def test_odd_extension_structure_and_negative_case():
                         bar.value(theta(x), theta(y))
             # pairing against the odd generator is the canonical character
             t1 = ext.lift(u, 1)
-            assert pairing.contains(t1)
+            assert pairing.sub.contains(t1)
             for x in tplus.elements():
                 assert pairing.value(t1, ext.embed(x)) == chi(x)
         # equal division data exactly for roots in the same t0-coset

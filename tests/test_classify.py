@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from gradekit.classify import (
     iso_P,
 )
 from gradekit.matgrade import (
+    CosetMultiset,
     EmbeddedPairing,
     EvenAssocSpec,
     OddAssocGSpec,
@@ -30,7 +32,6 @@ from gradekit.matgrade import (
     build_odd_from_G,
     universal_group,
     verify_grading,
-    xi_multiset,
 )
 from gradekit.superlie import (
     PSpec,
@@ -44,6 +45,7 @@ from helpers import (
     TRIVIAL_BETA,
     brute_involution_orbits,
     count_odd_conversions,
+    count_one_pass,
     embedded_standard_torus,
     random_element,
     random_even_spec,
@@ -56,8 +58,8 @@ Z = FinGenAbGroup(1, ())
 
 def even_xis(spec):
     pairing = EmbeddedPairing(spec.group, spec.tgens, spec.beta)
-    return (xi_multiset(spec.group, pairing.sub, spec.gamma0),
-            xi_multiset(spec.group, pairing.sub, spec.gamma1))
+    return (CosetMultiset.from_tuple(spec.group, pairing.sub, spec.gamma0),
+            CosetMultiset.from_tuple(spec.group, pairing.sub, spec.gamma1))
 
 
 def odd_xi(spec):
@@ -66,7 +68,7 @@ def odd_xi(spec):
     ext = ParityExtension(spec.group)
     pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
     members = [t[:-1] for t in pairing.sub.elements() if t[-1] % 2 == 0]
-    return xi_multiset(spec.group, Subgroup(spec.group, members), spec.gamma)
+    return CosetMultiset.from_tuple(spec.group, Subgroup(spec.group, members), spec.gamma)
 
 
 # --- even decider ---
@@ -207,7 +209,7 @@ def test_iso_odd_distinguishes_gamma_count():
 # --- Lie decider ---
 
 
-def test_iso_lie_delta_minus_one():
+def test_iso_lie_delta_minus_one(monkeypatch):
     group = FinGenAbGroup(0, (8, 8))
     _, beta = standard_pair((8,))
     tgens = (group.unit(0), group.unit(1))
@@ -215,7 +217,41 @@ def test_iso_lie_delta_minus_one():
     s1 = EvenAssocSpec(group, tgens, beta, gamma, gamma)
     s2 = EvenAssocSpec(group, tgens, beta.inverse(), gamma, gamma)
     assert iso_even_assoc(s1, s2) is None
+    counts = count_one_pass(monkeypatch)
     assert iso_lie_typeI(s1, s2, "even") == IsoWitness((0, 0), delta=-1)
+    # the superadjoint try reuses both checked pairings
+    assert {step: len(calls) for step, calls in counts.items()} == {
+        "pairings": 2, "checks": 2, "parities": 0, "quotients": 0,
+        "decompositions": 0}
+
+
+def test_iso_lie_matches_superadjoint_reference():
+    """The Lie decider against deciding the superadjoint spec itself."""
+    rng = random.Random(21)
+    hits = {1: 0, -1: 0}
+    for _ in range(25):
+        for s1 in (random_even_spec(rng), random_odd_g_spec(rng)):
+            even = isinstance(s1, EvenAssocSpec)
+            decide = iso_even_assoc if even else iso_odd_assoc
+            fields = ("gamma0", "gamma1") if even else ("gamma",)
+            group = s1.group
+            g = random_element(rng, group)
+            s2 = rng.choice((s1, superadjoint_spec(s1)))
+            s2 = replace(s2, **{f: tuple(group.add(g, x) for x in getattr(s2, f))
+                                for f in fields})
+            if rng.random() < 0.3:
+                s2 = replace(s2, **{f: tuple(random_element(rng, group)
+                                             for _ in getattr(s2, f))
+                                    for f in fields})
+            want = decide(s1, s2)
+            if want is None:
+                want = decide(superadjoint_spec(s1), s2)
+                if want is not None:
+                    want = IsoWitness(want.g, want.swap, -1)
+            assert iso_lie_typeI(s1, s2) == want
+            if want is not None:
+                hits[want.delta] += 1
+    assert hits[1] and hits[-1]
 
 
 def test_iso_lie_assoc_witness_is_delta_plus_one():

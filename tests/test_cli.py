@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,9 @@ from gradekit.cli import main, parse_spec, run, spec_to_json
 from gradekit.matgrade import EvenAssocSpec, OddAssocGSpec
 from gradekit.superlie import PSpec
 
-from helpers import TRIVIAL_BETA
+from helpers import TRIVIAL_BETA, count_one_pass
+
+ROOT = Path(__file__).resolve().parent.parent
 
 Z = FinGenAbGroup(1, ())
 
@@ -237,3 +242,82 @@ def test_internal_error_exits_3(monkeypatch, capsys, exc):
     # a library rejection is still exit 1
     payload, code = run(["fine", "even", "0", "1"])
     assert code == 1 and payload["verdict"] == "error"
+
+
+def documented_examples() -> dict:
+    """{kind: document} for the spec examples of docs/spec-format.md."""
+    text = (ROOT / "docs" / "spec-format.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
+    return {doc["kind"]: doc for doc in blocks if "kind" in doc}
+
+
+def example_path(tmp_path, kind, mutate=None):
+    doc = json.loads(json.dumps(documented_examples()[kind]))
+    if mutate is not None:
+        mutate(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+NON_INTEGERS = [
+    lambda d: d.update(gamma0=[[0.5, 0, 0]]),
+    lambda d: d.update(gamma0=[[True, 0, 0]]),
+    lambda d: d.update(gamma0=[["1", 0, 0]]),
+    lambda d: d.update(gamma0=["100"]),
+    lambda d: d["group"].update(free=1.5),
+    lambda d: d["group"].update(torsion=[2.5]),
+    lambda d: d["group"].update(torsion="22"),
+    lambda d: d["beta"]["domain"].update(free=0.0),
+    lambda d: d["beta"]["domain"].update(free=False),
+    lambda d: d["beta"]["domain"].update(torsion=[2, 2.0]),
+]
+
+
+@pytest.mark.parametrize("mutate", NON_INTEGERS)
+def test_non_integer_coordinates_and_group_fields_exit_2(tmp_path, capsys, mutate):
+    path = example_path(tmp_path, "even", mutate)
+    assert run(["verify", "-f", path]) == (None, 2)
+    assert re.match(r"gradekit: bad (element coordinates|group) ",
+                    capsys.readouterr().err)
+
+
+# steps of the one validation pass per input spec: an odd_g spec has two
+# pairings, beta_bar on G/<t0> and the converted pairing on G x Z/2
+PER_SPEC = {"even": {"pairings": 1, "checks": 1, "parities": 0, "quotients": 0},
+            "odd_t": {"pairings": 1, "checks": 1, "parities": 1, "quotients": 0},
+            "odd_g": {"pairings": 2, "checks": 2, "parities": 1, "quotients": 1},
+            "p": {"pairings": 1, "checks": 1, "parities": 0, "quotients": 0}}
+
+
+@pytest.mark.parametrize("command", ["verify", "ugroup"])
+@pytest.mark.parametrize("kind", sorted(PER_SPEC))
+def test_model_commands_validate_once(tmp_path, monkeypatch, command, kind):
+    path = example_path(tmp_path, kind)
+    counts = count_one_pass(monkeypatch)
+    assert run([command, "-f", path])[1] == 0
+    # one symplectic decomposition, for the model's realization
+    assert {step: len(calls) for step, calls in counts.items()} == \
+        dict(PER_SPEC[kind], decompositions=1)
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("even", "assoc"), ("even", "lie"), ("odd_t", "assoc"), ("odd_t", "lie"),
+    ("odd_g", "assoc"), ("odd_g", "lie"), ("p", "p")])
+def test_iso_validates_each_spec_once(tmp_path, monkeypatch, kind, mode):
+    path = example_path(tmp_path, kind)
+    counts = count_one_pass(monkeypatch)
+    assert run(["iso", "-a", path, "-b", path, "--mode", mode])[1] == 0
+    # no decider builds a realization
+    assert {step: len(calls) for step, calls in counts.items()} == \
+        dict({step: 2 * n for step, n in PER_SPEC[kind].items()}, decompositions=0)
+
+
+def test_traced_benchmark_names_resolve(monkeypatch):
+    """bench/run.py --trace looks these gradekit functions up by name."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    layers = importlib.import_module("layers")
+    for _, module, funcs, _ in layers.NAMED:
+        mod = importlib.import_module(f"gradekit.{module}")
+        for dotted in funcs:
+            layers._code_key(mod, dotted)

@@ -12,6 +12,7 @@ from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quo
 from gradekit.bichar import Bicharacter, RootOfUnity, standard_pair
 from gradekit.graddiv import StandardRealization
 from gradekit.matgrade import (
+    CosetMultiset,
     EmbeddedPairing,
     EvenAssocSpec,
     GradedMatrixModel,
@@ -28,7 +29,6 @@ from gradekit.matgrade import (
     universal_group,
     validate_spec,
     verify_grading,
-    xi_multiset,
 )
 
 from helpers import (
@@ -147,18 +147,18 @@ def test_validate_rejects_wrong_type():
 
 
 def test_xi_multiset_trivial_subgroup():
-    xi = xi_multiset(Z, Subgroup(Z, []), [(0,), (0,), (1,)])
+    xi = CosetMultiset.from_tuple(Z, Subgroup(Z, []), [(0,), (0,), (1,)])
     assert xi.counts == (((0,), 2), ((1,), 1))
     assert xi.shift((5,)).counts == (((5,), 2), ((6,), 1))
 
 
 def test_xi_multiset_mod_subgroup():
     sub = Subgroup(Z4, [(2,)])
-    xi = xi_multiset(Z4, sub, [(1,), (3,)])
+    xi = CosetMultiset.from_tuple(Z4, sub, [(1,), (3,)])
     assert xi.counts == (((1,), 2),)
     # translating an entry by a subgroup element changes nothing
-    assert xi == xi_multiset(Z4, sub, [(3,), (3,)])
-    assert xi.shift((1,)) == xi_multiset(Z4, sub, [(0,), (2,)])
+    assert xi == CosetMultiset.from_tuple(Z4, sub, [(3,), (3,)])
+    assert xi.shift((1,)) == CosetMultiset.from_tuple(Z4, sub, [(0,), (2,)])
 
 
 # ---------------------------------------------------------------------------
