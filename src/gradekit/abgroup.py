@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
@@ -233,28 +232,34 @@ def lattice_intersect(rows_a: Iterable[Coords], rows_b: Iterable[Coords]) -> tup
 
 
 def unimodular_inverse(mat: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
+    """Inverse of a unimodular integer matrix V, as an integer matrix.
+
+    The rows (e_i, row i of V^-1) generate the row lattice of [V | I] and
+    are in Hermite normal form, which is unique; so the Hermite normal
+    form of [V | I] is [I | V^-1] exactly when V is unimodular.
+    """
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    eye = _identity(n)
+    hnf = hermite_normal_form([list(row) + e for row, e in zip(mat, eye)])
+    if [list(r[:n]) for r in hnf] != eye:
+        raise ValueError("matrix is not unimodular")
+    return [list(r[n:]) for r in hnf]
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorization [(p, e), ...] of n >= 1, primes ascending."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
     return out
 
 

@@ -1,10 +1,15 @@
 """Alternating bicharacters on finite abelian groups.
 
-Values are roots of unity held exactly as rational exponents: the root
-exp(2*pi*i*q) is stored as the Fraction q reduced into [0, 1).  A
-bicharacter on a finite group with coordinates Z/d1 x ... x Z/dk is a
-rank x rank matrix of such exponents, beta(x, y) = exp(2 pi i sum x_i
-q_ij y_j).
+A bicharacter on a finite group with coordinates Z/d1 x ... x Z/dk is
+given by rational exponents q_ij: beta(x, y) = exp(2 pi i sum x_i q_ij
+y_j).  Inside the library a root of unity is an int residue r modulo a
+stated m, standing for zeta^r with zeta = exp(2 pi i / m).  A
+bicharacter holds its exponents as (m, N): m is their least common
+denominator and N = m q is an integer matrix reduced into [0, m), so
+that beta(x, y) is the residue x N y mod m.  Rational exponents appear
+only at the boundary: the constructor reads them and the q property
+hands them out.  Residues of two pairings are compared after
+`common_modulus` brings them to one modulus.
 """
 
 from __future__ import annotations
@@ -12,124 +17,104 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .abgroup import (
     Coords,
     FinGenAbGroup,
     Subgroup,
+    factorize,
     left_kernel,
 )
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(2*pi*i*exponent) with the exponent reduced into [0, 1)."""
-
-    exponent: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent) % 1)
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(Fraction(0))
-
-    @classmethod
-    def minus_one(cls) -> "RootOfUnity":
-        return cls(Fraction(1, 2))
-
-    @classmethod
-    def primitive(cls, n: int) -> "RootOfUnity":
-        return cls(Fraction(1, n))
-
-    @property
-    def order(self) -> int:
-        return self.exponent.denominator
-
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + other.exponent)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * k)
-
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return "1"
-        if self.exponent == Fraction(1, 2):
-            return "-1"
-        return f"zeta({self.exponent})"
+def common_modulus(m1: int, m2: int) -> tuple[int, int, int]:
+    """(mod, f1, f2) with mod = lcm(m1, m2): a residue r modulo m1 and a
+    residue s modulo m2 name the same root of unity exactly when
+    r f1 = s f2 modulo mod."""
+    mod = lcm(m1, m2)
+    return mod, mod // m1, mod // m2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bicharacter:
-    """Bicharacter on a finite group, given by its exponent matrix."""
+    """Bicharacter on a finite group: beta(x, y) = zeta^(x N y) with
+    zeta = exp(2 pi i / m), so its exponent matrix is q = N / m."""
 
     domain: FinGenAbGroup
-    q: tuple[tuple[Fraction, ...], ...]
+    m: int
+    N: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not self.domain.is_finite:
+    def __init__(self, domain: FinGenAbGroup, q: Sequence[Sequence]):
+        """The bicharacter with exponent matrix q, whose entries are
+        anything Fraction accepts, reduced mod 1."""
+        if not domain.is_finite:
             raise ValueError("bicharacter domain must be finite")
-        k = self.domain.rank
-        rows = tuple(tuple(Fraction(v) % 1 for v in row) for row in self.q)
+        rows = [[Fraction(v) % 1 for v in row] for row in q]
+        m = lcm(1, *(v.denominator for row in rows for v in row))
+        self._set(domain, m, [[v.numerator * (m // v.denominator) for v in row]
+                              for row in rows])
+
+    @classmethod
+    def from_residues(cls, domain: FinGenAbGroup, m: int,
+                      rows: Sequence[Sequence[int]]) -> "Bicharacter":
+        """The bicharacter with exponent matrix q = rows / m."""
+        if not domain.is_finite:
+            raise ValueError("bicharacter domain must be finite")
+        out = object.__new__(cls)
+        out._set(domain, m, rows)
+        return out
+
+    def _set(self, domain: FinGenAbGroup, m: int,
+             rows: Sequence[Sequence[int]]) -> None:
+        """Store (m, N) with m the least common denominator of rows / m."""
+        k = domain.rank
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"exponent matrix must be {k} x {k}")
-        object.__setattr__(self, "q", rows)
+        rows = [[v % m for v in row] for row in rows]
+        common = gcd(m, *(v for row in rows for v in row))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "m", m // common)
+        object.__setattr__(self, "N", tuple(tuple(v // common for v in row)
+                                            for row in rows))
+
+    @property
+    def q(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exponent matrix, entries Fractions in [0, 1)."""
+        return tuple(tuple(Fraction(v, self.m) for v in row) for row in self.N)
 
     def validate(self) -> None:
         """Raise ValueError unless well defined on the domain and alternating."""
         d = self.domain.torsion
         k = self.domain.rank
+        m, n = self.m, self.N
         for i in range(k):
             for j in range(k):
-                if (d[i] * self.q[i][j]).denominator != 1:
+                if d[i] * n[i][j] % m:
                     raise ValueError(f"entry ({i},{j}) not killed by generator order {d[i]}")
-                if (self.q[i][j] * d[j]).denominator != 1:
+                if n[i][j] * d[j] % m:
                     raise ValueError(f"entry ({i},{j}) not killed by generator order {d[j]}")
         for i in range(k):
-            if self.q[i][i] != 0:
+            if n[i][i]:
                 raise ValueError(f"diagonal entry ({i},{i}) is nonzero")
             for j in range(i):
-                if (self.q[i][j] + self.q[j][i]) % 1 != 0:
+                if (n[i][j] + n[j][i]) % m:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
 
-    def value(self, x: Coords, y: Coords) -> RootOfUnity:
+    def value(self, x: Coords, y: Coords) -> int:
+        """beta(x, y) as the residue x N y modulo m."""
         x = self.domain.reduce(x)
         y = self.domain.reduce(y)
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.q[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc += xi * row[j] * yj
-        return RootOfUnity(acc)
-
-    @cached_property
-    def _int_matrix(self) -> tuple[int, list[list[int]]]:
-        """(m, N) with q = N / m entrywise."""
-        m = 1
-        for row in self.q:
-            for v in row:
-                m = lcm(m, v.denominator)
-        n = [[int(v * m) for v in row] for row in self.q]
-        return m, n
+        return sum(a * sum(c * b for c, b in zip(row, y))
+                   for a, row in zip(x, self.N) if a) % self.m
 
     @cached_property
     def _rows_by_order(self) -> dict[int, tuple[tuple[Coords, Coords], ...]]:
         """Domain elements x grouped by order, lexicographic within an
         order, each with its integer row r = x N mod m, so that
-        beta(x, y) = exp(2 pi i (r . y) / m) for (m, N) = _int_matrix."""
-        m, n = self._int_matrix
+        beta(x, y) = zeta^(r . y)."""
+        m, n = self.m, self.N
         k = self.domain.rank
         out: dict[int, list[tuple[Coords, Coords]]] = {}
         for x in self.domain.elements():
@@ -144,13 +129,6 @@ class Bicharacter:
         order: the largest h with x in p^h times the domain, or -1 when
         the p-part of x is zero.  Group isomorphisms keep them."""
         moduli = self.domain.torsion
-        primes, rest, p = [], self.domain.order(), 2
-        while rest > 1:
-            if rest % p == 0:
-                primes.append(p)
-                while rest % p == 0:
-                    rest //= p
-            p += 1
 
         def valuation(p: int, c: int) -> int:
             v = 0
@@ -161,7 +139,8 @@ class Bicharacter:
 
         # the p-part of c in Z/d is zero when the p-part of d divides c;
         # otherwise its p-height is the valuation of c
-        parts = [(p, [p ** valuation(p, d) for d in moduli]) for p in primes]
+        parts = [(p, [p ** valuation(p, d) for d in moduli])
+                 for p, _ in factorize(self.domain.order())]
         return {x: tuple(min((valuation(p, c) for c, top in zip(x, tops)
                               if c % top), default=-1)
                          for p, tops in parts)
@@ -176,7 +155,7 @@ class Bicharacter:
         k = self.domain.rank
         if k == 0:
             return Subgroup(self.domain, [])
-        m, n = self._int_matrix
+        m, n = self.m, self.N
         stacked = [list(row) for row in n]
         for i in range(k):
             row = [0] * k
@@ -196,7 +175,7 @@ class Bicharacter:
         if not gens:
             return Subgroup(self.domain, self.domain.generators())
         k = self.domain.rank
-        m, n = self._int_matrix
+        m, n = self.m, self.N
         w = [[sum(n[i][j] * g[j] for j in range(k)) for g in gens] for i in range(k)]
         stacked = w + [[m * int(i == j) for j in range(len(gens))] for i in range(len(gens))]
         ker = left_kernel(stacked)
@@ -207,18 +186,20 @@ class Bicharacter:
         if sub.parent != self.domain:
             raise ValueError("subgroup lives in a different group")
         gens = [g for g, _ in sub.smith_gens]
-        q = tuple(tuple(self.value(a, b).exponent for b in gens) for a in gens)
-        return Bicharacter(sub.as_group(), q)
+        return Bicharacter.from_residues(
+            sub.as_group(), self.m, [[self.value(a, b) for b in gens] for a in gens])
 
     def inverse(self) -> "Bicharacter":
-        return Bicharacter(self.domain, tuple(tuple(-v % 1 for v in row) for row in self.q))
+        return Bicharacter.from_residues(self.domain, self.m,
+                                         [[-v for v in row] for row in self.N])
 
     def symplectic_decomposition(self) -> "DualPairDecomposition":
         """Split the domain into mutually orthogonal dual pairs.
 
         Requires a nondegenerate alternating bicharacter.  Pivots are
         chosen deterministically: the lex-least element of maximal order,
-        then the lex-least partner pairing to a root of that exact order.
+        then the lex-least partner pairing to a root of that exact order
+        (a residue v modulo m has order m / gcd(v, m)).
         """
         group = self.domain
         current = Subgroup(group, group.generators())
@@ -230,7 +211,8 @@ class Bicharacter:
             a = min((e for e in elems if e != group.zero()),
                     key=lambda e: (-group.element_order(e), e))
             o = group.element_order(a)
-            b = next((e for e in elems if self.value(a, e).order == o), None)
+            b = next((e for e in elems
+                      if self.m // gcd(self.value(a, e), self.m) == o), None)
             if b is None:
                 raise ValueError("no dual partner found; bicharacter is degenerate")
             pairs.append((a, b, o))
@@ -278,11 +260,12 @@ def standard_pair(h_moduli: Sequence[int]) -> tuple[FinGenAbGroup, Bicharacter]:
         raise ValueError("moduli must be >= 2")
     p = len(h)
     group = FinGenAbGroup(0, h + h)
-    q = [[Fraction(0)] * (2 * p) for _ in range(2 * p)]
+    m = lcm(*h)
+    n = [[0] * (2 * p) for _ in range(2 * p)]
     for i, hi in enumerate(h):
-        q[i][p + i] = Fraction(1, hi)
-        q[p + i][i] = Fraction(-1, hi) % 1
-    return group, Bicharacter(group, tuple(tuple(row) for row in q))
+        n[i][p + i] = m // hi
+        n[p + i][i] = -(m // hi)
+    return group, Bicharacter.from_residues(group, m, n)
 
 
 def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
@@ -295,8 +278,8 @@ def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
     nondegenerate: any pairing-preserving homomorphism is then injective,
     so equal orders make it bijective.
 
-    Pairings are compared as integers modulo the lcm of the two exponent
-    denominators.  Pins must agree in order, in p-heights and in their
+    Pairings are compared as residues modulo the `common_modulus` of the
+    two pairings.  Pins must agree in order, in p-heights and in their
     pairings with each other.  Generators in the support of a pin are
     assigned first, pin by pin, so each pin is checked as soon as its
     support is assigned; before that, a pin (s, t) already asks that
@@ -312,12 +295,10 @@ def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
     if not b1.is_nondegenerate():
         raise ValueError("source bicharacter must be nondegenerate")
     pins = [(g1.reduce(s), g2.reduce(t)) for s, t in pins]
-    m1, n1 = b1._int_matrix
-    m2, n2 = b2._int_matrix
-    mod = lcm(m1, m2)
-    f1, f2 = mod // m1, mod // m2
+    n1, n2 = b1.N, b2.N
+    mod, f1, f2 = common_modulus(b1.m, b2.m)
 
-    def pairing(n: list[list[int]], f: int, x: Coords, y: Coords) -> int:
+    def pairing(n: tuple[tuple[int, ...], ...], f: int, x: Coords, y: Coords) -> int:
         """beta(x, y) for beta = n / m, times mod = f * m, reduced."""
         return sum(a * c * b for a, row in zip(x, n) if a
                    for c, b in zip(row, y)) * f % mod

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .abgroup import Coords, FinGenAbGroup, Subgroup
-from .bichar import Bicharacter, beta_isomorphism, standard_pair
+from .abgroup import Coords, FinGenAbGroup, Subgroup, factorize
+from .bichar import Bicharacter, beta_isomorphism, common_modulus, standard_pair
 from .matgrade import (
     CheckedSpec,
     CosetMultiset,
@@ -55,7 +55,8 @@ def _same_division_data(p1: EmbeddedPairing, p2: EmbeddedPairing,
     if p1.sub != p2.sub:
         return False
     gens = [g for g, _ in p1.sub.smith_gens]
-    return all(p1.value(x, y) ** delta == p2.value(x, y)
+    mod, f1, f2 = common_modulus(p1.beta.m, p2.beta.m)
+    return all((delta * p1.value(x, y) * f1 - p2.value(x, y) * f2) % mod == 0
                for x in gens for y in gens)
 
 
@@ -207,21 +208,8 @@ def abelian_groups_of_order(order: int) -> list[tuple[int, ...]]:
     of prime-power cyclic factors."""
     if order < 1:
         raise ValueError("order must be positive")
-    factors = []
-    rest = order
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factors.append((p, e))
-        p += 1
-    if rest > 1:
-        factors.append((rest, 1))
     per_prime = [[tuple(p ** part for part in parts) for parts in _partitions(e)]
-                 for p, e in factors]
+                 for p, e in factorize(order)]
     out = []
     for combo in itertools.product(*per_prime):
         cyclic = tuple(sorted(x for block in combo for x in block))
@@ -310,8 +298,8 @@ def _involution_orbits(beta: Bicharacter) -> list[Coords]:
     two = [i for i, d in enumerate(moduli) if d & (d - 1) == 0]
     if any(d % 2 == 0 for d in moduli if d & (d - 1)):
         raise ValueError("each coordinate must have 2-power or odd order")
-    beta2 = Bicharacter(FinGenAbGroup(0, tuple(moduli[i] for i in two)),
-                        tuple(tuple(beta.q[i][j] for j in two) for i in two))
+    beta2 = Bicharacter.from_residues(FinGenAbGroup(0, tuple(moduli[i] for i in two)),
+                                      beta.m, [[beta.N[i][j] for j in two] for i in two])
     moduli2 = beta2.domain.torsion
     involutions = itertools.product(*((0, d // 2) for d in moduli2))
     next(involutions)  # zero
@@ -357,7 +345,7 @@ def enumerate_odd_fine(n: int) -> list[FineGradingDescriptor]:
                 tgens = []
                 for i in range(2 * len(h)):
                     s = t_group.unit(i)
-                    parity = 0 if beta.value(t0, s).is_one() else 1
+                    parity = 0 if beta.value(t0, s) == 0 else 1
                     tgens.append(ext.lift(group.unit(free + i), parity))
                 gamma = (group.zero(),) + tuple(group.unit(i)
                                                 for i in range(free))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .abgroup import Coords, FinGenAbGroup
@@ -77,8 +76,11 @@ def _group(obj) -> FinGenAbGroup:
 def _beta(obj) -> Bicharacter:
     try:
         domain = _group(obj["domain"])
-        q = tuple(tuple(Fraction(str(v)) % 1 for v in row)
-                  for row in obj["q"])
+        q = obj["q"]
+        if not (isinstance(q, list) and all(isinstance(row, list) and
+                                            all(isinstance(v, str) for v in row)
+                                            for row in q)):
+            raise ValueError("exponents must be a list of lists of strings")
         return Bicharacter(domain, q)
     except SpecFormatError:
         raise

@@ -3,9 +3,10 @@
 A nondegenerate alternating bicharacter beta on a finite group T is
 realized by monomial matrices X_t of size sqrt|T|, one per t in T, with
 X_s X_t a root-of-unity multiple of X_{s+t} and X_u X_v = beta(u, v)
-X_v X_u.  Write beta = exp(2 pi i N / m) with (m, N) the integer matrix
-of Bicharacter._int_matrix: every entry of every X_t is then an m-th
-root of unity zeta^e, held as its exponent e, an int modulo m.
+X_v X_u.  Write beta = exp(2 pi i N / m) with (m, N) the pairing's
+integer form, Bicharacter.m and Bicharacter.N: every entry of every X_t
+is then an m-th root of unity zeta^e, held as its exponent e, an int
+modulo m.
 Products, proportionality factors and transposes are integer
 arithmetic; a trace is decided exactly by counting its fixed points per
 residue and reducing that integer polynomial modulo the m-th
@@ -14,11 +15,10 @@ cyclotomic polynomial.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .abgroup import Coords
-from .bichar import Bicharacter, DualPairDecomposition
+from .abgroup import Coords, factorize
+from .bichar import Bicharacter, DualPairDecomposition, common_modulus
 
 
 class MonomialMatrix:
@@ -140,15 +140,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 def _moebius(n: int) -> int:
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
+    factors = factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def _x_power_minus_one(d: int) -> list[int]:
@@ -209,8 +202,8 @@ class StandardRealization:
     T is split into dual pairs (a_i, b_i); basis vectors are labeled by
     the subgroup B generated by the b_i, sorted lexicographically.  For
     t = a + b (a in A, b in B), X_t sends e_{b'} to beta(a, b + b')
-    e_{b + b'}.  Entries are exponents modulo m, m from the pairing's
-    _int_matrix; the X_t are built on the first call of matrix.
+    e_{b + b'}.  Entries are exponents modulo the pairing's m; the X_t
+    are built on the first call of matrix.
     """
 
     def __init__(self, beta: Bicharacter,
@@ -218,7 +211,7 @@ class StandardRealization:
         self.beta = beta
         self.group = beta.domain
         self.dec = decomposition or beta.symplectic_decomposition()
-        self.m = beta._int_matrix[0]
+        self.m = beta.m
         self.labels: tuple[Coords, ...] = tuple(sorted(self._span(self.dec.b_gens)))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("dual pair generators are not independent")
@@ -239,7 +232,7 @@ class StandardRealization:
     def _build(self) -> dict[Coords, tuple[Coords, Coords, MonomialMatrix]]:
         """Every X_t, from the (alpha, delta) coordinates of t = a + b:
         entry j of X_t is a N (b + label j) modulo m."""
-        m, n = self.beta._int_matrix
+        m, n = self.m, self.beta.N
         tors = self.group.torsion
         targets = {b: [tuple((x + y) % d for x, y, d in zip(b, lab, tors))
                        for lab in self.labels] for b in self.labels}
@@ -268,14 +261,13 @@ class StandardRealization:
         """(u, c) with X_t^T = zeta^c X_u; u flips the B part of t."""
         parts = self._parts or self._build()
         a, b, _ = parts.get(t) or parts[self.group.reduce(t)]
-        m, n = self.beta._int_matrix
-        c = sum(r * y for r, y in zip(_row(a, n), b)) % m
+        c = sum(r * y for r, y in zip(_row(a, self.beta.N), b)) % self.m
         return self.group.sub(a, b), c
 
 
-def _row(x: Coords, n: list[list[int]]) -> list[int]:
+def _row(x: Coords, n: Sequence[Sequence[int]]) -> list[int]:
     """The integer row x N: beta(x, y) = zeta^(x N . y) for (m, N) the
-    pairing's _int_matrix and zeta = exp(2 pi i / m)."""
+    pairing's integer form and zeta = exp(2 pi i / m)."""
     return [sum(c * v for c, v in zip(x, col)) for col in zip(*n)]
 
 
@@ -323,25 +315,23 @@ def realization_failures(real: StandardRealization, table: ProductTable,
     that is X_t X_s = beta(t,s) X_s X_t; traces must vanish away from 0
     and equal the size at 0; transposes must match their partners.
     beta defaults to the realization's own and must live on the same
-    group; commutation factors are compared as integers modulo the lcm
-    of the two root orders.  The products come from table, filled by
-    product_table.
+    group; commutation factors are compared as residues modulo the
+    common_modulus of the two root orders.  The products come from
+    table, filled by product_table.
     """
     beta = real.beta if beta is None else beta
     if beta.domain != real.group:
         raise ValueError("the bicharacter lives on a different group")
     group = real.group
     m = real.m
-    mb, nb = beta._int_matrix
-    unit = lcm(m, mb)
-    fr, fb = unit // m, unit // mb
+    unit, fr, fb = common_modulus(m, beta.m)
     elems = sorted(group.elements())
     e = group.zero()
     failures = []
     if real.matrix(e) != MonomialMatrix.identity(real.size, m):
         failures.append("X at the identity is not the identity matrix")
     for t in elems:
-        row = _row(t, nb)
+        row = _row(t, beta.N)
         for s in elems:
             entry, back = table[t, s], table[s, t]
             if entry is None:

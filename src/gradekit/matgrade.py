@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .abgroup import (
@@ -39,7 +39,7 @@ from .abgroup import (
     squares_and_two_torsion,
     subgroup_and_quotient,
 )
-from .bichar import Bicharacter, RootOfUnity
+from .bichar import Bicharacter, common_modulus
 from .graddiv import StandardRealization, product_table, realization_failures
 
 
@@ -114,7 +114,8 @@ class EmbeddedPairing:
     def push(self, dom: Coords) -> Coords:
         return self.hom.apply(dom)
 
-    def value(self, x: Coords, y: Coords) -> RootOfUnity:
+    def value(self, x: Coords, y: Coords) -> int:
+        """beta(x, y) for x, y in T, a residue modulo beta.m."""
         return self.beta.value(self.abstract_coords(x), self.abstract_coords(y))
 
 
@@ -478,34 +479,33 @@ def parity_element(spec: OddAssocTSpec) -> Coords:
     return _parity_element(EmbeddedPairing(ext.group, spec.tgens, spec.beta), ext)
 
 
-def _character_on(sub: Subgroup, vector: tuple[int, ...]):
-    """The character of a finite subgroup given by dual coordinates."""
+def _character_on(sub: Subgroup, vector: tuple[int, ...], mod: int):
+    """The character of a finite subgroup given by dual coordinates, with
+    values residues modulo mod, a multiple of every order of sub."""
     gens = sub.smith_gens
 
-    def chi(x: Coords) -> RootOfUnity:
+    def chi(x: Coords) -> int:
         coords = sub.coords_of(x)
         if coords is None:
             raise ValueError(f"{x} is outside the subgroup")
-        acc = Fraction(0)
-        for c, xc, (_, o) in zip(vector, coords, gens):
-            acc += Fraction(c * xc, o)
-        return RootOfUnity(acc)
+        return sum(c * xc * (mod // o)
+                   for c, xc, (_, o) in zip(vector, coords, gens)) % mod
 
     return chi
 
 
-def _canonical_chi(group: FinGenAbGroup, t_plus: Subgroup, t0: Coords):
-    """Lexicographically least character of T+ taking -1 at t0."""
+def _canonical_chi(t_plus: Subgroup, t0: Coords, mod: int):
+    """Lexicographically least character of T+ taking -1 at t0, with
+    values residues modulo mod, a multiple of every order of T+."""
     gens = t_plus.smith_gens
     orders = [o for _, o in gens]
     t0_coords = t_plus.coords_of(t0)
     if t0_coords is None:
         raise ValueError("t0 does not lie in the support")
-    half = Fraction(1, 2)
     for vec in itertools.product(*(range(o) for o in orders)):
-        val = sum(Fraction(c * d, o) for c, d, o in zip(vec, t0_coords, orders))
-        if val % 1 == half:
-            return _character_on(t_plus, vec)
+        val = sum(c * d * (mod // o) for c, d, o in zip(vec, t0_coords, orders))
+        if 2 * (val % mod) == mod:
+            return _character_on(t_plus, vec, mod)
     raise ValueError("no character separates t0; is it the identity?")
 
 
@@ -553,35 +553,39 @@ def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
         g, spec.t0, spec.tbar_gens, spec.beta_bar)
     if not extends:
         raise ValueError("no odd grading exists for this quotient data")
-    chi = _canonical_chi(g, t_plus, t0)
+    # chi and beta_bar in residues modulo one common modulus
+    mod, f_bar, _ = common_modulus(bar_pairing.beta.m,
+                                   lcm(*(o for _, o in t_plus.smith_gens)))
+    chi = _canonical_chi(t_plus, t0, mod)
     # the unique element pairing (via beta_bar) as chi squared
     a_bar = None
     plus_gens = [x for x, _ in t_plus.smith_gens]
     for cand in bar_pairing.sub.elements():
-        if all(bar_pairing.value(cand, theta(s)) == chi(s) ** 2 for s in plus_gens):
+        if all((bar_pairing.value(cand, theta(s)) * f_bar - 2 * chi(s)) % mod == 0
+               for s in plus_gens):
             a_bar = cand
             break
     assert a_bar is not None, "chi^2 must be represented by the nondegenerate pairing"
     a = next(x for x in t_plus.elements()
-             if theta(x) == a_bar and chi(x).is_one())
+             if theta(x) == a_bar and chi(x) == 0)
     u = g.reduce(spec.u)
     if g.scale(2, u) != a:
         raise ValueError(f"u squared is {g.scale(2, u)}, expected {a}")
     ext = ParityExtension(g)
 
-    def beta_u(x: Coords, y: Coords) -> RootOfUnity:
+    def beta_u(x: Coords, y: Coords) -> int:
         i, j = ext.bit(x), ext.bit(y)
         s = g.sub(ext.base_part(x), g.scale(i, u))
         t = g.sub(ext.base_part(y), g.scale(j, u))
         val = bar_pairing.value(theta(s), theta(t))
-        return val * (chi(s) ** (-j)) * (chi(t) ** i)
+        return (val * f_bar - j * chi(s) + i * chi(t)) % mod
 
     tu_gens = [ext.embed(x) for x, _ in t_plus.smith_gens] + [ext.lift(u, 1)]
     tu = Subgroup(ext.group, tu_gens)
     gens = tuple(x for x, _ in tu.smith_gens)
     orders = tuple(o for _, o in tu.smith_gens)
-    q = tuple(tuple(beta_u(x, y).exponent for y in gens) for x in gens)
-    beta = Bicharacter(FinGenAbGroup(0, orders), q)
+    beta = Bicharacter.from_residues(FinGenAbGroup(0, orders), mod,
+                                     [[beta_u(x, y) for y in gens] for x in gens])
     return OddAssocTSpec(g, gens, beta, spec.gamma)
 
 
@@ -601,9 +605,9 @@ def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
         lift = next(x for x in plus_elems_g if theta(x) == gen)
         tbar_gens.append(gen)
         q_lifts.append(lift)
-    q = tuple(tuple(pairing.value(ext.embed(x), ext.embed(y)).exponent
-                    for y in q_lifts) for x in q_lifts)
-    beta_bar = Bicharacter(tbar.as_group(), q)
+    beta_bar = Bicharacter.from_residues(
+        tbar.as_group(), pairing.beta.m,
+        [[pairing.value(ext.embed(x), ext.embed(y)) for y in q_lifts] for x in q_lifts])
     u = min(ext.base_part(pairing.push(x))
             for x in spec.beta.domain.elements()
             if ext.bit(pairing.push(x)) == 1)

@@ -14,7 +14,7 @@ from gradekit.abgroup import (
     squares_and_two_torsion,
     subgroup_and_quotient,
 )
-from gradekit.bichar import Bicharacter, RootOfUnity, standard_pair
+from gradekit.bichar import Bicharacter, standard_pair
 from gradekit import matgrade
 from gradekit.superlie import PSpec, ambient_even_spec
 from gradekit.matgrade import (
@@ -25,6 +25,43 @@ from gradekit.matgrade import (
 )
 
 TRIVIAL_BETA = Bicharacter(FinGenAbGroup(0, ()), ())
+
+
+def fraction_inverse(mat):
+    """The inverse of a square integer matrix by Fraction Gauss-Jordan
+    elimination, or None when it is singular."""
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [a * inv for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def random_unimodular(rng, n, steps=12):
+    """A seeded random n x n integer matrix of determinant +-1, a product
+    of row swaps, negations and additions."""
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            mat[i], mat[j] = mat[j], mat[i]
+        elif kind == 1:
+            mat[i] = [-a for a in mat[i]]
+        elif i != j:
+            c = rng.randint(-3, 3)
+            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+    return mat
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
@@ -61,6 +98,31 @@ def count_one_pass(monkeypatch) -> dict:
     """{step: calls} for every step of ONE_PASS_STEPS, recorded from now on."""
     return {step: count_calls(monkeypatch, owner, name)
             for step, (owner, name) in ONE_PASS_STEPS.items()}
+
+
+def ref_row(beta, x):
+    """The Fraction row x q, summed straight from the rational matrix
+    beta.q, without Bicharacter.value."""
+    return [sum((a * col for a, col in zip(x, cols) if a), Fraction(0))
+            for cols in zip(*beta.q)]
+
+
+def ref_value(beta, x, y, row=None):
+    """beta(x, y) as a Fraction exponent in [0, 1); row, when given, is
+    ref_row(beta, x)."""
+    row = ref_row(beta, x) if row is None else row
+    return sum((r * b for r, b in zip(row, y) if b), Fraction(0)) % 1
+
+
+def ref_pairing_value(pairing, x, y):
+    """ref_value of an EmbeddedPairing at two elements of its support."""
+    return ref_value(pairing.beta, pairing.abstract_coords(x),
+                     pairing.abstract_coords(y))
+
+
+def exponent(beta, residue):
+    """The Fraction exponent in [0, 1) of a residue modulo beta.m."""
+    return Fraction(residue, beta.m)
 
 
 def embedded_standard_torus(h, free=0, extra=()):
@@ -106,7 +168,8 @@ def oracle_chi_and_a(group, t0, tbar_lifts, beta_bar):
 
     Mirrors the published rule: characters of T+ are enumerated as dual
     vectors against its smith basis in lexicographic order; the first one
-    taking -1 at t0 is chosen.  Returns (chi, a).
+    taking -1 at t0 is chosen.  Returns (chi, a), chi with values the
+    Fraction exponents of its roots.
     """
     _, gbar, theta = subgroup_and_quotient(group, [t0])
     bar = EmbeddedPairing(gbar, tuple(theta(t) for t in tbar_lifts), beta_bar)
@@ -125,17 +188,18 @@ def oracle_chi_and_a(group, t0, tbar_lifts, beta_bar):
     def chi(x):
         coords = t_plus.coords_of(x)
         assert coords is not None
-        return RootOfUnity(sum(Fraction(c * xc, o)
-                               for c, xc, (_, o) in zip(chosen, coords, gens)))
+        return sum(Fraction(c * xc, o)
+                   for c, xc, (_, o) in zip(chosen, coords, gens)) % 1
 
     a_bar = None
     for cand in bar.sub.elements():
-        if all(bar.value(cand, theta(s)) == chi(s) ** 2 for s, _ in gens):
+        if all(ref_pairing_value(bar, cand, theta(s)) == 2 * chi(s) % 1
+               for s, _ in gens):
             a_bar = cand
             break
     assert a_bar is not None
     a = next(x for x in t_plus.elements()
-             if theta(x) == a_bar and chi(x).is_one())
+             if theta(x) == a_bar and chi(x) == 0)
     return chi, a
 
 
@@ -329,8 +393,9 @@ class CycloSum:
         return cls()
 
     @classmethod
-    def term(cls, coeff, root: RootOfUnity) -> "CycloSum":
-        return cls({root.exponent: Fraction(coeff)})
+    def term(cls, coeff, e) -> "CycloSum":
+        """coeff times exp(2 pi i e)."""
+        return cls({Fraction(e): Fraction(coeff)})
 
     def __add__(self, other: "CycloSum") -> "CycloSum":
         out = dict(self.terms)
@@ -368,7 +433,7 @@ class CycloSum:
         return not any(rem[:dn])
 
     def equals_rational(self, value) -> bool:
-        return (self - CycloSum.term(Fraction(value), RootOfUnity.one())).is_zero()
+        return (self - CycloSum.term(Fraction(value), 0)).is_zero()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloSum) and (self - other).is_zero()
@@ -393,7 +458,7 @@ def random_alternating(rng, h):
 
 class ReferenceRealization:
     """The standard realization of beta as (perm, exponents) pairs, built
-    straight from Bicharacter.value: entry j of X_t is the root
+    straight from the rational matrix beta.q: entry j of X_t is the root
     exp(2 pi i exps[j]), exps[j] a Fraction in [0, 1).
 
     A and B are spanned by the dual pairs of beta.symplectic_decomposition;
@@ -422,7 +487,7 @@ class ReferenceRealization:
                 t = group.add(a, b)
                 self.split[t] = (a, b)
                 self.mats[t] = (tuple(index[u] for u in targets),
-                                tuple(beta.value(a, u).exponent for u in targets))
+                                tuple(ref_value(beta, a, u) for u in targets))
 
     @staticmethod
     def transpose(x):
@@ -456,13 +521,13 @@ class ReferenceRealization:
         acc = CycloSum.zero()
         for j, (i, c) in enumerate(zip(*self.mats[t])):
             if i == j:
-                acc = acc + CycloSum.term(1, RootOfUnity(c))
+                acc = acc + CycloSum.term(1, c)
         return acc
 
     def transpose_partner(self, t):
         """(a - b, the exponent of beta(a, b)) for t = a + b."""
         a, b = self.split[t]
-        return self.group.sub(a, b), self.beta.value(a, b).exponent
+        return self.group.sub(a, b), ref_value(self.beta, a, b)
 
     def failures(self, table=None):
         """The identities that fail, with the texts and in the order of
@@ -480,7 +545,7 @@ class ReferenceRealization:
                 if entry is None:
                     out.append(f"X_{t} X_{s} is not a root multiple of X_(t+s)")
                 elif back is not None and \
-                        (entry[0] - back[0]) % 1 != self.beta.value(t, s).exponent:
+                        (entry[0] - back[0]) % 1 != ref_value(self.beta, t, s):
                     out.append(f"commutation factor at ({t}, {s}) is off")
         for t in elems:
             if t == e:

@@ -7,6 +7,7 @@ from gradekit.abgroup import (
     GroupHom,
     Subgroup,
     coset_canonical_rep,
+    factorize,
     finitely_presented_quotient,
     hermite_normal_form,
     lattice_contains,
@@ -19,6 +20,8 @@ from gradekit.abgroup import (
     subgroup_and_quotient,
     unimodular_inverse,
 )
+
+from helpers import fraction_inverse, random_unimodular
 
 
 def mat_mul(a, b):
@@ -62,6 +65,35 @@ def test_snf_random():
         n = rng.randint(1, 5)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         check_snf(mat)
+
+
+def test_unimodular_inverse():
+    rng = random.Random(11)
+    assert unimodular_inverse([]) == []
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        v = random_unimodular(rng, n)
+        w = unimodular_inverse(v)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul(v, w) == eye == mat_mul(w, v)
+        assert w == fraction_inverse(v)
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[3]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(bad)
+
+
+def test_factorize():
+    for n in range(1, 501):
+        factors = factorize(n)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(primes) and all(e >= 1 for _, e in factors)
+        assert all(all(p % d for d in range(2, p)) for p in primes)
+        product = 1
+        for p, e in factors:
+            product *= p ** e
+        assert product == n
+        assert primes == [p for p in range(2, n + 1)
+                          if n % p == 0 and all(p % d for d in range(2, p))]
 
 
 def test_hnf_canonical():

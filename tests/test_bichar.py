@@ -1,32 +1,92 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from gradekit.abgroup import FinGenAbGroup, Subgroup
 from gradekit.bichar import (
     Bicharacter,
-    RootOfUnity,
     beta_isomorphism,
+    common_modulus,
     standard_pair,
 )
 
-from helpers import standard_isometries
+from helpers import exponent, random_alternating, ref_row, ref_value, standard_isometries
 
 F = Fraction
 
 
-def test_root_of_unity():
-    one = RootOfUnity.one()
-    m1 = RootOfUnity.minus_one()
-    assert m1 * m1 == one
-    assert m1.order == 2 and one.order == 1
-    i = RootOfUnity(F(1, 4))
-    assert i * i == m1
-    assert i.inverse() == RootOfUnity(F(3, 4))
-    assert i ** 4 == one and i ** -1 == i.inverse()
-    assert RootOfUnity(F(5, 4)) == i
-    assert str(m1) == "-1" and str(one) == "1"
+def order(beta, residue):
+    """The order of the root a residue modulo beta.m stands for."""
+    return beta.m // gcd(residue, beta.m)
+
+
+def test_values_are_residues():
+    # on the Z/4 standard pair, beta(e1, e2) = i is the residue 1 mod 4
+    group, beta = standard_pair([4])
+    assert (beta.m, beta.N) == (4, ((0, 1), (3, 0)))
+    a, b = (1, 0), (0, 1)
+    i = beta.value(a, b)
+    assert i == 1
+    # a product of roots is the sum of residues: i * i = -1, (-1)^2 = 1
+    minus_one = beta.value(group.scale(2, a), b)
+    assert minus_one == (i + i) % 4 == 2
+    assert beta.value(group.scale(4, a), b) == (minus_one + minus_one) % 4 == 0
+    # the inverse is the negated residue, the swapped arguments
+    assert beta.value(b, a) == -i % 4 == 3
+    assert beta.inverse().value(a, b) == 3
+    # a power is a multiple: i^4 = 1, i^-1 = i^3, i^5 = i
+    assert beta.value(group.scale(-1, a), b) == 3 * i % 4
+    assert beta.value((5, 0), b) == i
+    # the order of a residue v is m / gcd(v, m)
+    assert [order(beta, beta.value(group.scale(k, a), b)) for k in range(4)] == [1, 4, 2, 4]
+    # the exponents handed out are the residues over m
+    assert beta.q[0][1] == F(i, 4)
+
+
+def test_common_modulus():
+    assert common_modulus(4, 6) == (12, 3, 2)
+    assert common_modulus(2, 2) == (2, 1, 1)
+    # 1/2 modulo 2 and 3/6 modulo 6 are both -1
+    mod, f1, f2 = common_modulus(2, 6)
+    assert 1 * f1 % mod == 3 * f2 % mod
+
+
+SHAPES = [(2,), (3,), (4,), (2, 2), (6,), (2, 4), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("h", SHAPES, ids=str)
+def test_value_matches_the_fraction_reference(h):
+    # residues over m are the Fraction sums of beta.q, also on the
+    # inverse and on a restriction, whose values are those of beta
+    rng = random.Random(SHAPES.index(h))
+    beta = random_alternating(rng, h)
+    group = beta.domain
+    elems = sorted(group.elements())
+    sub = Subgroup(group, [rng.choice(elems), rng.choice(elems)])
+    inv, res = beta.inverse(), beta.restrict(sub)
+    gens = [g for g, _ in sub.smith_gens]
+    for b in (beta, inv, res):
+        b.validate()
+        # m is the least common denominator of the exponents
+        assert b.m == lcm(1, *(v.denominator for row in b.q for v in row))
+    for x in elems:
+        row, inv_row = ref_row(beta, x), ref_row(inv, x)
+        for y in elems:
+            want = ref_value(beta, x, y, row)
+            assert F(beta.value(x, y), beta.m) == want
+            assert F(inv.value(x, y), inv.m) == ref_value(inv, x, y, inv_row) == -want % 1
+
+    def embed(x):
+        """The element sum_i x_i gens[i] of the group."""
+        return group.reduce([sum(c * g[k] for c, g in zip(x, gens))
+                             for k in range(group.rank)])
+
+    for x in res.domain.elements():
+        for y in res.domain.elements():
+            assert F(res.value(x, y), res.m) == ref_value(res, x, y) \
+                == ref_value(beta, embed(x), embed(y))
 
 
 def test_standard_pair_z4():
@@ -39,9 +99,9 @@ def test_standard_pair_z4():
 
 def test_standard_pair_z2():
     group, beta = standard_pair([2])
-    assert beta.value((1, 0), (0, 1)) == RootOfUnity.minus_one()
-    assert beta.value((1, 0), (1, 0)).is_one()
-    assert beta.value((1, 1), (1, 1)).is_one()
+    assert exponent(beta, beta.value((1, 0), (0, 1))) == F(1, 2)
+    assert beta.value((1, 0), (1, 0)) == 0
+    assert beta.value((1, 1), (1, 1)) == 0
 
 
 def test_validate_rejections():
@@ -64,10 +124,11 @@ def test_value_bilinear():
     elems = [tuple(rng.randrange(d) for d in group.torsion) for _ in range(12)]
     for _ in range(40):
         x, y, z = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-        assert beta.value(group.add(x, y), z) == beta.value(x, z) * beta.value(y, z)
-        assert beta.value(x, group.add(y, z)) == beta.value(x, y) * beta.value(x, z)
-        assert beta.value(x, x).is_one()
-        assert (beta.value(x, y) * beta.value(y, x)).is_one()
+        m = beta.m
+        assert beta.value(group.add(x, y), z) == (beta.value(x, z) + beta.value(y, z)) % m
+        assert beta.value(x, group.add(y, z)) == (beta.value(x, y) + beta.value(x, z)) % m
+        assert beta.value(x, x) == 0
+        assert (beta.value(x, y) + beta.value(y, x)) % m == 0
 
 
 def test_radical():
@@ -94,7 +155,7 @@ def test_orthogonal_complement_sizes():
         assert sub.order() * comp.order() == total
         for a in sub.elements():
             for x in comp.elements():
-                assert beta.value(x, a).is_one()
+                assert beta.value(x, a) == 0
 
 
 def test_orthogonal_complement_degenerate():
@@ -112,7 +173,7 @@ def test_restrict():
     gens = [g for g, _ in sub.smith_gens]
     for i, a in enumerate(gens):
         for j, b in enumerate(gens):
-            assert res.q[i][j] == beta.value(a, b).exponent
+            assert res.q[i][j] == exponent(beta, beta.value(a, b))
 
 
 def test_symplectic_decomposition_standard():
@@ -121,12 +182,12 @@ def test_symplectic_decomposition_standard():
     assert dec.orders == (4, 2)
     for i, (a, b, o) in enumerate(dec.pairs):
         assert group.element_order(a) == o == group.element_order(b)
-        assert beta.value(a, b).order == o
+        assert order(beta, beta.value(a, b)) == o
         for j, (a2, b2, _) in enumerate(dec.pairs):
             if i != j:
-                assert beta.value(a, a2).is_one()
-                assert beta.value(a, b2).is_one()
-                assert beta.value(b, b2).is_one()
+                assert beta.value(a, a2) == 0
+                assert beta.value(a, b2) == 0
+                assert beta.value(b, b2) == 0
     # the pairs generate the domain
     assert Subgroup(group, list(dec.a_gens + dec.b_gens)).order() == group.order()
 
@@ -139,13 +200,13 @@ def test_symplectic_decomposition_scrambled():
     def img(v):
         return group.reduce((v[0] + 2 * v[1], v[1]))
 
-    qm = tuple(tuple(beta0.value(img(group.unit(i)), img(group.unit(j))).exponent
+    qm = tuple(tuple(exponent(beta0, beta0.value(img(group.unit(i)), img(group.unit(j))))
                      for j in range(2)) for i in range(2))
     beta = Bicharacter(group, qm)
     dec = beta.symplectic_decomposition()
     assert dec.orders == (4,)
     a, b, _ = dec.pairs[0]
-    assert beta.value(a, b).order == 4
+    assert order(beta, beta.value(a, b)) == 4
 
 
 def test_symplectic_decomposition_rejects_degenerate():
@@ -161,7 +222,7 @@ def test_trivial_domain():
     beta.validate()
     assert beta.is_nondegenerate()
     assert beta.symplectic_decomposition().pairs == ()
-    assert beta.value((), ()).is_one()
+    assert beta.value((), ()) == 0
 
 
 def test_beta_isomorphism_same_pairing():
@@ -172,7 +233,7 @@ def test_beta_isomorphism_same_pairing():
     g = b1.domain
     for i in range(2):
         for j in range(2):
-            assert b2.value(images[i], images[j]).exponent == b1.q[i][j]
+            assert exponent(b2, b2.value(images[i], images[j])) == b1.q[i][j]
 
 
 def test_beta_isomorphism_distinguishes_groups():
@@ -208,7 +269,7 @@ def test_inverse():
     bi = b.inverse()
     for x in b.domain.elements():
         for y in b.domain.elements():
-            assert bi.value(x, y) == b.value(x, y).inverse()
+            assert bi.value(x, y) == -b.value(x, y) % b.m
 
 
 def test_beta_isomorphism_pin_across_heights():
@@ -233,8 +294,8 @@ def _check_isometry(b1, b2, images, pins):
     assert len({apply(x) for x in g1.elements()}) == g2.order()
     for i in range(g1.rank):
         for j in range(g1.rank):
-            assert (b2.value(images[i], images[j])
-                    == b1.value(g1.unit(i), g1.unit(j)))
+            assert (exponent(b2, b2.value(images[i], images[j]))
+                    == exponent(b1, b1.value(g1.unit(i), g1.unit(j))))
     for s, t in pins:
         assert apply(s) == t
 

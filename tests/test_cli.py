@@ -282,6 +282,22 @@ def test_non_integer_coordinates_and_group_fields_exit_2(tmp_path, capsys, mutat
                     capsys.readouterr().err)
 
 
+# exponent matrices whose entries are not all JSON strings: numbers, and
+# a row given as an object (iterating it would read its keys)
+NON_STRING_Q = {
+    "numbers": [[0, 0.5], [0.5, 0]],
+    "object-row": [{"0": 1, "1/2": 2}, ["1/2", "0"]],
+    "inexact-numbers": [[0, 0.3333333333333333], [0.6666666666666667, 0]],
+}
+
+
+@pytest.mark.parametrize("q", NON_STRING_Q.values(), ids=NON_STRING_Q.keys())
+def test_non_string_exponents_exit_2(tmp_path, capsys, q):
+    path = example_path(tmp_path, "even", lambda d: d["beta"].update(q=q))
+    assert run(["verify", "-f", path]) == (None, 2)
+    assert capsys.readouterr().err.startswith("gradekit: bad bicharacter")
+
+
 # steps of the one validation pass per input spec: an odd_g spec has two
 # pairings, beta_bar on G/<t0> and the converted pairing on G x Z/2
 PER_SPEC = {"even": {"pairings": 1, "checks": 1, "parities": 0, "quotients": 0},
