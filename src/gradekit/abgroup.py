@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional
 
 Coords = tuple[int, ...]
@@ -167,37 +167,24 @@ def hermite_normal_form(rows: Iterable[Coords]) -> tuple[Coords, ...]:
     return tuple(tuple(r) for r in basis)
 
 
-def lattice_contains(hnf_rows: tuple[Coords, ...], vec: Coords) -> bool:
-    """Membership of an integer vector in a row lattice given in HNF."""
+def lattice_coords(hnf_rows: tuple[Coords, ...], vec: Coords) -> Optional[Coords]:
+    """The unique integer x with x * hnf_rows = vec, or None.
+
+    The rows are in Hermite normal form, so the pivot column of row i is
+    zero in every later row: x_i is read off that column once the
+    earlier rows' share of vec is taken away.
+    """
     v = list(vec)
+    x = []
     for row in hnf_rows:
         pcol = next(j for j, a in enumerate(row) if a)
-        if v[pcol] % row[pcol] == 0:
-            q = v[pcol] // row[pcol]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-def solve_left(mat: Matrix, target: Coords) -> Optional[Coords]:
-    """Integer solution x of x*mat = target, or None."""
-    m = len(mat)
-    if m == 0:
-        return () if not any(target) else None
-    U, S, V = smith_normal_form(mat)
-    n = len(mat[0])
-    bv = [sum(target[i] * V[i][j] for i in range(n)) for j in range(n)]
-    w = [0] * m
-    for j in range(n):
-        s = S[j][j] if j < min(m, n) else 0
-        if s:
-            if bv[j] % s:
-                return None
-            w[j] = bv[j] // s
-        elif bv[j]:
+        q, r = divmod(v[pcol], row[pcol])
+        if r:
             return None
-    x = [sum(w[i] * U[i][j] for i in range(m)) for j in range(m)]
-    return tuple(x)
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+        x.append(q)
+    return None if any(v) else tuple(x)
 
 
 def left_kernel(mat: Matrix) -> tuple[Coords, ...]:
@@ -466,7 +453,7 @@ class Subgroup:
         return hermite_normal_form(rows)
 
     def contains(self, x: Coords) -> bool:
-        return lattice_contains(self.lattice, self.parent.reduce(x))
+        return lattice_coords(self.lattice, self.parent.reduce(x)) is not None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and self.parent == other.parent
@@ -491,7 +478,7 @@ class Subgroup:
         rel = self.parent.relation_rows()
         coeffs = []
         for row in rel:
-            c = solve_left(basis, tuple(row))
+            c = lattice_coords(self.lattice, row)
             assert c is not None, "relation lattice escapes the subgroup lattice"
             coeffs.append(list(c))
         k = len(basis)
@@ -518,15 +505,18 @@ class Subgroup:
 
     @property
     def is_finite(self) -> bool:
-        return all(o != 0 for _, o in self.smith_gens)
+        # free coordinates come first, so a lattice row with a nonzero
+        # free coordinate has its pivot there
+        r = self.parent.free_rank
+        return not any(any(row[:r]) for row in self.lattice)
 
     def order(self) -> Optional[int]:
-        out = 1
-        for _, o in self.smith_gens:
-            if o == 0:
-                return None
-            out *= o
-        return out
+        """The index of the relation lattice in the lattice: the product
+        of the parent's torsion over the product of the pivots."""
+        if not self.is_finite:
+            return None
+        return prod(self.parent.torsion) // prod(next(a for a in row if a)
+                                                 for row in self.lattice)
 
     def elements(self) -> Iterator[Coords]:
         if not self.is_finite:
@@ -544,11 +534,19 @@ class Subgroup:
         tors = tuple(o for _, o in self.smith_gens if o > 1)
         return FinGenAbGroup(free, tors)
 
+    @cached_property
+    def _coords(self) -> dict[Coords, Coords]:
+        orders = [o for _, o in self.smith_gens]
+        return dict(zip(self.elements(), itertools.product(*(range(o) for o in orders))))
+
     def coords_of(self, x: Coords) -> Optional[Coords]:
-        """Coordinates of x in the smith_gens basis, or None if x not in the subgroup."""
-        gens = self.smith_gens
-        return coordinates_in_basis(self.parent, [g for g, _ in gens],
-                                    [o for _, o in gens], x)
+        """Coordinates c of x in the smith_gens basis, 0 <= c_i < o_i, or
+        None if x is not in the subgroup.
+
+        Finite subgroups only: the first call tabulates every element,
+        and on an infinite subgroup it raises the ValueError of `elements`.
+        """
+        return self._coords.get(self.parent.reduce(x))
 
     def image_under(self, hom: GroupHom) -> "Subgroup":
         if hom.source != self.parent:
@@ -580,27 +578,6 @@ class Subgroup:
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return all(other.contains(g) for g, _ in self.smith_gens)
-
-
-def coordinates_in_basis(group: FinGenAbGroup, basis: list[Coords], orders: list[int],
-                         x: Coords) -> Optional[Coords]:
-    """Solve x = sum c_i * basis_i in `group`; c_i reduced mod orders[i].
-
-    orders[i] == 0 marks an infinite-order generator.  Returns None when
-    x is not in the span.
-    """
-    x = group.reduce(x)
-    rows = [list(b) for b in basis] + group.relation_rows()
-    if not rows:
-        return () if not any(x) else None
-    sol = solve_left(rows, x)
-    if sol is None:
-        return None
-    c = list(sol[: len(basis)])
-    for i, o in enumerate(orders):
-        if o:
-            c[i] %= o
-    return tuple(c)
 
 
 # ---------------------------------------------------------------------------

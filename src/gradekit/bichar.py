@@ -197,29 +197,28 @@ class Bicharacter:
         """Split the domain into mutually orthogonal dual pairs.
 
         Requires a nondegenerate alternating bicharacter.  Pivots are
-        chosen deterministically: the lex-least element of maximal order,
-        then the lex-least partner pairing to a root of that exact order
-        (a residue v modulo m has order m / gcd(v, m)).
+        chosen deterministically among the elements orthogonal to the
+        pairs chosen before: the lex-least element of maximal order, then
+        the lex-least partner pairing to a root of that exact order (a
+        residue v modulo m has order m / gcd(v, m)).
         """
         group = self.domain
-        current = Subgroup(group, group.generators())
-        if not self.radical().order() == 1:
+        if not self.is_nondegenerate():
             raise ValueError("bicharacter is degenerate")
+        # the part of the domain orthogonal to the pairs so far, sorted
+        current = sorted(group.elements())
         pairs: list[tuple[Coords, Coords, int]] = []
-        while current.order() > 1:
-            elems = sorted(current.elements())
-            a = min((e for e in elems if e != group.zero()),
+        while len(current) > 1:
+            a = min((e for e in current if e != group.zero()),
                     key=lambda e: (-group.element_order(e), e))
             o = group.element_order(a)
-            b = next((e for e in elems
+            b = next((e for e in current
                       if self.m // gcd(self.value(a, e), self.m) == o), None)
             if b is None:
                 raise ValueError("no dual partner found; bicharacter is degenerate")
             pairs.append((a, b, o))
-            pair_sub = Subgroup(group, [a, b])
-            assert pair_sub.order() == o * o, "dual pair does not split off"
-            nxt = current.intersect(self.orthogonal_complement(pair_sub))
-            assert pair_sub.order() * nxt.order() == current.order()
+            nxt = [e for e in current if self.value(a, e) == 0 and self.value(b, e) == 0]
+            assert len(nxt) * o * o == len(current), "dual pair does not split off"
             current = nxt
         return DualPairDecomposition(self, tuple(pairs))
 

@@ -54,10 +54,9 @@ def _same_division_data(p1: EmbeddedPairing, p2: EmbeddedPairing,
     """
     if p1.sub != p2.sub:
         return False
-    gens = [g for g, _ in p1.sub.smith_gens]
     mod, f1, f2 = common_modulus(p1.beta.m, p2.beta.m)
     return all((delta * p1.value(x, y) * f1 - p2.value(x, y) * f2) % mod == 0
-               for x in gens for y in gens)
+               for x in p1.gens for y in p1.gens)
 
 
 def _common_group(c1: CheckedSpec, c2: CheckedSpec) -> FinGenAbGroup:

@@ -15,6 +15,7 @@ cyclotomic polynomial.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Sequence
 
 from .abgroup import Coords, factorize
@@ -227,7 +228,7 @@ class StandardRealization:
         tors = self.group.torsion
         return [tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) % d
                       for k, d in enumerate(tors))
-                for coeffs in _mixed_radix(self.dec.orders)]
+                for coeffs in itertools.product(*(range(o) for o in self.dec.orders))]
 
     def _build(self) -> dict[Coords, tuple[Coords, Coords, MonomialMatrix]]:
         """Every X_t, from the (alpha, delta) coordinates of t = a + b:
@@ -269,15 +270,6 @@ def _row(x: Coords, n: Sequence[Sequence[int]]) -> list[int]:
     """The integer row x N: beta(x, y) = zeta^(x N . y) for (m, N) the
     pairing's integer form and zeta = exp(2 pi i / m)."""
     return [sum(c * v for c, v in zip(x, col)) for col in zip(*n)]
-
-
-def _mixed_radix(radii: Sequence[int]):
-    if not radii:
-        yield ()
-        return
-    for rest in _mixed_radix(radii[1:]):
-        for c in range(radii[0]):
-            yield (c,) + rest
 
 
 # One entry per ordered pair (t, s): (sigma, label of t + s) when

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -32,7 +33,6 @@ from .abgroup import (
     FinGenAbGroup,
     GroupHom,
     Subgroup,
-    coordinates_in_basis,
     coset_canonical_rep,
     finitely_presented_quotient,
     hermite_normal_form,
@@ -77,7 +77,11 @@ class EmbeddedPairing:
 
     The bicharacter is stored on an abstract group with one coordinate
     per listed generator; the generators must be independent so that
-    values transfer to T unambiguously.
+    values transfer to T unambiguously.  The domain maps onto T, so
+    `check` finds them independent exactly when T and the domain have
+    the same order.  `elements` pairs every domain element with its
+    image in T; it is built on first use, never by `check`, and
+    `abstract_coords` looks elements of T up in its inverse.
     """
 
     def __init__(self, ambient: FinGenAbGroup, gens: tuple[Coords, ...],
@@ -89,26 +93,37 @@ class EmbeddedPairing:
         self.beta = beta
         self.hom = GroupHom(beta.domain, ambient, self.gens)
         self.sub = Subgroup(ambient, self.gens)
-        self._coord_cache: dict[Coords, Coords] = {}
 
     def check(self) -> None:
         """Validate the pairing: alternating, independent generators, nondegenerate."""
         self.beta.validate()
-        kernel = Subgroup(self.ambient, []).preimage_under(self.hom)
-        if kernel.order() != 1:
+        if self.sub.order() != self.beta.domain.order():
             raise ValueError("subgroup generators are not independent")
         if not self.beta.is_nondegenerate():
             raise ValueError("bicharacter is degenerate")
 
+    @cached_property
+    def elements(self) -> tuple[tuple[Coords, Coords], ...]:
+        """(t_abs, t) for every element t_abs of the domain, in sorted
+        order, with t its image in T.  Built one generator at a time,
+        so each element costs one addition."""
+        ambient = self.ambient
+        out = [((), ambient.zero())]
+        for gen, o in zip(self.gens, self.beta.domain.torsion):
+            steps = [ambient.scale(c, gen) for c in range(o)]
+            out = [(a + (c,), ambient.add(t, step))
+                   for a, t in out for c, step in enumerate(steps)]
+        return tuple(out)
+
+    @cached_property
+    def _abstract(self) -> dict[Coords, Coords]:
+        return {t: t_abs for t_abs, t in self.elements}
+
     def abstract_coords(self, x: Coords) -> Coords:
         x = self.ambient.reduce(x)
-        got = self._coord_cache.get(x)
+        got = self._abstract.get(x)
         if got is None:
-            orders = list(self.beta.domain.torsion)
-            got = coordinates_in_basis(self.ambient, list(self.gens), orders, x)
-            if got is None:
-                raise ValueError(f"{x} is not in the support subgroup")
-            self._coord_cache[x] = got
+            raise ValueError(f"{x} is not in the support subgroup")
         return got
 
     def push(self, dom: Coords) -> Coords:
@@ -320,13 +335,11 @@ def _even_model(spec: EvenAssocSpec, pairing: EmbeddedPairing) -> GradedMatrixMo
     gamma = spec.gamma0 + spec.gamma1
     k0 = len(spec.gamma0)
     sizes = (k0 * d, len(spec.gamma1) * d)
-    dom_elems = [(t_abs, pairing.push(t_abs))
-                 for t_abs in sorted(spec.beta.domain.elements())]
     basis = []
     for i, gi in enumerate(gamma):
         for j, gj in enumerate(gamma):
             side_i, side_j = int(i >= k0), int(j >= k0)
-            for t_abs, t in dom_elems:
+            for t_abs, t in pairing.elements:
                 degree = g.add(g.sub(gi, gj), t)
                 basis.append(BasisElement(i, j, t, t_abs, degree,
                                           side_i ^ side_j, side_i - side_j))
@@ -348,12 +361,11 @@ def _odd_model(spec: OddAssocTSpec, pairing: EmbeddedPairing,
     u0 = ext.embed(t0)
     u0_abs = pairing.abstract_coords(u0)
     dom = spec.beta.domain
-    dom_elems = [(t_abs, pairing.push(t_abs)) for t_abs in sorted(dom.elements())]
     basis = []
     for i, gi in enumerate(spec.gamma):
         for j, gj in enumerate(spec.gamma):
             block = ext.embed(g.sub(gi, gj))
-            for t_abs, t in dom_elems:
+            for t_abs, t in pairing.elements:
                 degree = ext.group.add(block, t)
                 basis.append(BasisElement(i, j, t, t_abs, degree,
                                           ext.bit(t), 0))
@@ -522,9 +534,10 @@ def _quotient_data(group: FinGenAbGroup, t0: Coords,
     bar_pairing.check()
     t_plus = bar_pairing.sub.preimage_under(theta)
     _, g_two = squares_and_two_torsion(group)
-    r_gens = [theta(x) for x, _ in t_plus.intersect(g_two).smith_gens]
-    r_abstract = Subgroup(beta_bar.domain,
-                          [bar_pairing.abstract_coords(x) for x in r_gens])
+    # the image of the two-torsion of T+, read in beta_bar's domain: the
+    # pairing's map is injective, so that is the image's preimage under
+    # it, found without tabulating the support
+    r_abstract = t_plus.intersect(g_two).image_under(theta).preimage_under(bar_pairing.hom)
     comp = beta_bar.orthogonal_complement(r_abstract)
     r_comp = Subgroup(gbar, [bar_pairing.push(x) for x, _ in comp.smith_gens])
     gbar_squares, _ = squares_and_two_torsion(gbar)

@@ -47,6 +47,34 @@ def fraction_inverse(mat):
     return [row[n:] for row in aug]
 
 
+def fraction_triangular_solve(hnf_rows, vec):
+    """The rational x with x * hnf_rows = vec, solved pivot by pivot with
+    Fractions, or None when vec is outside the rational row span."""
+    x = []
+    for row in hnf_rows:
+        pcol = next(j for j, a in enumerate(row) if a)
+        rest = vec[pcol] - sum(c * r[pcol] for c, r in zip(x, hnf_rows))
+        x.append(Fraction(rest) / row[pcol])
+    back = [sum((c * r[j] for c, r in zip(x, hnf_rows)), Fraction(0))
+            for j in range(len(vec))]
+    return x if back == list(vec) else None
+
+
+def brute_closure(group, gens):
+    """Every element of the finite subgroup generated by gens, found by
+    adding generators until nothing new appears."""
+    seen = {group.zero()}
+    frontier = [group.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.add(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def random_unimodular(rng, n, steps=12):
     """A seeded random n x n integer matrix of determinant +-1, a product
     of row swaps, negations and additions."""
@@ -454,6 +482,32 @@ def random_alternating(rng, h):
         beta = Bicharacter(group, tuple(tuple(row) for row in q))
         if beta.is_nondegenerate():
             return beta
+
+
+def brute_dual_pairs(beta):
+    """The dual pairs of `Bicharacter.symplectic_decomposition`'s pivot
+    rule, read by brute force with pairings summed from beta.q: among
+    the elements orthogonal to the pairs so far, a is the lex-least
+    nonzero one of largest order o and b the lex-least one with
+    beta(a, b) of exact order o."""
+    group = beta.domain
+
+    def order(x):
+        k, y = 1, x
+        while any(y):
+            k, y = k + 1, group.add(y, x)
+        return k
+
+    rest = sorted(group.elements())
+    pairs = []
+    while len(rest) > 1:
+        o = max(order(e) for e in rest)
+        a = min(e for e in rest if order(e) == o)
+        b = min(e for e in rest if ref_value(beta, a, e).denominator == o)
+        pairs.append((a, b, o))
+        rest = [e for e in rest
+                if ref_value(beta, a, e) == 0 and ref_value(beta, b, e) == 0]
+    return tuple(pairs)
 
 
 class ReferenceRealization:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -10,18 +11,22 @@ from gradekit.abgroup import (
     factorize,
     finitely_presented_quotient,
     hermite_normal_form,
-    lattice_contains,
+    lattice_coords,
     lattice_intersect,
     left_kernel,
     smith_normal_form,
-    solve_left,
     solve_square,
     squares_and_two_torsion,
     subgroup_and_quotient,
     unimodular_inverse,
 )
 
-from helpers import fraction_inverse, random_unimodular
+from helpers import (
+    brute_closure,
+    fraction_inverse,
+    fraction_triangular_solve,
+    random_unimodular,
+)
 
 
 def mat_mul(a, b):
@@ -107,20 +112,50 @@ def test_hnf_canonical():
     assert h == ((1, 2), (0, 3))
 
 
-def test_lattice_contains():
+def combine(x, rows):
+    return tuple(sum(c * r[j] for c, r in zip(x, rows)) for j in range(len(rows[0])))
+
+
+def test_lattice_coords():
     rows = hermite_normal_form([(2, 0), (0, 3)])
-    assert lattice_contains(rows, (4, 3))
-    assert not lattice_contains(rows, (1, 0))
-    assert not lattice_contains(rows, (2, 2))
+    assert lattice_coords(rows, (4, 3)) == (2, 1)
+    assert lattice_coords(rows, (4, 6)) == (2, 2)
+    assert lattice_coords(rows, (1, 0)) is None
+    assert lattice_coords(rows, (2, 2)) is None
+    assert lattice_coords((), (0, 0)) == ()
+    assert lattice_coords((), (0, 1)) is None
+    rows = hermite_normal_form([(6, 4), (2, 2)])
+    x = lattice_coords(rows, (2, 0))
+    assert x is not None and combine(x, rows) == (2, 0)
 
 
-def test_solve_left():
-    mat = [[2, 0], [0, 3]]
-    assert solve_left(mat, (4, 6)) == (2, 2)
-    assert solve_left(mat, (1, 0)) is None
-    x = solve_left([[6, 4], [2, 2]], (2, 0))
-    assert x is not None
-    assert [sum(x[i] * [[6, 4], [2, 2]][i][j] for i in range(2)) for j in range(2)] == [2, 0]
+def test_lattice_coords_random():
+    rng = random.Random(1)
+    found = missed = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        rows = hermite_normal_form(mat)
+        if not rows:
+            continue
+        inside = combine([rng.randint(-4, 4) for _ in mat], mat)
+        g = gcd(*inside)
+        vecs = [inside, tuple(rng.randint(-9, 9) for _ in range(n))]
+        if g > 1:
+            # in the rational span, often outside the lattice
+            vecs.append(tuple(a // g for a in inside))
+        for vec in vecs:
+            x = lattice_coords(rows, vec)
+            ref = fraction_triangular_solve(rows, vec)
+            integral = ref is not None and all(c.denominator == 1 for c in ref)
+            assert (x is not None) == integral
+            if x is not None:
+                assert combine(x, rows) == vec and list(x) == ref
+                found += 1
+            else:
+                missed += 1
+        assert lattice_coords(rows, inside) is not None
+    assert found > 300 and missed > 100
 
 
 def test_left_kernel():
@@ -250,6 +285,31 @@ def test_subgroup_coords_of():
     assert order == 4
     assert g.scale(c[0], gen) == (6,)
     assert s.coords_of((1,)) is None
+    rng = random.Random(3)
+    for _ in range(60):
+        g = FinGenAbGroup(0, tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 3))))
+        gens = [tuple(rng.randrange(d) for d in g.torsion) for _ in range(rng.randint(0, 3))]
+        s = Subgroup(g, gens)
+        members = brute_closure(g, gens)
+        assert s.order() == len(members)
+        for x in g.elements():
+            c = s.coords_of(x)
+            if x not in members:
+                assert c is None
+                continue
+            acc = g.zero()
+            for ci, (gen, o) in zip(c, s.smith_gens, strict=True):
+                assert 0 <= ci < o
+                acc = g.add(acc, g.scale(ci, gen))
+            assert acc == x
+    mixed = FinGenAbGroup(1, (4,))
+    finite = Subgroup(mixed, [(0, 2)])
+    assert finite.order() == 2 and finite.coords_of((0, 6)) == (1,)
+    assert finite.coords_of((1, 2)) is None
+    infinite = Subgroup(mixed, [(1, 0)])
+    assert infinite.order() is None
+    with pytest.raises(ValueError):
+        infinite.coords_of((1, 0))
 
 
 def test_subgroup_image_preimage():

@@ -12,7 +12,14 @@ from gradekit.bichar import (
     standard_pair,
 )
 
-from helpers import exponent, random_alternating, ref_row, ref_value, standard_isometries
+from helpers import (
+    brute_dual_pairs,
+    exponent,
+    random_alternating,
+    ref_row,
+    ref_value,
+    standard_isometries,
+)
 
 F = Fraction
 
@@ -207,6 +214,15 @@ def test_symplectic_decomposition_scrambled():
     assert dec.orders == (4,)
     a, b, _ = dec.pairs[0]
     assert order(beta, beta.value(a, b)) == 4
+
+
+@pytest.mark.parametrize("h", [(2, 2), (4,), (3,), (2, 4), (6,), (2, 2, 2)])
+def test_symplectic_decomposition_follows_the_pivot_rule(h):
+    # the realization's labels, and so the CLI output, rest on these pairs
+    rng = random.Random(sum(h) * 31 + len(h))
+    for _ in range(3):
+        beta = random_alternating(rng, h)
+        assert beta.symplectic_decomposition().pairs == brute_dual_pairs(beta)
 
 
 def test_symplectic_decomposition_rejects_degenerate():

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,53 @@ def test_verify_rejects_non_square_support(tmp_path):
     payload, code = run(["verify", "-f", str(path)])
     assert code == 1
     assert payload["verdict"] == "error"
+
+
+def dependent_docs():
+    beta = {"domain": {"free": 0, "torsion": [2, 2]},
+            "q": [["0", "1/2"], ["1/2", "0"]]}
+    even = {"kind": "even", "group": {"free": 0, "torsion": [4]},
+            "tgens": [[2], [2]], "beta": beta, "gamma0": [[0]], "gamma1": [[1]]}
+    odd_t = {"kind": "odd_t", "group": {"free": 0, "torsion": [2]},
+             "tgens": [[0, 1], [0, 1]], "beta": beta, "gamma": [[0]]}
+    return [even, odd_t]
+
+
+@pytest.mark.parametrize("doc", dependent_docs(), ids=["even", "odd_t"])
+def test_verify_rejects_dependent_tgens(tmp_path, doc):
+    path = tmp_path / "dep.json"
+    path.write_text(json.dumps(doc))
+    payload, code = run(["verify", "-f", str(path)])
+    assert code == 1
+    assert payload == {"verdict": "error",
+                       "error": "subgroup generators are not independent"}
+
+
+def big_support_doc(q, tgens):
+    return {"kind": "even", "group": {"free": 0, "torsion": [1000, 1000]},
+            "tgens": tgens,
+            "beta": {"domain": {"free": 0, "torsion": [1000, 1000]}, "q": q},
+            "gamma0": [[0, 0]], "gamma1": [[0, 1]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (big_support_doc([["0", "1/7"], ["6/7", "0"]], [[1, 0], [0, 1]]),
+     "not killed by generator order"),
+    (big_support_doc([["0", "0"], ["0", "0"]], [[1, 0], [0, 1]]),
+     "bicharacter is degenerate"),
+    (big_support_doc([["0", "1/1000"], ["999/1000", "0"]], [[1, 0], [1, 0]]),
+     "subgroup generators are not independent"),
+], ids=["q-not-killed", "zero-q", "repeated-tgens"])
+def test_bad_big_support_is_rejected_before_enumeration(tmp_path, doc, message):
+    # |T| = 10^6: rejecting must not tabulate the support
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", "-f", str(path)], ["iso", "-a", str(path), "-b", str(path)]):
+        start = time.perf_counter()
+        payload, code = run(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and payload["verdict"] == "error"
+        assert message in payload["error"]
 
 
 def test_iso_identical_and_shift(tmp_path):

@@ -21,6 +21,7 @@ from gradekit.matgrade import (
     ParityExtension,
     build_matrix_model,
     build_odd_from_G,
+    check_spec,
     coarsen,
     finest_even_coarsening,
     is_even_grading,
@@ -82,6 +83,30 @@ def test_embedded_pairing_rejects_dependent_gens():
     beta = standard_pair((2,))[1]
     with pytest.raises(ValueError):
         EmbeddedPairing(Z4, ((2,), (2,)), beta).check()
+
+
+@pytest.mark.parametrize("spec", [
+    EvenAssocSpec(Z4, ((2,), (2,)), standard_pair((2,))[1], ((0,),), ((1,),)),
+    EvenAssocSpec(Z22, ((1, 0), (1, 0)), standard_pair((2,))[1], ((0, 0),), ((0, 1),)),
+    OddAssocTSpec(FinGenAbGroup(0, (2,)), ((0, 1), (0, 1)), standard_pair((2,))[1],
+                  ((0,),)),
+])
+def test_check_spec_rejects_dependent_tgens(spec):
+    with pytest.raises(ValueError, match="subgroup generators are not independent"):
+        check_spec(spec)
+
+
+def test_embedded_pairing_value_outside_support():
+    group, beta = standard_pair((2,))
+    ambient = FinGenAbGroup(0, (2, 2, 2))
+    pairing = EmbeddedPairing(ambient, ((1, 0, 0), (0, 1, 0)), beta)
+    pairing.check()
+    assert pairing.value((1, 0, 0), (0, 1, 0)) == 1
+    assert pairing.abstract_coords((1, 1, 2)) == (1, 1)
+    with pytest.raises(ValueError, match="is not in the support subgroup"):
+        pairing.value((0, 0, 1), (1, 0, 0))
+    with pytest.raises(ValueError, match="is not in the support subgroup"):
+        pairing.abstract_coords((1, 1, 1))
 
 
 def test_embedded_pairing_rejects_degenerate():
