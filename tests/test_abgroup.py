@@ -116,17 +116,25 @@ def combine(x, rows):
     return tuple(sum(c * r[j] for c, r in zip(x, rows)) for j in range(len(rows[0])))
 
 
-def test_lattice_coords():
+def test_lattice_contains():
     rows = hermite_normal_form([(2, 0), (0, 3)])
     assert lattice_coords(rows, (4, 3)) == (2, 1)
-    assert lattice_coords(rows, (4, 6)) == (2, 2)
     assert lattice_coords(rows, (1, 0)) is None
     assert lattice_coords(rows, (2, 2)) is None
-    assert lattice_coords((), (0, 0)) == ()
-    assert lattice_coords((), (0, 1)) is None
-    rows = hermite_normal_form([(6, 4), (2, 2)])
+
+
+def test_solve_left():
+    rows = hermite_normal_form([[2, 0], [0, 3]])
+    assert lattice_coords(rows, (4, 6)) == (2, 2)
+    assert lattice_coords(rows, (1, 0)) is None
+    rows = hermite_normal_form([[6, 4], [2, 2]])
     x = lattice_coords(rows, (2, 0))
     assert x is not None and combine(x, rows) == (2, 0)
+
+
+def test_lattice_coords():
+    assert lattice_coords((), (0, 0)) == ()
+    assert lattice_coords((), (0, 1)) is None
 
 
 def test_lattice_coords_random():
