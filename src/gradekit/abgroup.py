@@ -125,46 +125,101 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return U, S, V
 
 
+def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:
+    """row += q * other, in place, on {col: value} rows; q is nonzero."""
+    for j, b in other.items():
+        v = row.get(j, 0) + q * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _combine(s: int, a: dict[int, int], t: int, b: dict[int, int]) -> dict[int, int]:
+    """The row s * a + t * b."""
+    out = {j: s * v for j, v in a.items()} if s else {}
+    if t:
+        _add_multiple(out, t, b)
+    return out
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _reduce_into(row: dict[int, int], cols: Iterable[int],
+                 pivots: dict[int, dict[int, int]]) -> None:
+    """Reduce the entries of row in the pivot columns cols, taken in
+    ascending order, into [0, pivot)."""
+    for c in cols:
+        v = row.get(c)
+        if v is not None:
+            q = v // pivots[c][c]
+            if q:
+                _add_multiple(row, -q, pivots[c])
+
+
 def hermite_normal_form(rows: Iterable[Coords]) -> tuple[Coords, ...]:
     """Canonical basis of the integer row span of `rows`.
 
     Pivots are positive, pivot columns strictly increase, and entries
     above each pivot are reduced into [0, pivot).  Zero rows are dropped,
     so equal lattices give identical results.
+
+    Rows are kept sparse, as {col: value} dicts, with the pivot rows
+    keyed by their leading column.  Each incoming row is reduced against
+    the pivots; where it meets a pivot whose entry does not divide its
+    own, one extended-Euclid step makes the gcd row the pivot and carries
+    the other combination on.  A row that becomes a pivot is reduced
+    against the later pivots, and the earlier pivot rows against it, so
+    the pivot rows stay short and their entries small whatever the order
+    of the input.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return ()
-    n = len(work[0])
-    basis: list[list[int]] = []
-    for col in range(n):
-        carrier = None
-        for row in work:
-            if row[col]:
-                if carrier is None:
-                    carrier = row
+    pivots: dict[int, dict[int, int]] = {}
+    width = 0
+    for r in rows:
+        width = len(r)
+        row = {j: r[j] for j in itertools.compress(range(width), r)}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                new = row if row[col] > 0 else {j: -a for j, a in row.items()}
+                row = {}
+            else:
+                p, a = piv[col], row[col]
+                if a % p == 0:
+                    _add_multiple(row, -(a // p), piv)
                     continue
-                # euclid the two rows on this column
-                while row[col]:
-                    q = carrier[col] // row[col]
-                    for k in range(n):
-                        carrier[k] -= q * row[k]
-                    carrier, row = row, carrier
-                # ends with row[col] == 0; carrier holds the gcd
-        if carrier is None:
-            continue
-        work = [r for r in work if r is not carrier and any(r)]
-        if carrier[col] < 0:
-            carrier = [-a for a in carrier]
-        basis.append(carrier)
-    # reduce entries above each pivot
-    for i in range(len(basis)):
-        pcol = next(j for j, a in enumerate(basis[i]) if a)
-        for k in range(i):
-            q = basis[k][pcol] // basis[i][pcol]
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
-    return tuple(tuple(r) for r in basis)
+                g, s, t = _xgcd(p, a)
+                new, row = _combine(s, piv, t, row), _combine(a // g, piv, -(p // g), row)
+            later = [c for c in pivots if c > col]
+            if later:
+                later.sort()
+                _reduce_into(new, later, pivots)
+            pivots[col] = new
+            for c, other in pivots.items():
+                if c < col and col in other:
+                    _reduce_into(other, (col,), pivots)
+    # reduce entries above each pivot, last pivot row first, so that each
+    # row is reduced against rows already in final form
+    cols = sorted(pivots)
+    for i in range(len(cols) - 2, -1, -1):
+        _reduce_into(pivots[cols[i]], cols[i + 1:], pivots)
+    out = []
+    for c in cols:
+        dense = [0] * width
+        for j, a in pivots[c].items():
+            dense[j] = a
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def lattice_coords(hnf_rows: tuple[Coords, ...], vec: Coords) -> Optional[Coords]:
@@ -640,8 +695,19 @@ def squares_and_two_torsion(obj) -> tuple[Subgroup, Subgroup]:
 
 
 def coset_canonical_rep(group: FinGenAbGroup, sub: Subgroup, x: Coords) -> Coords:
-    """Lexicographically least element of the finite coset x + sub."""
+    """Lexicographically least element of the finite coset x + sub.
+
+    The lattice holds the relation rows, so every torsion column is a
+    pivot column, and a finite subgroup's lattice is zero in the free
+    columns.  Taking each pivot entry into [0, pivot), row by row, leaves
+    the least torsion coordinates the coset allows, one column at a time.
+    """
     if not sub.is_finite:
         raise ValueError("coset representative needs a finite subgroup")
-    x = group.reduce(x)
-    return min(group.add(x, t) for t in sub.elements())
+    v = list(group.reduce(x))
+    for row in sub.lattice:
+        pcol = next(j for j, a in enumerate(row) if a)
+        q = v[pcol] // row[pcol]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)

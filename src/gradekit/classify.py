@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .abgroup import Coords, FinGenAbGroup, Subgroup, factorize
+from .abgroup import (
+    Coords,
+    FinGenAbGroup,
+    Subgroup,
+    factorize,
+    hermite_normal_form,
+    lattice_coords,
+)
 from .bichar import Bicharacter, beta_isomorphism, common_modulus, standard_pair
 from .matgrade import (
     CheckedSpec,
@@ -54,9 +61,36 @@ def _same_division_data(p1: EmbeddedPairing, p2: EmbeddedPairing,
     """
     if p1.sub != p2.sub:
         return False
+    # p1.gens[i] has coordinates e_i in the first domain
+    coords = _domain_coords(p2, p1.gens)
     mod, f1, f2 = common_modulus(p1.beta.m, p2.beta.m)
-    return all((delta * p1.value(x, y) * f1 - p2.value(x, y) * f2) % mod == 0
-               for x in p1.gens for y in p1.gens)
+    return all((delta * n1 * f1 - p2.beta.value(x, y) * f2) % mod == 0
+               for row, x in zip(p1.beta.N, coords) for n1, y in zip(row, coords))
+
+
+def _domain_coords(pairing: EmbeddedPairing, xs: tuple[Coords, ...]) -> list[Coords]:
+    """The coordinates in the pairing's domain of the elements xs of T.
+
+    The lattice of rows (g_i, e_i), the ambient relations and the domain
+    orders holds (t, c) exactly when c are coordinates of t.  Its Hermite
+    rows with a pivot among the ambient columns restrict there to the
+    lattice of T; back-substitution on them writes t as a combination of
+    these rows, and the same combination of their domain parts is c.
+    """
+    ambient, domain = pairing.ambient, pairing.beta.domain
+    n, k = ambient.rank, domain.rank
+    eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rows = ([g + e for g, e in zip(pairing.gens, eye)]
+            + [tuple(r) + (0,) * k for r in ambient.relation_rows()]
+            + [(0,) * n + tuple(r) for r in domain.relation_rows()])
+    top = [r for r in hermite_normal_form(rows) if any(r[:n])]
+    head = tuple(r[:n] for r in top)
+    out = []
+    for x in xs:
+        coeffs = lattice_coords(head, ambient.reduce(x))
+        out.append(domain.reduce([sum(c * r[n + j] for c, r in zip(coeffs, top))
+                                  for j in range(k)]))
+    return out
 
 
 def _common_group(c1: CheckedSpec, c2: CheckedSpec) -> FinGenAbGroup:

@@ -60,6 +60,46 @@ def fraction_triangular_solve(hnf_rows, vec):
     return x if back == list(vec) else None
 
 
+def dense_hermite_normal_form(rows):
+    """The Hermite normal form of the row span of `rows` by dense column
+    elimination: Euclid on every pair of rows that meet in a column, then
+    reduction above the pivots.  The oracle for
+    abgroup.hermite_normal_form."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return ()
+    n = len(work[0])
+    basis: list[list[int]] = []
+    for col in range(n):
+        carrier = None
+        for row in work:
+            if row[col]:
+                if carrier is None:
+                    carrier = row
+                    continue
+                # euclid the two rows on this column
+                while row[col]:
+                    q = carrier[col] // row[col]
+                    for k in range(n):
+                        carrier[k] -= q * row[k]
+                    carrier, row = row, carrier
+                # ends with row[col] == 0; carrier holds the gcd
+        if carrier is None:
+            continue
+        work = [r for r in work if r is not carrier and any(r)]
+        if carrier[col] < 0:
+            carrier = [-a for a in carrier]
+        basis.append(carrier)
+    # reduce entries above each pivot
+    for i in range(len(basis)):
+        pcol = next(j for j, a in enumerate(basis[i]) if a)
+        for k in range(i):
+            q = basis[k][pcol] // basis[i][pcol]
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+    return tuple(tuple(r) for r in basis)
+
+
 def brute_closure(group, gens):
     """Every element of the finite subgroup generated by gens, found by
     adding generators until nothing new appears."""
@@ -73,6 +113,13 @@ def brute_closure(group, gens):
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def brute_coset_canonical_rep(group, sub, x):
+    """The least element of the finite coset x + sub, found by listing
+    the coset."""
+    x = group.reduce(x)
+    return min(group.add(x, t) for t in brute_closure(group, sub.gens))
 
 
 def random_unimodular(rng, n, steps=12):

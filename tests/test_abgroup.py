@@ -21,8 +21,16 @@ from gradekit.abgroup import (
     unimodular_inverse,
 )
 
+from gradekit import matgrade
+from gradekit.classify import enumerate_P_fine, enumerate_even_fine, enumerate_odd_fine
+from gradekit.matgrade import build_matrix_model, universal_group
+from gradekit.superlie import build_P_model, universal_P_group
+
 from helpers import (
     brute_closure,
+    brute_coset_canonical_rep,
+    count_calls,
+    dense_hermite_normal_form,
     fraction_inverse,
     fraction_triangular_solve,
     random_unimodular,
@@ -110,6 +118,59 @@ def test_hnf_canonical():
     # entries above pivots reduced
     h = hermite_normal_form([(1, 5), (0, 3)])
     assert h == ((1, 2), (0, 3))
+
+
+def random_hnf_input(rng):
+    """A seeded random integer matrix, often with zero rows, repeated or
+    dependent rows, more rows than columns, and negative entries."""
+    m, n = rng.randint(0, 10), rng.randint(1, 7)
+    bound = rng.choice([1, 3, 12, 60])
+    rows = [[rng.choice([0, 0, rng.randint(-bound, bound)]) for _ in range(n)]
+            for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        if rows:
+            kind = rng.randrange(3)
+            if kind == 0:
+                rows.append([0] * n)
+            elif kind == 1:
+                rows.append(list(rng.choice(rows)))
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = rng.randint(-4, 4)
+                rows.append([x + c * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_hnf_matches_dense_oracle():
+    rng = random.Random(10)
+    seen = {"zero_rows": 0, "negative": 0, "deficient": 0, "tall": 0}
+    for _ in range(300):
+        rows = random_hnf_input(rng)
+        got = hermite_normal_form(rows)
+        assert got == dense_hermite_normal_form(rows)
+        seen["zero_rows"] += any(not any(r) for r in rows)
+        seen["negative"] += any(a < 0 for r in rows for a in r)
+        seen["deficient"] += len(got) < min(len(rows), len(rows[0]) if rows else 0)
+        seen["tall"] += len(rows) > (len(rows[0]) if rows else 0)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_hnf_matches_dense_oracle_on_relation_matrices(monkeypatch):
+    """The relation rows universal_group hands to hermite_normal_form,
+    captured on fine gradings of M(4,4), M(3,3) and P(3)."""
+    calls = count_calls(monkeypatch, matgrade, "hermite_normal_form")
+    matrix_descs = enumerate_even_fine(4, 4) + enumerate_odd_fine(3)
+    p_descs = enumerate_P_fine(3)
+    for desc in matrix_descs:
+        universal_group(build_matrix_model(desc.spec))
+    for desc in p_descs:
+        universal_P_group(build_P_model(desc.spec))
+    # one relation matrix per grading
+    assert len(calls) == len(matrix_descs) + len(p_descs)
+    assert max(len(rows) for (rows,) in calls) > 500
+    for (rows,) in calls:
+        assert hermite_normal_form(rows) == dense_hermite_normal_form(rows)
 
 
 def combine(x, rows):
@@ -399,6 +460,28 @@ def test_coset_canonical_rep():
     for x in g.elements():
         reps = {coset_canonical_rep(g, s, g.add(x, t)) for t in s.elements()}
         assert len(reps) == 1
+
+
+def test_coset_canonical_rep_against_brute_force():
+    rng = random.Random(31)
+    free_parents = 0
+    for _ in range(200):
+        free = rng.choice([0, 0, 1, 2])
+        tors = tuple(rng.choice([2, 3, 4, 6, 8, 9]) for _ in range(rng.randint(1, 3)))
+        g = FinGenAbGroup(free, tors)
+        gens = [(0,) * free + tuple(rng.randrange(d) for d in tors)
+                for _ in range(rng.randint(0, 3))]
+        s = Subgroup(g, gens)
+        free_parents += free > 0
+        for _ in range(5):
+            x = tuple(rng.randint(-9, 9) for _ in range(g.rank))
+            rep = coset_canonical_rep(g, s, x)
+            assert rep == brute_coset_canonical_rep(g, s, x)
+            assert s.contains(g.sub(rep, x))
+    assert free_parents > 50
+    with pytest.raises(ValueError):
+        coset_canonical_rep(FinGenAbGroup(1, (2,)), Subgroup(FinGenAbGroup(1, (2,)), [(1, 0)]),
+                            (0, 0))
 
 
 def test_subgroup_random_membership():

@@ -416,6 +416,25 @@ def test_fine_gradings_of_m66_verify():
     _budget(start, 10.0)
 
 
+def test_universal_groups_of_m66_and_p7_fine_gradings():
+    """The universal group computed for every fine grading of M(6,6) and
+    P(7) that `fine` emits is the one the descriptor predicts, each in
+    under two seconds, model build included."""
+    start = time.perf_counter()
+    descs = (list(enumerate_odd_fine(6)) + list(enumerate_even_fine(6, 6))
+             + list(enumerate_P_fine(7)))
+    for desc in descs:
+        one = time.perf_counter()
+        if desc.family == "p":
+            quo, _ = universal_P_group(build_P_model(desc.spec))
+        else:
+            quo, _ = universal_group(build_matrix_model(desc.spec))
+        assert quo.is_isomorphic_to(desc.universal), (desc.family, desc.h)
+        _budget(one, 2.0)
+    assert [d.family for d in descs] == ["odd"] * 6 + ["even"] * 4 + ["p"] * 4
+    _budget(start, 15.0)
+
+
 # ---------------------------------------------------------------------------
 # 8. the superadjoint carries components onto the inverse grading
 

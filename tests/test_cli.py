@@ -14,10 +14,10 @@ import pytest
 from gradekit.abgroup import FinGenAbGroup
 from gradekit.bichar import standard_pair
 from gradekit.cli import main, parse_spec, run, spec_to_json
-from gradekit.matgrade import EvenAssocSpec, OddAssocGSpec
+from gradekit.matgrade import EmbeddedPairing, EvenAssocSpec, OddAssocGSpec
 from gradekit.superlie import PSpec
 
-from helpers import TRIVIAL_BETA, count_one_pass
+from helpers import TRIVIAL_BETA, count_calls, count_one_pass
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +122,40 @@ def test_bad_big_support_is_rejected_before_enumeration(tmp_path, doc, message):
         assert time.perf_counter() - start < 1.0
         assert code == 1 and payload["verdict"] == "error"
         assert message in payload["error"]
+
+
+def inverse_pair_docs(tmp_path):
+    """Two even specs on all of Z/300 x Z/300 whose pairings are
+    inverse to each other."""
+    paths = []
+    for name, q in (("a", [["0", "1/300"], ["299/300", "0"]]),
+                    ("b", [["0", "299/300"], ["1/300", "0"]])):
+        doc = {"kind": "even", "group": {"free": 0, "torsion": [300, 300]},
+               "tgens": [[1, 0], [0, 1]],
+               "beta": {"domain": {"free": 0, "torsion": [300, 300]}, "q": q},
+               "gamma0": [[0, 0]], "gamma1": [[0, 1]]}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("mode, code, witness", [
+    ("assoc", 1, None),
+    ("lie", 0, {"g": [0, 0], "swap": False, "delta": -1}),
+])
+def test_iso_on_a_large_support_reads_no_element_table(tmp_path, monkeypatch,
+                                                       mode, code, witness):
+    # |T| = 90 000: comparing the pairings and the coset multisets must
+    # not list the support
+    a, b = inverse_pair_docs(tmp_path)
+    tables = count_calls(monkeypatch, EmbeddedPairing.elements, "func")
+    values = count_calls(monkeypatch, EmbeddedPairing, "value")
+    start = time.perf_counter()
+    payload, got = run(["iso", "-a", a, "-b", b, "--mode", mode])
+    assert time.perf_counter() - start < 1.0
+    assert got == code and payload.get("witness") == witness
+    assert tables == [] and values == []
 
 
 def test_iso_identical_and_shift(tmp_path):
