@@ -8,6 +8,11 @@ coordinates), but every group produced by a quotient or presentation
 construction has its torsion in invariant-factor form d1 | d2 | ... | ds,
 computed through Smith normal form.  Abstract comparisons always go
 through invariant_factors().
+
+A subgroup is the Hermite normal form of its lattice of lifts.
+Kernels, intersections and preimages are read from one Hermite form of
+an augmented matrix (`lattice_tail`); the Smith normal form only
+diagonalises quotients and finds invariant factors.
 """
 
 from __future__ import annotations
@@ -30,22 +35,18 @@ def _identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, S, V) with S = U*mat*V diagonal, U and V unimodular.
+def smith_normal_form(mat: Matrix) -> tuple[list[int], Matrix]:
+    """Return (diag, V): V is unimodular and mat*V spans the same row
+    lattice as the rows diag[j] e_j, one for each column j.
 
-    The diagonal entries of S are nonnegative and form a divisibility
-    chain s1 | s2 | ... ; zero entries come last.  Plain Python integers
+    The entries of diag are nonnegative and form a divisibility chain
+    d1 | d2 | ... ; zero entries come last.  Plain Python integers
     throughout, so there is no overflow at any size.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     S = [list(row) for row in mat]
-    U = _identity(m)
     V = _identity(n)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in S:
@@ -56,7 +57,6 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     def add_row(i, j, q):
         # row i += q * row j
         S[i] = [a + q * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
 
     def add_col(i, j, q):
         # col i += q * col j
@@ -64,10 +64,6 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             row[i] += q * row[j]
         for row in V:
             row[i] += q * row[j]
-
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -84,7 +80,7 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             break
         pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            S[t], S[pi] = S[pi], S[t]
         if pj != t:
             swap_cols(t, pj)
 
@@ -119,10 +115,7 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             continue
         t += 1
 
-    for i in range(min(m, n)):
-        if S[i][i] < 0:
-            negate_row(i)
-    return U, S, V
+    return [abs(S[j][j]) if j < m else 0 for j in range(n)], V
 
 
 def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:
@@ -242,35 +235,29 @@ def lattice_coords(hnf_rows: tuple[Coords, ...], vec: Coords) -> Optional[Coords
     return None if any(v) else tuple(x)
 
 
-def left_kernel(mat: Matrix) -> tuple[Coords, ...]:
-    """Basis of {x : x*mat = 0} as rows."""
-    m = len(mat)
-    if m == 0:
-        return ()
-    U, S, _ = smith_normal_form(mat)
-    n = len(mat[0])
-    rows = []
-    for i in range(m):
-        s = S[i][i] if i < min(m, n) else 0
-        if s == 0:
-            rows.append(tuple(U[i]))
-    return hermite_normal_form(rows)
+def lattice_tail(rows: Iterable[Coords], n: int) -> tuple[Coords, ...]:
+    """{v[n:] : v in the row lattice of rows, v[:n] = 0}, in Hermite
+    normal form.
+
+    A lattice vector that vanishes in the first n columns has zero
+    coordinates on every Hermite row with its pivot there, so the rows
+    with their pivot past column n are a basis; cut to their last
+    columns they are still in Hermite normal form.  Kernels, preimages
+    and intersections are tails of augmented matrices (Cohen, GTM 138,
+    2.4.3): the tail of the rows (a_i, e_i) is {x : x*A = 0}.
+    """
+    return tuple(r[n:] for r in hermite_normal_form(rows) if not any(r[:n]))
 
 
 def lattice_intersect(rows_a: Iterable[Coords], rows_b: Iterable[Coords]) -> tuple[Coords, ...]:
-    """Basis of the intersection of two integer row lattices."""
-    a = [list(r) for r in rows_a]
-    b = [list(r) for r in rows_b]
+    """Basis of the intersection of two integer row lattices: the tail of
+    the rows (a, a) and (b, 0)."""
+    a = [tuple(r) for r in rows_a]
+    b = [tuple(r) for r in rows_b]
     if not a or not b:
         return ()
-    ker = left_kernel(a + b)
-    ka = len(a)
-    n = len(a[0])
-    out = []
-    for z in ker:
-        vec = [sum(z[i] * a[i][j] for i in range(ka)) for j in range(n)]
-        out.append(tuple(vec))
-    return hermite_normal_form(out)
+    zero = (0,) * len(a[0])
+    return lattice_tail([r + r for r in a] + [r + zero for r in b], len(zero))
 
 
 def unimodular_inverse(mat: Matrix) -> Matrix:
@@ -398,9 +385,9 @@ class FinGenAbGroup:
         """Torsion of this group in invariant-factor form d1 | d2 | ..."""
         if not self.torsion:
             return ()
-        _, s, _ = smith_normal_form([[d if i == j else 0 for j in range(len(self.torsion))]
+        diag, _ = smith_normal_form([[d if i == j else 0 for j in range(len(self.torsion))]
                                      for i, d in enumerate(self.torsion)])
-        return tuple(s[i][i] for i in range(len(self.torsion)) if s[i][i] > 1)
+        return tuple(d for d in diag if d > 1)
 
     def is_isomorphic_to(self, other: "FinGenAbGroup") -> bool:
         return (self.free_rank == other.free_rank
@@ -416,25 +403,6 @@ class FinGenAbGroup:
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " x ".join(parts) if parts else "0"
-
-
-def solve_square(group: FinGenAbGroup, a: Coords) -> Optional[Coords]:
-    """One x with 2x = a, or None.  Deterministic per coordinate."""
-    a = group.reduce(a)
-    out = []
-    for i in range(group.free_rank):
-        if a[i] % 2:
-            return None
-        out.append(a[i] // 2)
-    for i, d in enumerate(group.torsion):
-        v = a[group.free_rank + i]
-        if d % 2:
-            out.append(v * pow(2, -1, d) % d)
-        else:
-            if v % 2:
-                return None
-            out.append(v // 2)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +438,9 @@ class GroupHom:
     def __call__(self, x: Coords) -> Coords:
         return self.apply(x)
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        if inner.target != self.source:
-            raise ValueError("homomorphisms do not compose")
-        return GroupHom(inner.source, self.target, tuple(self.apply(im) for im in inner.images))
-
     @classmethod
     def identity(cls, group: FinGenAbGroup) -> "GroupHom":
         return cls(group, group, tuple(group.generators()))
-
-    def matrix(self) -> Matrix:
-        return [list(im) for im in self.images]
-
-    def to_json(self) -> list:
-        return [list(im) for im in self.images]
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +498,8 @@ class Subgroup:
             orders = [0] * k
             vinv = _identity(k)
         else:
-            _, s, v = smith_normal_form(coeffs)
+            orders, v = smith_normal_form(coeffs)
             vinv = unimodular_inverse(v)
-            orders = []
-            for i in range(k):
-                si = s[i][i] if i < min(len(coeffs), k) else 0
-                orders.append(si)
         out = []
         n = self.parent.rank
         for i in range(k):
@@ -611,25 +564,18 @@ class Subgroup:
     def preimage_under(self, hom: GroupHom) -> "Subgroup":
         if hom.target != self.parent:
             raise ValueError("homomorphism target does not match subgroup parent")
-        hmat = [list(im) for im in hom.images]
-        mrows = [list(r) for r in self.lattice]
-        if not hmat:
-            return Subgroup(hom.source, [])
-        ker = left_kernel(hmat + mrows)
-        nsrc = hom.source.rank
-        gens = [tuple(z[:nsrc]) for z in ker]
-        return Subgroup(hom.source, [hom.source.reduce(g) for g in gens])
+        # the tail of the rows (image_i, e_i) and (lattice row, 0) is
+        # {x : x * images lies in the lattice}
+        n = self.parent.rank
+        eye = _identity(hom.source.rank)
+        rows = [im + tuple(e) for im, e in zip(hom.images, eye)]
+        rows += [r + (0,) * len(eye) for r in self.lattice]
+        return Subgroup(hom.source, lattice_tail(rows, n))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if self.parent != other.parent:
             raise ValueError("subgroups of different parents")
-        rows = lattice_intersect(self.lattice, other.lattice)
-        return Subgroup(self.parent, [self.parent.reduce(r) for r in rows])
-
-    def sum_with(self, other: "Subgroup") -> "Subgroup":
-        if self.parent != other.parent:
-            raise ValueError("subgroups of different parents")
-        return Subgroup(self.parent, self.gens + other.gens)
+        return Subgroup(self.parent, lattice_intersect(self.lattice, other.lattice))
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return all(other.contains(g) for g, _ in self.smith_gens)
@@ -653,9 +599,8 @@ def finitely_presented_quotient(num_gens: int, relations: Iterable[Coords]
     if not rel:
         q = FinGenAbGroup(num_gens)
         return q, GroupHom.identity(q)
-    _, s, v = smith_normal_form(rel)
+    diag, v = smith_normal_form(rel)
     n = num_gens
-    diag = [s[i][i] if i < min(len(rel), n) else 0 for i in range(n)]
     free_idx = [i for i in range(n) if diag[i] == 0]
     tors_idx = [i for i in range(n) if diag[i] > 1]
     quotient = FinGenAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
@@ -678,20 +623,10 @@ def subgroup_and_quotient(group: FinGenAbGroup, gens: Iterable[Coords]
     return sub, quotient, proj
 
 
-def squares_and_two_torsion(obj) -> tuple[Subgroup, Subgroup]:
-    """(squares, two-torsion) of a group or of a subgroup, inside the parent group."""
-    if isinstance(obj, FinGenAbGroup):
-        parent = obj
-        doubled = Subgroup(parent, [parent.scale(2, g) for g in parent.generators()])
-        doubling = GroupHom(parent, parent, tuple(parent.scale(2, g) for g in parent.generators()))
-        two_tor = Subgroup(parent, []).preimage_under(doubling)
-        return doubled, two_tor
-    if isinstance(obj, Subgroup):
-        parent = obj.parent
-        doubled = Subgroup(parent, [parent.scale(2, g) for g, _ in obj.smith_gens])
-        _, g_two = squares_and_two_torsion(parent)
-        return doubled, obj.intersect(g_two)
-    raise TypeError("expected a FinGenAbGroup or Subgroup")
+def squares_and_two_torsion(group: FinGenAbGroup) -> tuple[Subgroup, Subgroup]:
+    """(squares, two-torsion) of a group: the image and the kernel of doubling."""
+    doubling = GroupHom(group, group, tuple(group.scale(2, g) for g in group.generators()))
+    return Subgroup(group, doubling.images), Subgroup(group, []).preimage_under(doubling)
 
 
 def coset_canonical_rep(group: FinGenAbGroup, sub: Subgroup, x: Coords) -> Coords:

@@ -25,7 +25,7 @@ from .abgroup import (
     FinGenAbGroup,
     Subgroup,
     factorize,
-    left_kernel,
+    lattice_tail,
 )
 
 
@@ -152,34 +152,22 @@ class Bicharacter:
 
     def radical(self) -> Subgroup:
         """Elements pairing trivially with the whole domain."""
-        k = self.domain.rank
-        if k == 0:
-            return Subgroup(self.domain, [])
-        m, n = self.m, self.N
-        stacked = [list(row) for row in n]
-        for i in range(k):
-            row = [0] * k
-            row[i] = m
-            stacked.append(row)
-        ker = left_kernel(stacked)
-        return Subgroup(self.domain, [z[:k] for z in ker])
+        return self.orthogonal_complement(Subgroup(self.domain, self.domain.generators()))
 
     def is_nondegenerate(self) -> bool:
         return self._nondegenerate
 
     def orthogonal_complement(self, sub: Subgroup) -> Subgroup:
-        """Elements pairing trivially with every element of `sub`."""
+        """Elements pairing trivially with every element of `sub`: the x
+        with x N g = 0 modulo m for each generator g, the tail of the
+        rows (N g for every g, e_i) and (m e_j, 0)."""
         if sub.parent != self.domain:
             raise ValueError("subgroup lives in a different group")
-        gens = [g for g, _ in sub.smith_gens]
-        if not gens:
-            return Subgroup(self.domain, self.domain.generators())
-        k = self.domain.rank
-        m, n = self.m, self.N
-        w = [[sum(n[i][j] * g[j] for j in range(k)) for g in gens] for i in range(k)]
-        stacked = w + [[m * int(i == j) for j in range(len(gens))] for i in range(len(gens))]
-        ker = left_kernel(stacked)
-        return Subgroup(self.domain, [z[:k] for z in ker])
+        k, s, m = self.domain.rank, len(sub.gens), self.m
+        rows = [tuple(sum(a * b for a, b in zip(row, g)) for g in sub.gens)
+                + tuple(int(i == j) for j in range(k)) for i, row in enumerate(self.N)]
+        rows += [tuple(m * int(i == j) for j in range(s)) + (0,) * k for i in range(s)]
+        return Subgroup(self.domain, lattice_tail(rows, s))
 
     def restrict(self, sub: Subgroup) -> "Bicharacter":
         """The induced bicharacter on sub.as_group(), in its smith-gens coordinates."""

@@ -139,7 +139,9 @@ def _iso_odd(c1: CheckedSpec, c2: CheckedSpec, delta: int = 1) -> Optional[IsoWi
     if len(s1.gamma) != len(s2.gamma):
         return None
     # T cap G: the even-degree part of the support, inside the base group
-    teven = Subgroup(group, [t[:-1] for t in c1.pairing.sub.elements() if t[-1] % 2 == 0])
+    ext = ParityExtension(group)
+    base = Subgroup(ext.group, [ext.embed(g) for g in group.generators()])
+    teven = Subgroup(group, [t[:-1] for t in c1.pairing.sub.intersect(base).gens])
     pair = (_xi(group, teven, s1.gamma, delta), _xi(group, teven, s2.gamma))
     g = next(coset_shifts([pair]), None)
     return None if g is None else IsoWitness(g)

@@ -10,7 +10,6 @@ from typing import Optional
 from gradekit.abgroup import (
     FinGenAbGroup,
     Subgroup,
-    solve_square,
     squares_and_two_torsion,
     subgroup_and_quotient,
 )
@@ -98,6 +97,25 @@ def dense_hermite_normal_form(rows):
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
     return tuple(tuple(r) for r in basis)
+
+
+def solve_square(group, a):
+    """One x with 2x = a, or None.  Deterministic per coordinate."""
+    a = group.reduce(a)
+    out = []
+    for i in range(group.free_rank):
+        if a[i] % 2:
+            return None
+        out.append(a[i] // 2)
+    for i, d in enumerate(group.torsion):
+        v = a[group.free_rank + i]
+        if d % 2:
+            out.append(v * pow(2, -1, d) % d)
+        else:
+            if v % 2:
+                return None
+            out.append(v // 2)
+    return tuple(out)
 
 
 def brute_closure(group, gens):
@@ -514,19 +532,24 @@ class CycloSum:
         return isinstance(other, CycloSum) and (self - other).is_zero()
 
 
+def random_alternating_form(rng, mods):
+    """A seeded random alternating bicharacter on Z/mods[0] x ..., often
+    degenerate: q_ij = r / gcd(d_i, d_j) below the diagonal, q_ji = -q_ij."""
+    group = FinGenAbGroup(0, tuple(mods))
+    k = len(mods)
+    q = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            g = gcd(mods[i], mods[j])
+            q[i][j] = Fraction(rng.randrange(g), g)
+            q[j][i] = -q[i][j] % 1
+    return Bicharacter(group, tuple(tuple(row) for row in q))
+
+
 def random_alternating(rng, h):
     """A seeded random nondegenerate alternating bicharacter on H x H^."""
-    mods = tuple(h) + tuple(h)
-    group = FinGenAbGroup(0, mods)
-    k = len(mods)
     while True:
-        q = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i):
-                g = gcd(mods[i], mods[j])
-                q[i][j] = Fraction(rng.randrange(g), g)
-                q[j][i] = -q[i][j] % 1
-        beta = Bicharacter(group, tuple(tuple(row) for row in q))
+        beta = random_alternating_form(rng, tuple(h) + tuple(h))
         if beta.is_nondegenerate():
             return beta
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -13,9 +14,8 @@ from gradekit.abgroup import (
     hermite_normal_form,
     lattice_coords,
     lattice_intersect,
-    left_kernel,
+    lattice_tail,
     smith_normal_form,
-    solve_square,
     squares_and_two_torsion,
     subgroup_and_quotient,
     unimodular_inverse,
@@ -34,6 +34,7 @@ from helpers import (
     fraction_inverse,
     fraction_triangular_solve,
     random_unimodular,
+    solve_square,
 )
 
 
@@ -43,14 +44,12 @@ def mat_mul(a, b):
 
 
 def check_snf(mat):
-    u, s, v = smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, mat), v) == s
-    m, n = len(mat), len(mat[0])
-    diag = [s[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert s[i][j] == 0
+    diag, v = smith_normal_form(mat)
+    n = len(mat[0])
+    assert len(diag) == n
+    # mat * V and the diagonal span one row lattice
+    rows = [[d * int(i == j) for j in range(n)] for i, d in enumerate(diag)]
+    assert hermite_normal_form(mat_mul(mat, v)) == hermite_normal_form(rows)
     for a, b in zip(diag, diag[1:]):
         assert a >= 0 and b >= 0
         if a and b:
@@ -58,13 +57,13 @@ def check_snf(mat):
         if a == 0:
             assert b == 0
     # unimodularity
-    unimodular_inverse(u)
     unimodular_inverse(v)
     return diag
 
 
 def test_snf_small_cases():
-    assert check_snf([[2, -2]]) == [2]
+    assert check_snf([[2, -2]]) == [2, 0]
+    assert check_snf([[2], [3]]) == [1]
     assert check_snf([[2, 0], [0, 3]]) == [1, 6]
     assert check_snf([[4, 0], [0, 6]]) == [2, 12]
     assert check_snf([[0, 0], [0, 0]]) == [0, 0]
@@ -227,12 +226,35 @@ def test_lattice_coords_random():
     assert found > 300 and missed > 100
 
 
+def kernel(mat):
+    """{x : x * mat = 0}, the tail of the rows (mat_i, e_i)."""
+    m, n = len(mat), len(mat[0])
+    return lattice_tail([tuple(r) + tuple(int(i == j) for j in range(m))
+                         for i, r in enumerate(mat)], n)
+
+
 def test_left_kernel():
-    ker = left_kernel([[2], [1]])
+    ker = kernel([[2], [1]])
     assert len(ker) == 1
     z = ker[0]
     assert 2 * z[0] + z[1] == 0 and z != (0, 0)
-    assert left_kernel([[1, 0], [0, 1]]) == ()
+    assert kernel([[1, 0], [0, 1]]) == ()
+    assert lattice_tail([], 2) == ()
+
+
+def test_lattice_tail_kernels_against_brute_force():
+    rng = random.Random(5)
+    for _ in range(100):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        ker = kernel(mat)
+        assert ker == hermite_normal_form(ker)
+        for z in ker:
+            assert mat_mul([list(z)], mat) == [[0] * n]
+        # every small solution lies in the lattice the rows span
+        for x in itertools.product(range(-3, 4), repeat=m):
+            if mat_mul([list(x)], mat) == [[0] * n]:
+                assert lattice_coords(ker, x) is not None
 
 
 def test_lattice_intersect():
@@ -291,8 +313,7 @@ def test_hom_apply_compose():
     f = GroupHom(z, z6, ((4,),))
     assert f((2,)) == (2,)
     g = GroupHom(z6, z6, ((2,),))
-    h = g.compose(f)
-    assert h((1,)) == (2,)
+    assert g(f((1,))) == (2,)
     assert GroupHom.identity(z6)((5,)) == (5,)
 
 
@@ -397,9 +418,44 @@ def test_subgroup_intersect_sum():
     a = Subgroup(g, [(2,)])
     b = Subgroup(g, [(3,)])
     assert a.intersect(b) == Subgroup(g, [(6,)])
-    assert a.sum_with(b) == Subgroup(g, [(1,)])
     assert Subgroup(g, [(6,)]).is_subset_of(a)
     assert not a.is_subset_of(b)
+
+
+def random_finite_group(rng):
+    return FinGenAbGroup(0, tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 3))))
+
+
+def random_elements(rng, group, count):
+    return [tuple(rng.randrange(d) for d in group.torsion) for _ in range(count)]
+
+
+def test_preimage_against_brute_force():
+    rng = random.Random(41)
+    for _ in range(100):
+        src, tgt = random_finite_group(rng), random_finite_group(rng)
+        # a generator of order d goes to a multiple of e / gcd(d, e) in Z/e
+        images = tuple(tuple(rng.randrange(e) * (e // gcd(d, e)) % e for e in tgt.torsion)
+                       for d in src.torsion)
+        hom = GroupHom(src, tgt, images)
+        gens = random_elements(rng, tgt, rng.randint(0, 2))
+        members = brute_closure(tgt, gens)
+        pre = Subgroup(tgt, gens).preimage_under(hom)
+        expected = {x for x in src.elements() if hom(x) in members}
+        assert pre.order() == len(expected)
+        assert all(pre.contains(x) == (x in expected) for x in src.elements())
+
+
+def test_intersect_against_brute_force():
+    rng = random.Random(43)
+    for _ in range(100):
+        g = random_finite_group(rng)
+        gens_a = random_elements(rng, g, rng.randint(0, 3))
+        gens_b = random_elements(rng, g, rng.randint(0, 3))
+        meet = Subgroup(g, gens_a).intersect(Subgroup(g, gens_b))
+        expected = brute_closure(g, gens_a) & brute_closure(g, gens_b)
+        assert meet.order() == len(expected)
+        assert set(meet.elements()) == expected
 
 
 def test_subgroup_and_quotient():
@@ -420,10 +476,10 @@ def test_squares_and_two_torsion():
     sq, tt = squares_and_two_torsion(g)
     assert sq == Subgroup(g, [(0, 2)])
     assert sorted(tt.elements()) == [(0, 0), (0, 2), (1, 0), (1, 2)]
+    # of a subgroup: the doubled generators, and its meet with tt
     s = Subgroup(g, [(1, 1)])
-    ssq, stt = squares_and_two_torsion(s)
-    assert ssq == Subgroup(g, [(0, 2)])
-    assert sorted(stt.elements()) == [(0, 0), (0, 2)]
+    assert Subgroup(g, [g.scale(2, x) for x in s.gens]) == Subgroup(g, [(0, 2)])
+    assert sorted(s.intersect(tt).elements()) == [(0, 0), (0, 2)]
 
 
 def test_solve_square_cases():

@@ -13,9 +13,11 @@ from gradekit.bichar import (
 )
 
 from helpers import (
+    brute_closure,
     brute_dual_pairs,
     exponent,
     random_alternating,
+    random_alternating_form,
     ref_row,
     ref_value,
     standard_isometries,
@@ -356,3 +358,28 @@ def test_beta_isomorphism_random_pins_against_brute_force(h):
         assert (images is not None) == met, pins
         if images is not None:
             _check_isometry(beta, beta, images, pins)
+
+
+def test_orthogonal_complement_and_radical_against_brute_force():
+    rng = random.Random(47)
+    for trial in range(100):
+        if trial % 4:
+            mods = tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 3)))
+            beta = random_alternating_form(rng, mods)
+        else:
+            beta = random_alternating(rng, (rng.randint(2, 6),))
+        group = beta.domain
+        gens = [tuple(rng.randrange(d) for d in group.torsion)
+                for _ in range(rng.randint(0, 2))]
+        # beta(x, g) = x N g modulo m; the radical pairs trivially with
+        # the unit generators, so with all of the domain
+        for comp, against in ((beta.orthogonal_complement(Subgroup(group, gens)),
+                               brute_closure(group, gens)),
+                              (beta.radical(), group.generators())):
+            columns = [[sum(a * b for a, b in zip(row, g)) for row in beta.N]
+                       for g in against]
+            expected = {x for x in group.elements()
+                        if all(sum(a * c for a, c in zip(x, col)) % beta.m == 0
+                               for col in columns)}
+            assert comp.order() == len(expected)
+            assert all(comp.contains(x) == (x in expected) for x in group.elements())

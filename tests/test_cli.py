@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import json
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from gradekit.abgroup import FinGenAbGroup
+from gradekit import abgroup
+from gradekit.abgroup import FinGenAbGroup, Subgroup
 from gradekit.bichar import standard_pair
 from gradekit.cli import main, parse_spec, run, spec_to_json
 from gradekit.matgrade import EmbeddedPairing, EvenAssocSpec, OddAssocGSpec
@@ -411,6 +413,30 @@ def test_iso_validates_each_spec_once(tmp_path, monkeypatch, kind, mode):
         dict({step: 2 * n for step, n in PER_SPEC[kind].items()}, decompositions=0)
 
 
+def test_even_pairing_check_runs_no_smith_normal_form(tmp_path, monkeypatch):
+    # nondegeneracy and independence are read off Hermite forms
+    smith = count_calls(monkeypatch, abgroup, "smith_normal_form")
+    spec = parse_spec(documented_examples()["even"])
+    EmbeddedPairing(spec.group, spec.tgens, spec.beta).check()
+    assert smith == []
+    assert run(["verify", "-f", example_path(tmp_path, "even")])[1] == 0
+    assert smith == []
+
+
+@pytest.mark.parametrize("mode", ["assoc", "lie"])
+def test_iso_odd_lists_no_subgroup(tmp_path, monkeypatch, mode):
+    # T cap G is a lattice intersection; |T| = 2 304 is never listed
+    payload, _ = run(["fine", "odd", "24"])
+    desc = next(d for d in payload["descriptors"] if d["h"] == [2, 2, 2, 2, 3])
+    path = tmp_path / "odd24.json"
+    path.write_text(json.dumps(desc["spec"]))
+    listed = count_calls(monkeypatch, Subgroup, "elements")
+    payload, code = run(["iso", "-a", str(path), "-b", str(path), "--mode", mode])
+    assert code == 0
+    assert payload["witness"] == {"g": [0] * 10, "swap": False, "delta": 1}
+    assert listed == []
+
+
 def test_traced_benchmark_names_resolve(monkeypatch):
     """bench/run.py --trace looks these gradekit functions up by name."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
@@ -419,3 +445,92 @@ def test_traced_benchmark_names_resolve(monkeypatch):
         mod = importlib.import_module(f"gradekit.{module}")
         for dotted in funcs:
             layers._code_key(mod, dotted)
+
+
+def pinned_invocations(tmp_path):
+    """(name, argv) of the invocations OUTPUT_DIGESTS pins: verify,
+    ugroup and iso on the documented examples, three fine listings, and
+    ugroup of every fine grading of M(4,4)."""
+    for kind in sorted(PER_SPEC):
+        path = example_path(tmp_path, kind)
+        yield f"verify {kind}", ["verify", "-f", path]
+        yield f"ugroup {kind}", ["ugroup", "-f", path]
+        for mode in (["p"] if kind == "p" else ["assoc", "lie"]):
+            yield f"iso {kind} {mode}", ["iso", "-a", path, "-b", path, "--mode", mode]
+    for argv in (["fine", "even", "4", "4"], ["fine", "odd", "6"], ["fine", "p", "7"]):
+        yield " ".join(argv), argv
+    payload, _ = run(["fine", "even", "4", "4"])
+    for i, desc in enumerate(payload["descriptors"]):
+        path = tmp_path / f"fine-even-4-4-{i}.json"
+        path.write_text(json.dumps(desc["spec"]))
+        yield f"ugroup fine even 4 4 #{i}", ["ugroup", "-f", str(path)]
+
+
+def output_digests(tmp_path) -> dict:
+    """{name: sha256 of json.dumps(payload, sort_keys=True)} over
+    pinned_invocations, the bytes `gradekit` prints before the newline."""
+    out = {}
+    for name, argv in pinned_invocations(tmp_path):
+        payload, _ = run(argv)
+        text = json.dumps(payload, sort_keys=True)
+        out[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
+
+
+# sha256 of the payloads of pinned_invocations, recorded before kernels,
+# intersections and preimages moved onto abgroup.lattice_tail.  The CLI
+# output is meant to stay byte-identical across refactors; a change that
+# alters it on purpose has to change these digests openly.
+OUTPUT_DIGESTS = {
+    "verify even":
+        "95c60852713a6f72f66c464e05968ccd451917ca43b0d801085c2ea9285c9d61",
+    "ugroup even":
+        "1162df6140723396afcd43a67e289d76d15df94cbbb2c8133a2947f627bbf654",
+    "iso even assoc":
+        "8996dd6d95d28501d65f4f81a19bc69229fd06a614e200d68f64bdebfcad4952",
+    "iso even lie":
+        "8e4fbd5a3a769e00ba041d4cd02a9d5b88fd59553d56059ccc09821b94cc5195",
+    "verify odd_g":
+        "1b840f67b93f60c05c716e9a1fa138ee9cb41dc54fca20b877e249abdaaed73c",
+    "ugroup odd_g":
+        "0460701424a14f2bbc206fdf6eca96772b196934a482b25fe9a0aa9c682c6a9e",
+    "iso odd_g assoc":
+        "a51ed4725af5e6f56ad36fed2fc6c4445d8b0a582a508ff97d96e7b646c0f6c6",
+    "iso odd_g lie":
+        "31e5d9b05881d4908ca4b1c5fed328e45b867fa66e472b22cd4fb6021d32cb9d",
+    "verify odd_t":
+        "1b840f67b93f60c05c716e9a1fa138ee9cb41dc54fca20b877e249abdaaed73c",
+    "ugroup odd_t":
+        "0460701424a14f2bbc206fdf6eca96772b196934a482b25fe9a0aa9c682c6a9e",
+    "iso odd_t assoc":
+        "a51ed4725af5e6f56ad36fed2fc6c4445d8b0a582a508ff97d96e7b646c0f6c6",
+    "iso odd_t lie":
+        "31e5d9b05881d4908ca4b1c5fed328e45b867fa66e472b22cd4fb6021d32cb9d",
+    "verify p":
+        "d50d3ff53734af7898af084702907d15ae1dac0048604133b81cbbc2212b425c",
+    "ugroup p":
+        "41b360d7daf8ba683ace07c44f95926ef93fb257ab98b4fb1411cbeebd394ab7",
+    "iso p p":
+        "6613729dfb35d97718d0adfd92e41d65bdff6bb8243ff52983c45106f0321ea9",
+    "fine even 4 4":
+        "fea1807dcf12b8cc5608c2ec9fa9628e4e4d85c47f51e4df3294df10b158fbb5",
+    "fine odd 6":
+        "0c7fc21222b65df57e0ba217f474907b7224850d497f477e0bfc011438648b1d",
+    "fine p 7":
+        "8b45ecf06b7a0b461209d8d05860cc0c84c7915af0924eebd9b3b14765578ba7",
+    "ugroup fine even 4 4 #0":
+        "19ef39b76919c4cec22da7e59379d16c6ad3b1085617c5f9cd5b0f54bae2c5e4",
+    "ugroup fine even 4 4 #1":
+        "7f43675339b9fafd0012d54bb0a50b361caf72bbd98a004301eda4c06f6caa7a",
+    "ugroup fine even 4 4 #2":
+        "bb51dc129c15c52b1db4deb974ed6fffa0132e7cc773ee469041ae0296b25ba6",
+    "ugroup fine even 4 4 #3":
+        "63c4473b8e2cd9004edc3b38f6bcb2a91084af25171e8c629c757d44a402c9db",
+}
+
+
+def test_cli_output_digests(tmp_path):
+    start = time.perf_counter()
+    got = output_digests(tmp_path)
+    assert time.perf_counter() - start < 5.0
+    assert got == OUTPUT_DIGESTS
