@@ -12,7 +12,10 @@ through invariant_factors().
 A subgroup is the Hermite normal form of its lattice of lifts.
 Kernels, intersections and preimages are read from one Hermite form of
 an augmented matrix (`lattice_tail`); the Smith normal form only
-diagonalises quotients and finds invariant factors.
+diagonalises quotients, and invariant factors of given moduli come from
+gcds and lcms.  Both normal forms work on sparse {col: value} rows, so
+a universal group's relations, whose pivots are almost all 1, cost
+little more than their number of entries.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 Coords = tuple[int, ...]
 Matrix = list[list[int]]
@@ -35,87 +38,9 @@ def _identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(mat: Matrix) -> tuple[list[int], Matrix]:
-    """Return (diag, V): V is unimodular and mat*V spans the same row
-    lattice as the rows diag[j] e_j, one for each column j.
-
-    The entries of diag are nonnegative and form a divisibility chain
-    d1 | d2 | ... ; zero entries come last.  Plain Python integers
-    throughout, so there is no overflow at any size.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    S = [list(row) for row in mat]
-    V = _identity(n)
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row i += q * row j
-        S[i] = [a + q * b for a, b in zip(S[i], S[j])]
-
-    def add_col(i, j, q):
-        # col i += q * col j
-        for row in S:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero magnitude in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            S[t], S[pi] = S[pi], S[t]
-        if pj != t:
-            swap_cols(t, pj)
-
-        dirty = False
-        for i in range(t + 1, m):
-            if S[i][t]:
-                q = S[i][t] // S[t][t]
-                add_row(i, t, -q)
-                if S[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if S[t][j]:
-                q = S[t][j] // S[t][t]
-                add_col(j, t, -q)
-                if S[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # force the pivot to divide the rest of the block
-        fix = None
-        p = S[t][t]
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % p:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            add_row(t, fix, 1)
-            continue
-        t += 1
-
-    return [abs(S[j][j]) if j < m else 0 for j in range(n)], V
+def _sparse(row: Iterable[int]) -> dict[int, int]:
+    """The {col: value} form of a dense row."""
+    return {j: a for j, a in enumerate(row) if a}
 
 
 def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:
@@ -126,6 +51,87 @@ def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:
             row[j] = v
         else:
             del row[j]
+
+
+def smith_normal_form(rows: Sequence[dict[int, int]], n: int
+                      ) -> tuple[list[int], list[dict[int, int]]]:
+    """Return (diag, V) for the matrix with n columns whose rows are the
+    sparse {col: value} dicts `rows`: V is unimodular and rows*V spans
+    the same row lattice as the rows diag[j] e_j, one for each column j.
+    V comes as its n columns, each a sparse {row: value} dict.
+
+    The entries of diag are nonnegative and form a divisibility chain
+    d1 | d2 | ... ; zero entries come last.  Plain Python integers
+    throughout, so there is no overflow at any size.
+
+    Step t takes as pivot the first entry of least magnitude, in
+    row-major order over the rows from t and the column positions from
+    t, moves it to (t, t), clears its column by row operations and its
+    row by column operations, and starts over while a remainder is left.
+    Once the pivot divides the rest of its row and column, a row with an
+    entry it does not divide is added to row t, and again it starts
+    over.  Columns are swapped by renaming positions, so a row keeps the
+    columns it was given; the search for a pivot stops at the first row
+    that holds a unit, and a unit pivot divides every entry, so relations
+    whose pivots are almost all 1 cost little more than their size.
+    """
+    S = [{j: a for j, a in r.items() if a} for r in rows]
+    m = len(S)
+    col_at = list(range(n))         # the column at each position
+    place = list(range(n))          # the position of each column
+    V = [{j: 1} for j in range(n)]  # sparse columns, by column
+    t = 0
+    while t < min(m, n):
+        best = pi = None
+        for i in range(t, m):
+            if S[i]:
+                v = min(map(abs, S[i].values()))
+                if best is None or v < best:
+                    best, pi = v, i
+                    if v == 1:
+                        break
+        if best is None:
+            break
+        S[t], S[pi] = S[pi], S[t]
+        piv = S[t]
+        c = min((j for j, a in piv.items() if abs(a) == best), key=place.__getitem__)
+        pc, other = place[c], col_at[t]
+        col_at[t], col_at[pc] = c, other
+        place[c], place[other] = t, pc
+
+        p = piv[c]
+        carriers = [piv]            # the rows with an entry in column c
+        for row in S[t + 1:]:
+            a = row.get(c)
+            if a is not None:
+                _add_multiple(row, -(a // p), piv)
+                if c in row:
+                    carriers.append(row)
+        dirty = len(carriers) > 1
+        for j in [j for j in piv if j != c]:
+            q = piv[j] // p
+            for row in carriers:
+                v = row.get(j, 0) - q * row[c]
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            _add_multiple(V[j], -q, V[c])
+            if j in piv:
+                dirty = True
+        if dirty:
+            continue
+
+        # force the pivot to divide the rest of the block
+        if best != 1:
+            fix = next((row for row in S[t + 1:] if any(a % p for a in row.values())), None)
+            if fix is not None:
+                _add_multiple(piv, 1, fix)
+                continue
+        t += 1
+
+    diag = [abs(S[j].get(col_at[j], 0)) if j < m else 0 for j in range(n)]
+    return diag, [V[c] for c in col_at]
 
 
 def _combine(s: int, a: dict[int, int], t: int, b: dict[int, int]) -> dict[int, int]:
@@ -159,12 +165,14 @@ def _reduce_into(row: dict[int, int], cols: Iterable[int],
                 _add_multiple(row, -q, pivots[c])
 
 
-def hermite_normal_form(rows: Iterable[Coords]) -> tuple[Coords, ...]:
+def hermite_normal_form(rows: Iterable[Coords | dict[int, int]]) -> tuple:
     """Canonical basis of the integer row span of `rows`.
 
     Pivots are positive, pivot columns strictly increase, and entries
     above each pivot are reduced into [0, pivot).  Zero rows are dropped,
-    so equal lattices give identical results.
+    so equal lattices give identical results.  The rows are dense
+    sequences, and then so are the result's, or sparse {col: value}
+    dicts, and then the result's rows are such dicts too.
 
     Rows are kept sparse, as {col: value} dicts, with the pivot rows
     keyed by their leading column.  Each incoming row is reduced against
@@ -176,10 +184,13 @@ def hermite_normal_form(rows: Iterable[Coords]) -> tuple[Coords, ...]:
     of the input.
     """
     pivots: dict[int, dict[int, int]] = {}
-    width = 0
+    width = None                    # stays None on sparse rows
     for r in rows:
-        width = len(r)
-        row = {j: r[j] for j in itertools.compress(range(width), r)}
+        if isinstance(r, dict):
+            row = {j: a for j, a in r.items() if a}
+        else:
+            width = len(r)
+            row = {j: r[j] for j in itertools.compress(range(width), r)}
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -206,6 +217,8 @@ def hermite_normal_form(rows: Iterable[Coords]) -> tuple[Coords, ...]:
     cols = sorted(pivots)
     for i in range(len(cols) - 2, -1, -1):
         _reduce_into(pivots[cols[i]], cols[i + 1:], pivots)
+    if width is None:
+        return tuple(pivots[c] for c in cols)
     out = []
     for c in cols:
         dense = [0] * width
@@ -382,12 +395,19 @@ class FinGenAbGroup:
         return [self.unit(i) for i in range(self.rank)]
 
     def invariant_factors(self) -> tuple[int, ...]:
-        """Torsion of this group in invariant-factor form d1 | d2 | ..."""
-        if not self.torsion:
-            return ()
-        diag, _ = smith_normal_form([[d if i == j else 0 for j in range(len(self.torsion))]
-                                     for i, d in enumerate(self.torsion)])
-        return tuple(d for d in diag if d > 1)
+        """Torsion of this group in invariant-factor form d1 | d2 | ...
+
+        Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), so replacing each later
+        modulus by its lcm with the first, and the first by the gcd,
+        leaves a first modulus that divides every later one; the rest
+        follow the same way.  No factorization is needed.
+        """
+        ds = list(self.torsion)
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                g = gcd(ds[i], ds[j])
+                ds[i], ds[j] = g, ds[i] // g * ds[j]
+        return tuple(d for d in ds if d > 1)
 
     def is_isomorphic_to(self, other: "FinGenAbGroup") -> bool:
         return (self.free_rank == other.free_rank
@@ -492,14 +512,14 @@ class Subgroup:
         for row in rel:
             c = lattice_coords(self.lattice, row)
             assert c is not None, "relation lattice escapes the subgroup lattice"
-            coeffs.append(list(c))
+            coeffs.append(_sparse(c))
         k = len(basis)
         if not coeffs:
             orders = [0] * k
             vinv = _identity(k)
         else:
-            orders, v = smith_normal_form(coeffs)
-            vinv = unimodular_inverse(v)
+            orders, v = smith_normal_form(coeffs, k)
+            vinv = unimodular_inverse([[col.get(i, 0) for col in v] for i in range(k)])
         out = []
         n = self.parent.rank
         for i in range(k):
@@ -578,38 +598,38 @@ class Subgroup:
         return Subgroup(self.parent, lattice_intersect(self.lattice, other.lattice))
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return all(other.contains(g) for g, _ in self.smith_gens)
+        return all(other.contains(g) for g in self.gens)
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def finitely_presented_quotient(num_gens: int, relations: Iterable[Coords]
+def finitely_presented_quotient(num_gens: int, relations: Iterable[dict[int, int]]
                                 ) -> tuple[FinGenAbGroup, GroupHom]:
-    """Z^num_gens modulo the given relation rows, in invariant-factor form.
+    """Z^num_gens modulo the given sparse {col: value} relation rows, in
+    invariant-factor form.
 
     Returns the quotient plus the projection from the free group Z^num_gens.
     """
-    rel = [list(r) for r in relations]
-    for r in rel:
-        if len(r) != num_gens:
-            raise ValueError("relation length does not match generator count")
-    free_src = FinGenAbGroup(num_gens)
-    if not rel:
-        q = FinGenAbGroup(num_gens)
-        return q, GroupHom.identity(q)
-    diag, v = smith_normal_form(rel)
     n = num_gens
+    rel = list(relations)
+    free_src = FinGenAbGroup(n)
+    if not rel:
+        q = FinGenAbGroup(n)
+        return q, GroupHom.identity(q)
+    diag, v = smith_normal_form(rel, n)
     free_idx = [i for i in range(n) if diag[i] == 0]
     tors_idx = [i for i in range(n) if diag[i] > 1]
     quotient = FinGenAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-    images = []
-    for j in range(n):
-        row = v[j]
-        coords = [row[i] for i in free_idx] + [row[i] % diag[i] for i in tors_idx]
-        images.append(tuple(coords))
-    return quotient, GroupHom(free_src, quotient, tuple(images))
+    # the image of generator j is row j of V on the kept columns, which
+    # GroupHom reduces modulo the torsion
+    kept = free_idx + tors_idx
+    images = [[0] * len(kept) for _ in range(n)]
+    for k, i in enumerate(kept):
+        for j, a in v[i].items():
+            images[j][k] = a
+    return quotient, GroupHom(free_src, quotient, tuple(map(tuple, images)))
 
 
 def subgroup_and_quotient(group: FinGenAbGroup, gens: Iterable[Coords]
@@ -617,7 +637,7 @@ def subgroup_and_quotient(group: FinGenAbGroup, gens: Iterable[Coords]
     """The subgroup generated by `gens`, the quotient group, and the projection."""
     gens = [group.reduce(g) for g in gens]
     sub = Subgroup(group, gens)
-    rel = [list(g) for g in gens] + group.relation_rows()
+    rel = [_sparse(r) for r in gens + group.relation_rows()]
     quotient, raw = finitely_presented_quotient(group.rank, rel)
     proj = GroupHom(group, quotient, raw.images)
     return sub, quotient, proj

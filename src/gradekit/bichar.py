@@ -169,14 +169,6 @@ class Bicharacter:
         rows += [tuple(m * int(i == j) for j in range(s)) + (0,) * k for i in range(s)]
         return Subgroup(self.domain, lattice_tail(rows, s))
 
-    def restrict(self, sub: Subgroup) -> "Bicharacter":
-        """The induced bicharacter on sub.as_group(), in its smith-gens coordinates."""
-        if sub.parent != self.domain:
-            raise ValueError("subgroup lives in a different group")
-        gens = [g for g, _ in sub.smith_gens]
-        return Bicharacter.from_residues(
-            sub.as_group(), self.m, [[self.value(a, b) for b in gens] for a in gens])
-
     def inverse(self) -> "Bicharacter":
         return Bicharacter.from_residues(self.domain, self.m,
                                          [[-v for v in row] for row in self.N])

@@ -477,8 +477,7 @@ def _parity_element(pairing: EmbeddedPairing, ext: ParityExtension) -> Coords:
     if comp.order() != 2:
         raise ValueError("orthogonal complement of the even support "
                          f"has order {comp.order()}, expected 2")
-    (gen, order), = comp.smith_gens
-    assert order == 2
+    gen = next(g for g in comp.gens if any(g))
     u0 = pairing.push(gen)
     if ext.bit(u0) != 0:
         raise ValueError("parity element has odd parity; spec is corrupted")
@@ -658,34 +657,43 @@ def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
     """The abelian group generated by the support with the relation
     [g] + [h] = [g + h] for every given pair (g, h), and the image of each
     support element in it.  The pairs are those of nonzero products (or
-    brackets), so g + h must lie in the support too."""
+    brackets), so g + h must lie in the support too.
+
+    Each relation is the sparse row e_i + e_j - e_k on support indices,
+    found once per unordered pair {i, j}."""
     index = {s: n for n, s in enumerate(supp)}
-    rel_rows = set()
+    moduli = (0,) * group.free_rank + group.torsion
+    sums: dict[tuple[int, int], int] = {}     # {(i, j): k} with i <= j
     for g, h in pairs:
-        target = group.add(g, h)
-        if target not in index:
+        i, j = index[g], index[h]
+        if i > j:
+            i, j = j, i
+        if (i, j) in sums:
+            continue
+        target = tuple((a + b) % d if d else a + b for a, b, d in zip(g, h, moduli))
+        k = index.get(target)
+        if k is None:
             raise ValueError(f"the product of {g} and {h} leaves the support")
-        row = [0] * len(supp)
-        row[index[g]] += 1
-        row[index[h]] += 1
-        row[index[target]] -= 1
-        if any(row):
-            rel_rows.add(tuple(row))
-    reduced = hermite_normal_form(sorted(rel_rows))
-    quotient, proj = finitely_presented_quotient(len(supp), reduced)
-    labels = {s: proj(tuple(int(i == n) for i in range(len(supp))))
-              for s, n in index.items()}
-    return quotient, labels
+        sums[i, j] = k
+    rows = []
+    for (i, j), k in sorted(sums.items()):
+        row = {i: 1}
+        row[j] = row.get(j, 0) + 1
+        row[k] = row.get(k, 0) - 1
+        rows.append(row)
+    quotient, proj = finitely_presented_quotient(len(supp), hermite_normal_form(rows))
+    return quotient, {s: proj.images[n] for s, n in index.items()}
 
 
 def universal_group(model: GradedMatrixModel
                     ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
-    """The group presented by the support with one relation per nonzero product."""
-    by_row: dict[int, list[BasisElement]] = {}
-    for b in model.basis:
-        by_row.setdefault(b.i, []).append(b)
-    pairs = set()
-    for x in model.basis:
-        dx = model.base_degree(x)
-        pairs.update((dx, model.base_degree(y)) for y in by_row.get(x.j, ()))
-    return presented_quotient(model.base_group, model.support(), pairs)
+    """The group presented by the support with one relation per nonzero
+    product: E_ij X_s times E_jk X_t is nonzero, so each distinct
+    (degree, column) of a left factor meets every degree in that row."""
+    degree = [model.base_degree(b) for b in model.basis]
+    row_degrees: dict[int, set[Coords]] = {}
+    for b, d in zip(model.basis, degree):
+        row_degrees.setdefault(b.i, set()).add(d)
+    lefts = {(d, b.j) for b, d in zip(model.basis, degree)}
+    pairs = {(d, e) for d, j in lefts for e in row_degrees.get(j, ())}
+    return presented_quotient(model.base_group, tuple(sorted(set(degree))), pairs)

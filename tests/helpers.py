@@ -99,6 +99,118 @@ def dense_hermite_normal_form(rows):
     return tuple(tuple(r) for r in basis)
 
 
+def dense_smith_normal_form(mat):
+    """(diag, V) of a dense integer matrix by the dense loop that
+    abgroup.smith_normal_form follows: V is a dense unimodular matrix
+    and mat*V spans the rows diag[j] e_j.  Each step rescans the whole
+    remaining block for the first entry of least magnitude.  The oracle
+    for abgroup.smith_normal_form."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    S = [list(row) for row in mat]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_cols(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, q):
+        # row i += q * row j
+        S[i] = [a + q * b for a, b in zip(S[i], S[j])]
+
+    def add_col(i, j, q):
+        # col i += q * col j
+        for row in S:
+            row[i] += q * row[j]
+        for row in V:
+            row[i] += q * row[j]
+
+    t = 0
+    while t < min(m, n):
+        # pivot: smallest nonzero magnitude in the remaining block
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(S[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            S[t], S[pi] = S[pi], S[t]
+        if pj != t:
+            swap_cols(t, pj)
+
+        dirty = False
+        for i in range(t + 1, m):
+            if S[i][t]:
+                q = S[i][t] // S[t][t]
+                add_row(i, t, -q)
+                if S[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if S[t][j]:
+                q = S[t][j] // S[t][t]
+                add_col(j, t, -q)
+                if S[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+
+        # force the pivot to divide the rest of the block
+        fix = None
+        p = S[t][t]
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if S[i][j] % p:
+                    fix = i
+                    break
+            if fix is not None:
+                break
+        if fix is not None:
+            add_row(t, fix, 1)
+            continue
+        t += 1
+
+    return [abs(S[j][j]) if j < m else 0 for j in range(n)], V
+
+
+def sparse_rows(mat):
+    """The rows of a dense matrix as {col: value} dicts."""
+    return [{j: a for j, a in enumerate(row) if a} for row in mat]
+
+
+def dense_rows(rows, width):
+    """The {col: value} rows as dense lists of the given width."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, a in row.items():
+            dense[j] = a
+        out.append(dense)
+    return out
+
+
+def dense_columns(cols):
+    """The square matrix whose columns are the {row: value} dicts cols."""
+    return [[col.get(i, 0) for col in cols] for i in range(len(cols))]
+
+
+def restrict(beta, sub):
+    """The bicharacter beta induces on sub.as_group(), in the coordinates
+    of sub.smith_gens."""
+    if sub.parent != beta.domain:
+        raise ValueError("subgroup lives in a different group")
+    gens = [g for g, _ in sub.smith_gens]
+    return Bicharacter.from_residues(
+        sub.as_group(), beta.m, [[beta.value(a, b) for b in gens] for a in gens])
+
+
 def solve_square(group, a):
     """One x with 2x = a, or None.  Deterministic per coordinate."""
     a = group.reduce(a)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -21,7 +22,7 @@ from gradekit.abgroup import (
     unimodular_inverse,
 )
 
-from gradekit import matgrade
+from gradekit import abgroup, matgrade
 from gradekit.classify import enumerate_P_fine, enumerate_even_fine, enumerate_odd_fine
 from gradekit.matgrade import build_matrix_model, universal_group
 from gradekit.superlie import build_P_model, universal_P_group
@@ -30,11 +31,15 @@ from helpers import (
     brute_closure,
     brute_coset_canonical_rep,
     count_calls,
+    dense_columns,
     dense_hermite_normal_form,
+    dense_rows,
+    dense_smith_normal_form,
     fraction_inverse,
     fraction_triangular_solve,
     random_unimodular,
     solve_square,
+    sparse_rows,
 )
 
 
@@ -44,8 +49,9 @@ def mat_mul(a, b):
 
 
 def check_snf(mat):
-    diag, v = smith_normal_form(mat)
     n = len(mat[0])
+    diag, cols = smith_normal_form(sparse_rows(mat), n)
+    v = dense_columns(cols)
     assert len(diag) == n
     # mat * V and the diagonal span one row lattice
     rows = [[d * int(i == j) for j in range(n)] for i, d in enumerate(diag)]
@@ -77,6 +83,77 @@ def test_snf_random():
         n = rng.randint(1, 5)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         check_snf(mat)
+
+
+def random_snf_case(rng, kind):
+    """A seeded matrix for the Smith oracle tests, by kind."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "tall":
+        m, n = rng.randint(4, 8), rng.randint(1, 3)
+    if kind == "nonunit":
+        entries = (0, 0, 2, -2, 4, -6, 8, 9, 12)
+        mat = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+    elif kind == "sparse":
+        mat = [[rng.choice((0, 0, 0, 1, -1, 3, -5)) for _ in range(n)] for _ in range(m)]
+    elif kind == "deficient":
+        base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        mat = [[sum(rng.randint(-2, 2) * r[j] for r in base) for j in range(n)]
+               for _ in range(m)]
+    elif kind == "divisibility":
+        # a diagonal of coprime moduli, hidden by unimodular changes
+        k = min(m, n)
+        diag = [rng.choice((2, 3, 4, 5, 6, 9)) for _ in range(k)]
+        mat = [[diag[i] * int(i == j) if i < k else 0 for j in range(n)] for i in range(m)]
+        mat = mat_mul(random_unimodular(rng, m, steps=4), mat)
+        mat = mat_mul(mat, random_unimodular(rng, n, steps=4))
+    else:
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if kind != "divisibility" and rng.random() < 0.3:
+        mat.insert(rng.randrange(m + 1), [0] * n)
+    return mat
+
+
+def test_snf_matches_dense_oracle():
+    """The sparse Smith form returns the dense loop's (diag, V) exactly,
+    on zero rows, negative entries and pivots, non-unit pivots, the
+    divisibility fix, rank deficiency and tall shapes."""
+    rng = random.Random(12)
+    fixed = [[[2, 0], [0, 3]], [[0, 0], [0, 0]], [[-2, 4], [6, -3]], [[0], [0], [5]],
+             [[4, 0, 0], [0, 6, 0], [0, 0, 10]], [[-3, -3], [-3, -3]]]
+    kinds = ["dense", "nonunit", "sparse", "deficient", "divisibility", "tall"]
+    cases = fixed + [random_snf_case(rng, kinds[i % 6]) for i in range(360)]
+    seen = {"zero row": 0, "negative entry": 0, "non-unit": 0, "deficient": 0, "tall": 0}
+    for mat in cases:
+        n = len(mat[0])
+        diag, v = dense_smith_normal_form(mat)
+        got_diag, got_v = smith_normal_form(sparse_rows(mat), n)
+        assert got_diag == diag and dense_columns(got_v) == v, mat
+        seen["zero row"] += not all(map(any, mat))
+        seen["negative entry"] += any(min(r) < 0 for r in mat)
+        seen["non-unit"] += any(d > 1 for d in diag)
+        seen["deficient"] += diag[:min(len(mat), n)].count(0) > 0
+        seen["tall"] += len(mat) > n
+    assert all(count >= 30 for count in seen.values()), seen
+
+
+def test_snf_matches_dense_oracle_on_relation_matrices(monkeypatch):
+    """The Hermite rows of the relations that universal groups hand to
+    smith_normal_form, on every fine grading of M(4,4), M(3,3) and P(3)
+    and on fine odd 6 #5, give the dense loop's (diag, V)."""
+    calls = count_calls(monkeypatch, abgroup, "smith_normal_form")
+    matrix_descs = (enumerate_even_fine(4, 4) + enumerate_odd_fine(3)
+                    + [enumerate_odd_fine(6)[5]])
+    p_descs = enumerate_P_fine(3)
+    for desc in matrix_descs:
+        universal_group(build_matrix_model(desc.spec))
+    for desc in p_descs:
+        universal_P_group(build_P_model(desc.spec))
+    assert len(calls) == len(matrix_descs) + len(p_descs)
+    assert max(n for _, n in calls) > 100
+    for rows, n in calls:
+        diag, v = smith_normal_form(rows, n)
+        want_diag, want_v = dense_smith_normal_form(dense_rows(rows, n))
+        assert diag == want_diag and dense_columns(v) == want_v
 
 
 def test_unimodular_inverse():
@@ -169,7 +246,12 @@ def test_hnf_matches_dense_oracle_on_relation_matrices(monkeypatch):
     assert len(calls) == len(matrix_descs) + len(p_descs)
     assert max(len(rows) for (rows,) in calls) > 500
     for (rows,) in calls:
-        assert hermite_normal_form(rows) == dense_hermite_normal_form(rows)
+        # the rows are sparse; both forms must give the dense oracle's rows
+        width = 1 + max(j for row in rows for j in row)
+        dense = dense_rows(rows, width)
+        want = dense_hermite_normal_form(dense)
+        assert hermite_normal_form(dense) == want
+        assert tuple(map(tuple, dense_rows(hermite_normal_form(rows), width))) == want
 
 
 def combine(x, rows):
@@ -288,6 +370,22 @@ def test_group_validation():
         FinGenAbGroup(0, (2,)).reduce((1, 2))
 
 
+def test_invariant_factors_match_dense_oracle():
+    rng = random.Random(5)
+    for _ in range(300):
+        moduli = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 25, 36)) for _ in range(rng.randint(1, 6))]
+        k = len(moduli)
+        diag, _ = dense_smith_normal_form([[d * int(i == j) for j in range(k)]
+                                           for i, d in enumerate(moduli)])
+        assert FinGenAbGroup(0, moduli).invariant_factors() == tuple(d for d in diag if d > 1)
+    # no factorization: a large prime modulus answers at once
+    big = 10 ** 18 + 9
+    start = time.perf_counter()
+    assert FinGenAbGroup(0, (big,)).invariant_factors() == (big,)
+    assert FinGenAbGroup(0, (2 * big, 3 * big, 6)).invariant_factors() == (6 * big, 6 * big)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_invariant_factors():
     assert FinGenAbGroup(0, (2, 3)).invariant_factors() == (6,)
     assert FinGenAbGroup(0, (4, 6)).invariant_factors() == (2, 12)
@@ -319,7 +417,7 @@ def test_hom_apply_compose():
 
 def test_quotient_z2_by_single_relation():
     # Z^2 / <(2, -2)>  is  Z x Z/2
-    q, proj = finitely_presented_quotient(2, [(2, -2)])
+    q, proj = finitely_presented_quotient(2, [{0: 2, 1: -2}])
     assert q.free_rank == 1 and q.invariant_factors() == (2,)
     assert proj((2, -2)) == q.zero()
     assert proj((1, -1)) != q.zero()
@@ -327,7 +425,7 @@ def test_quotient_z2_by_single_relation():
 
 
 def test_quotient_finite():
-    q, proj = finitely_presented_quotient(2, [(2, 0), (0, 3)])
+    q, proj = finitely_presented_quotient(2, [{0: 2}, {1: 3}])
     assert q.free_rank == 0 and q.invariant_factors() == (6,)
     assert proj((2, 0)) == q.zero() and proj((0, 3)) == q.zero()
     seen = {proj((a, b)) for a in range(2) for b in range(3)}
@@ -420,6 +518,15 @@ def test_subgroup_intersect_sum():
     assert a.intersect(b) == Subgroup(g, [(6,)])
     assert Subgroup(g, [(6,)]).is_subset_of(a)
     assert not a.is_subset_of(b)
+
+
+def test_is_subset_of_runs_no_smith_normal_form(monkeypatch):
+    calls = count_calls(monkeypatch, abgroup, "smith_normal_form")
+    g = FinGenAbGroup(1, (4, 6))
+    a = Subgroup(g, [(2, 1, 0), (0, 0, 3)])
+    assert Subgroup(g, [(4, 2, 0), (0, 0, 3), (2, 1, 3)]).is_subset_of(a)
+    assert not Subgroup(g, [(1, 0, 0)]).is_subset_of(a)
+    assert calls == []
 
 
 def random_finite_group(rng):

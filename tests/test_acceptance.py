@@ -7,7 +7,9 @@ there are no tolerances anywhere.  Randomized tests use fixed seeds.
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -733,3 +735,50 @@ def test_fine_odd_4_8_12_finish():
             assert all(c == 0 for c, d in zip(t0, moduli) if d % 2)
     assert [sum(v.values()) for v in ODD_FINE_ORBITS.values()] == [7, 14, 14]
     _budget(start, 15.0)
+
+
+# sha256 of json.dumps(payload, sort_keys=True) of `gradekit ugroup` on
+# each fine odd 8 descriptor and the first two fine odd 12 ones, recorded
+# from the dense Smith form this sparse one replaced
+UGROUP_DIGESTS = {
+    8: ["f40d84101d57d4b00f38bc9a17beeb35b0bdf9cca9c5476c320f17cd3f415c24",
+        "72bd806f7ccd65c61f365f16aaec2cf0ee716dc069c3fd9301095611dc387b05",
+        "b9f6bd86bbcb89641f73f9e117032c6c5bc17392b205c200bcf73d7a898ee834",
+        "a3fa567dfe19044692d2971394343a729cfa415599dd2b0f84b5ec9b1124debb",
+        "ae1e342726d0c7414dc51359877afe83cbb6d6c1d30881cc790e8e533f16c7f5",
+        "ae1e342726d0c7414dc51359877afe83cbb6d6c1d30881cc790e8e533f16c7f5",
+        "f2943bfb98917f2dab3e0da93ff60fb38fd64bec945188adcfef12bce655847b",
+        "973ab6a803d26d84a3cf59d60acd3d3596bcb10baeda04ef2fabaf33bc06eb55",
+        "c5c9a9d7e87dd0125bce9d19aa139343836121709bd0c9586b8a56e1da482768",
+        "c5c9a9d7e87dd0125bce9d19aa139343836121709bd0c9586b8a56e1da482768",
+        "f0a9e09597317d91d7c16043fdd20759d9fd8c50e90c5db99d3be4d19132007a",
+        "f0a9e09597317d91d7c16043fdd20759d9fd8c50e90c5db99d3be4d19132007a",
+        "7bcb89a67dc1a0645be9a25668544a6a650a36a1f148dcb7e55b696f95023bd0",
+        "41009c8ebb36f8a0d78b83c502db055687e4cda4ea7cbc802c32fdf38b146dad"],
+    12: ["57b809e55150eb42f020835ee56517530263c79d3128937bc5ea52cf4af4d9bd",
+         "876ab0880f3f5286d87eb2935e27a6e8adbf4f4010575f27b63234b9ebc88d7d"],
+}
+
+
+def test_universal_groups_of_fine_odd_8_and_12(tmp_path):
+    """`gradekit ugroup` on every fine odd 8 descriptor and on fine odd 12
+    #0 and #1 (M(12,12), up to 496 support degrees) gives the recorded
+    payload, each in under two seconds, model build included."""
+    specs = []
+    for n, digests in UGROUP_DIGESTS.items():
+        payload, code = run(["fine", "odd", str(n)])
+        assert code == 0
+        for i, (desc, digest) in enumerate(zip(payload["descriptors"], digests)):
+            path = tmp_path / f"odd-{n}-{i}.json"
+            path.write_text(json.dumps(desc["spec"]))
+            specs.append((str(path), digest))
+    assert len(specs) == 16
+    start = time.perf_counter()
+    for path, digest in specs:
+        one = time.perf_counter()
+        payload, code = run(["ugroup", "-f", path])
+        _budget(one, 2.0)
+        assert code == 0
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, path
+    _budget(start, 20.0)

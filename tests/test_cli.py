@@ -423,6 +423,14 @@ def test_even_pairing_check_runs_no_smith_normal_form(tmp_path, monkeypatch):
     assert smith == []
 
 
+def test_odd_t_verify_runs_no_smith_normal_form(tmp_path, monkeypatch):
+    # the parity element is the nonzero generator of an order-2
+    # complement; the parent read it from smith_gens, one Smith form
+    smith = count_calls(monkeypatch, abgroup, "smith_normal_form")
+    assert run(["verify", "-f", example_path(tmp_path, "odd_t")])[1] == 0
+    assert smith == []
+
+
 @pytest.mark.parametrize("mode", ["assoc", "lie"])
 def test_iso_odd_lists_no_subgroup(tmp_path, monkeypatch, mode):
     # T cap G is a lattice intersection; |T| = 2 304 is never listed
