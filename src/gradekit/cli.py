@@ -13,6 +13,7 @@ give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -278,7 +279,13 @@ def _load_json(path: str):
         raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call and shared after it.
+
+    parse_args leaves the parser unchanged, and argparse reads
+    sys.stderr and COLUMNS when it prints, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="gradekit",
         description="verify and classify group gradings on matrix "
@@ -306,7 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> tuple[Optional[dict], int]:
-    """Parse, dispatch and return (payload, exit code) without printing."""
+    """Parse, dispatch and return (payload, exit code).
+
+    The payload is not printed.  On exit code 2 or 3 one `gradekit:`
+    line goes to stderr.  A usage error raises argparse's SystemExit(2)
+    after its usage line on stderr, and -h raises SystemExit(0) after
+    the help on stdout.  One parser is built per process and reused.
+    """
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":

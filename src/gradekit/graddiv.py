@@ -344,13 +344,3 @@ def realization_failures(real: StandardRealization, table: ProductTable,
         if real.matrix(t).transpose() != real.matrix(u).scale(c):
             failures.append(f"transpose identity fails at {t}")
     return failures
-
-
-def verify_realization(real: StandardRealization) -> None:
-    """Check every defining identity of a realization, exactly.
-
-    Raises ValueError with the first failure of realization_failures.
-    """
-    failures = realization_failures(real, product_table(real))
-    if failures:
-        raise ValueError(failures[0])

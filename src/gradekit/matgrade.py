@@ -629,24 +629,6 @@ def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
     return EvenAssocSpec(gbar, tuple(tbar_gens), beta_bar, gamma_bar, gamma_shift)
 
 
-def is_even_grading(model: GradedMatrixModel) -> bool:
-    """Whether the model's grading is even, via two independent criteria."""
-    # (a) compatibility with the canonical Z-grading: every basis element
-    # either is Z-homogeneous or merges with its parity partner
-    if model.kind == "even":
-        z_compatible = True
-    else:
-        z_compatible = all(model.basis[n].degree == model.basis[p].degree
-                           for n, p in model.partner.items()
-                           if model.basis[n].parity == 1)
-    # (b) the Morita idempotent diag(I_m, 0) is homogeneous
-    eps_degrees = {model.basis[n].degree for n in model.eps_support}
-    eps_homogeneous = len(eps_degrees) == 1
-    if z_compatible != eps_homogeneous:
-        raise RuntimeError("even-grading criteria disagree; model bookkeeping is broken")
-    return z_compatible
-
-
 # ---------------------------------------------------------------------------
 # universal grading groups
 

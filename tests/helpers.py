@@ -15,6 +15,7 @@ from gradekit.abgroup import (
 )
 from gradekit.bichar import Bicharacter, standard_pair
 from gradekit import matgrade
+from gradekit.graddiv import product_table, realization_failures
 from gradekit.superlie import PSpec, ambient_even_spec
 from gradekit.matgrade import (
     EmbeddedPairing,
@@ -209,6 +210,34 @@ def restrict(beta, sub):
     gens = [g for g, _ in sub.smith_gens]
     return Bicharacter.from_residues(
         sub.as_group(), beta.m, [[beta.value(a, b) for b in gens] for a in gens])
+
+
+def verify_realization(real) -> None:
+    """Check every defining identity of a realization, exactly.
+
+    Raises ValueError with the first failure of realization_failures.
+    """
+    failures = realization_failures(real, product_table(real))
+    if failures:
+        raise ValueError(failures[0])
+
+
+def is_even_grading(model) -> bool:
+    """Whether the model's grading is even, via two independent criteria."""
+    # (a) compatibility with the canonical Z-grading: every basis element
+    # either is Z-homogeneous or merges with its parity partner
+    if model.kind == "even":
+        z_compatible = True
+    else:
+        z_compatible = all(model.basis[n].degree == model.basis[p].degree
+                           for n, p in model.partner.items()
+                           if model.basis[n].parity == 1)
+    # (b) the Morita idempotent diag(I_m, 0) is homogeneous
+    eps_degrees = {model.basis[n].degree for n in model.eps_support}
+    eps_homogeneous = len(eps_degrees) == 1
+    if z_compatible != eps_homogeneous:
+        raise RuntimeError("even-grading criteria disagree; model bookkeeping is broken")
+    return z_compatible
 
 
 def solve_square(group, a):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import io
@@ -328,6 +329,52 @@ def test_internal_error_exits_3(monkeypatch, capsys, exc):
     assert code == 1 and payload["verdict"] == "error"
 
 
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    path = example_path(tmp_path, "even")
+    run(["fine", "odd", "1"])
+    built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    for _ in range(10):
+        assert run(["fine", "odd", "1"])[1] == 0
+        assert run(["verify", "-f", path])[1] == 0
+    assert built == []
+
+
+def test_no_state_outlives_a_call(tmp_path, capsys):
+    def usage_error(argv):
+        with pytest.raises(SystemExit) as caught:
+            run(argv)
+        return caught.value.code, capsys.readouterr().err
+
+    first = usage_error(["fine", "odd", "x"])
+    assert first[0] == 2
+    assert first[1].endswith("argument sizes: invalid int value: 'x'\n")
+    path = example_path(tmp_path, "even")
+    p_path = example_path(tmp_path, "p")
+    assert run(["iso", "-a", path, "-b", path, "--mode", "lie"])[0]["mode"] == "lie"
+    assert run(["iso", "-a", path, "-b", path])[0]["mode"] == "assoc"
+    assert run(["fine", "even", "2", "2"])[0]["sizes"] == [2, 2]
+    assert run(["fine", "odd", "2"])[0]["sizes"] == [2]
+    assert run(["iso", "-a", p_path, "-b", p_path, "--mode", "p"])[0]["mode"] == "p"
+    assert run(["iso", "-a", path, "-b", path])[0]["mode"] == "assoc"
+    assert run(["ugroup", "-f", p_path])[1] == 0
+    assert run(["verify", "-f", path])[1] == 0
+    assert usage_error(["iso", "-a", "a", "-b", "b", "--mode", "zz"])[0] == 2
+    assert usage_error(["fine", "--help"])[0] == 0
+    assert usage_error(["fine", "odd", "x"]) == first
+
+
+def test_help_width_is_read_at_call_time(monkeypatch, capsys):
+    run(["fine", "odd", "1"])
+    lines = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as caught:
+            run(["--help"])
+        assert caught.value.code == 0
+        lines[columns] = len(capsys.readouterr().out.splitlines())
+    assert lines["40"] > lines["200"]
+
+
 def documented_examples() -> dict:
     """{kind: document} for the spec examples of docs/spec-format.md."""
     text = (ROOT / "docs" / "spec-format.md").read_text(encoding="utf-8")
@@ -542,3 +589,57 @@ def test_cli_output_digests(tmp_path):
     got = output_digests(tmp_path)
     assert time.perf_counter() - start < 5.0
     assert got == OUTPUT_DIGESTS
+
+
+# argv that end in argparse's SystemExit: usage errors and help
+USAGE_ARGV = {
+    "no command": [],
+    "verify without file": ["verify"],
+    "unknown command": ["nope"],
+    "iso without b": ["iso", "-a", "x"],
+    "fine without sizes": ["fine", "odd"],
+    "fine non-integer size": ["fine", "odd", "x"],
+    "fine bad family": ["fine", "q", "2"],
+    "iso bad mode": ["iso", "-a", "a", "-b", "b", "--mode", "zz"],
+    "help": ["--help"],
+    "verify help": ["verify", "--help"],
+}
+
+# sha256 of json.dumps([SystemExit code, stdout, stderr]) of USAGE_ARGV
+# under COLUMNS=80, recorded while every call still built its own
+# parser.  They are argparse's bytes as Python 3.11 writes them.
+USAGE_DIGESTS = {
+    "no command":
+        "3d57a27cd5048719f9303dbe72f9abe3253dfc2c3e7b13a6b29b87220165bacf",
+    "verify without file":
+        "70b1cd79d7a6339be3f9ae0bd17c48e62ab1f47b6af490f397818dd34e811071",
+    "unknown command":
+        "5a0a29ada1aff3f0c8224b41681393d1cdfcf289cd98655b1ee576a01e1cc5b7",
+    "iso without b":
+        "ee74fcd7fc908315b8363e7b4496aa3121e96b051ca5b8457c701e43fcad334a",
+    "fine without sizes":
+        "2b9b9a77f548f0fb1a896d47eeab9ff81dc21cb218ad56d3512cdab1a27d4199",
+    "fine non-integer size":
+        "b3e524d33ae221615d25464fabfcb0eeae17ab376462a1d9e69a85088a84578e",
+    "fine bad family":
+        "72ab6fa39661932c842f518bd22ddda9574ecdb9490b30ab85180e48a87b44c0",
+    "iso bad mode":
+        "1d85dfc61a1c3803fd3fbd86a62dc9b9f1ced26e1f2b5ff1024ac858ea625e36",
+    "help":
+        "cadd4fc29872275e431cf8fa642a3647ef2aab0d066d861106ec0fab3dadfeab",
+    "verify help":
+        "55ae72e409e6cbec2572a78db7b8052b2eb51f3ec5bb672e1a97630230648c8d",
+}
+
+
+def test_usage_error_and_help_digests(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        got = {}
+        for name, argv in USAGE_ARGV.items():
+            with pytest.raises(SystemExit) as caught:
+                run(argv)
+            out = capsys.readouterr()
+            text = json.dumps([caught.value.code, out.out, out.err])
+            got[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert got == USAGE_DIGESTS

@@ -11,10 +11,16 @@ from gradekit.graddiv import (
     product_table,
     realization_failures,
     root_sum_vanishes,
-    verify_realization,
 )
 
-from helpers import CycloSum, ReferenceRealization, cyclotomic, random_alternating, ref_value
+from helpers import (
+    CycloSum,
+    ReferenceRealization,
+    cyclotomic,
+    random_alternating,
+    ref_value,
+    verify_realization,
+)
 
 F = Fraction
 

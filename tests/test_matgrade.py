@@ -24,7 +24,6 @@ from gradekit.matgrade import (
     check_spec,
     coarsen,
     finest_even_coarsening,
-    is_even_grading,
     odd_existence_check,
     parity_element,
     universal_group,
@@ -37,6 +36,7 @@ from helpers import (
     count_odd_conversions,
     embedded_standard_torus,
     exponent,
+    is_even_grading,
     oracle_chi_and_a,
     random_even_spec,
     random_odd_g_spec,
