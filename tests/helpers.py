@@ -240,6 +240,35 @@ def is_even_grading(model) -> bool:
     return z_compatible
 
 
+def per_pair_failures(model):
+    """Degree and parity findings of a plain loop that multiplies the
+    monomial matrices of every compatible basis pair afresh."""
+    real = model.realization
+    dom = model.pairing.beta.domain
+    dg = model.degree_group
+    failures = []
+    for x in model.basis:
+        for y in model.basis:
+            if y.i != x.j:
+                continue
+            prod_abs = dom.add(x.t_abs, y.t_abs)
+            sigma = (real.matrix(x.t_abs) * real.matrix(y.t_abs)).proportionality(
+                real.matrix(prod_abs))
+            if sigma is None:
+                failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
+                                "is not a root multiple of the expected basis matrix")
+                continue
+            target = model.basis[model.index[x.i, y.j, model.pairing.push(prod_abs)]]
+            want = dg.add(x.degree, y.degree)
+            if target.degree != want:
+                failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                                f"is {target.degree}, expected {want}")
+            if target.parity != (x.parity + y.parity) % 2:
+                failures.append(f"parity of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                                "is not additive")
+    return failures
+
+
 def solve_square(group, a):
     """One x with 2x = a, or None.  Deterministic per coordinate."""
     a = group.reduce(a)

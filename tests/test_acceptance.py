@@ -418,6 +418,23 @@ def test_fine_gradings_of_m66_verify():
     _budget(start, 10.0)
 
 
+def test_verify_m48_48_through_the_block_torus_factorization():
+    """An even grading of M(48,48): 12 + 12 blocks, each a 4 x 4 graded
+    division algebra over (Z/2)^2 x its dual, so k^3 |T|^2 = 24^3 * 16^2
+    compatible basis pairs, verifies in under a second."""
+    group, tgens, beta = embedded_standard_torus((2, 2), free=1)
+    gamma = [group.scale(i, group.unit(0)) for i in range(24)]
+    spec = EvenAssocSpec(group, tgens, beta, tuple(gamma[:12]), tuple(gamma[12:]))
+    start = time.perf_counter()
+    model = build_matrix_model(spec)
+    report = verify_grading(model)
+    _budget(start, 1.0)
+    assert model.sizes == (48, 48)
+    assert report.ok, report.failures
+    assert report.stats == {"pairs_checked": 24 ** 3 * 16 ** 2,
+                            "distinct_products": 16 ** 2}
+
+
 def test_universal_groups_of_m66_and_p7_fine_gradings():
     """The universal group computed for every fine grading of M(6,6) and
     P(7) that `fine` emits is the one the descriptor predicts, each in

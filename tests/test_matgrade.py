@@ -10,7 +10,7 @@ import pytest
 
 from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, standard_pair
-from gradekit.graddiv import StandardRealization
+from gradekit.graddiv import StandardRealization, product_table
 from gradekit.matgrade import (
     CosetMultiset,
     EmbeddedPairing,
@@ -19,6 +19,7 @@ from gradekit.matgrade import (
     OddAssocGSpec,
     OddAssocTSpec,
     ParityExtension,
+    _factorized_product_rule,
     build_matrix_model,
     build_odd_from_G,
     check_spec,
@@ -38,6 +39,8 @@ from helpers import (
     exponent,
     is_even_grading,
     oracle_chi_and_a,
+    per_pair_failures,
+    random_element,
     random_even_spec,
     random_odd_g_spec,
     ref_pairing_value,
@@ -225,35 +228,6 @@ def test_even_model_division_blocks():
     assert is_even_grading(model)
 
 
-def per_pair_failures(model):
-    """Degree and parity findings of a plain loop that multiplies the
-    monomial matrices of every compatible basis pair afresh."""
-    real = model.realization
-    dom = model.pairing.beta.domain
-    dg = model.degree_group
-    failures = []
-    for x in model.basis:
-        for y in model.basis:
-            if y.i != x.j:
-                continue
-            prod_abs = dom.add(x.t_abs, y.t_abs)
-            sigma = (real.matrix(x.t_abs) * real.matrix(y.t_abs)).proportionality(
-                real.matrix(prod_abs))
-            if sigma is None:
-                failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
-                                "is not a root multiple of the expected basis matrix")
-                continue
-            target = model.basis[model.index[x.i, y.j, model.pairing.push(prod_abs)]]
-            want = dg.add(x.degree, y.degree)
-            if target.degree != want:
-                failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
-                                f"is {target.degree}, expected {want}")
-            if target.parity != (x.parity + y.parity) % 2:
-                failures.append(f"parity of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
-                                "is not additive")
-    return failures
-
-
 def with_parts(model, **parts):
     """A copy of the model with some constructor arguments replaced."""
     args = dict(kind=model.kind, base_group=model.base_group,
@@ -305,6 +279,91 @@ def test_verify_stats_on_fine_grading():
     order = beta.domain.order()
     assert report.stats == {"distinct_products": order ** 2,
                             "pairs_checked": 2 ** 3 * order ** 2}
+
+
+def _oracle_models(rng):
+    """Even, odd, coarsened and free-rank models of random specs."""
+    def draw(spec_of, free_rank):
+        while True:
+            spec = spec_of(rng)
+            if spec.group.free_rank == free_rank:
+                return build_matrix_model(spec)
+
+    def coarsened(model):
+        _, _, theta = subgroup_and_quotient(
+            model.base_group, [random_element(rng, model.base_group)])
+        return coarsen(model, theta)
+
+    for _ in range(12):
+        yield "even", draw(random_even_spec, 0)
+        yield "odd", draw(random_odd_g_spec, 0)
+        yield "coarsened", coarsened(draw(rng.choice([random_even_spec,
+                                                      random_odd_g_spec]), 0))
+        yield "free-rank", draw(random_even_spec, 1)
+
+
+def _mutants(rng, model):
+    """The model unchanged and with one change of each kind."""
+    dg = model.degree_group
+    basis = list(model.basis)
+    n = rng.randrange(len(basis))
+    delta = dg.unit(rng.randrange(dg.rank)) if dg.rank else dg.zero()
+    yield "unchanged", model
+    bumped = basis[:]
+    bumped[n] = replace(basis[n], degree=dg.add(basis[n].degree, delta))
+    yield "degree bumped", with_parts(model, basis=tuple(bumped))
+    flipped = basis[:]
+    flipped[n] = replace(basis[n], parity=1 - basis[n].parity)
+    yield "parity flipped", with_parts(model, basis=tuple(flipped))
+    i, j = basis[n].i, basis[n].j
+    shifted = tuple(replace(b, degree=dg.add(b.degree, delta))
+                    if (b.i, b.j) == (i, j) else b for b in basis)
+    yield "block shifted", with_parts(model, basis=shifted)
+    t = basis[n].t
+    torus = tuple(replace(b, degree=dg.add(b.degree, delta)) if b.t == t else b
+                  for b in basis)
+    yield "torus label shifted", with_parts(model, basis=torus)
+    yield "element dropped", with_parts(model, basis=tuple(basis[:n] + basis[n + 1:]))
+
+
+def _outcome(check, model):
+    """What check(model) returns, or the lookup error it raises."""
+    try:
+        return check(model)
+    except LookupError as exc:
+        return type(exc).__name__, exc.args
+
+
+def test_verify_agrees_with_per_pair_oracle():
+    """On 288 seeded models, unchanged or with one change each, verify's
+    failures and verdict are those of the per-pair oracle; the
+    factorized proof accepts every unchanged model."""
+    rng = random.Random(14)
+    seen: dict[str, int] = {}
+    failing: dict[str, int] = {}
+    for family, model in _oracle_models(rng):
+        seen[family] = seen.get(family, 0) + 1
+        for change, mutant in _mutants(rng, model):
+            want = _outcome(per_pair_failures, mutant)
+            got = _outcome(verify_grading, mutant)
+            if isinstance(want, list):
+                assert (got.failures, got.ok) == (want, not want), (family, change)
+            else:
+                assert got == want, (family, change)
+            if change == "unchanged":
+                assert want == []
+                table = product_table(mutant.realization, mutant.pairing.push)
+                assert _factorized_product_rule(mutant, table), family
+            elif want:
+                failing[change] = failing.get(change, 0) + 1
+            seen[change] = seen.get(change, 0) + 1
+    assert seen == {"even": 12, "odd": 12, "coarsened": 12, "free-rank": 12,
+                    "unchanged": 48, "degree bumped": 48, "parity flipped": 48,
+                    "block shifted": 48, "torus label shifted": 48,
+                    "element dropped": 48}
+    assert all(failing.get(change, 0) > 24 for change in
+               ("degree bumped", "parity flipped", "block shifted",
+                "torus label shifted", "element dropped"))
 
 
 def test_coarsen_even_model():
