@@ -9,6 +9,10 @@ construction has its torsion in invariant-factor form d1 | d2 | ... | ds,
 computed through Smith normal form.  Abstract comparisons always go
 through invariant_factors().
 
+This is the only module that reduces, adds or enumerates coordinates:
+the others call `FinGenAbGroup.reduce` and the arithmetic built on it,
+`GroupHom.apply`, and `span`, the one loop over the span of generators.
+
 A subgroup is the Hermite normal form of its lattice of lifts.
 Kernels, intersections and preimages are read from one Hermite form of
 an augmented matrix (`lattice_tail`); the Smith normal form only
@@ -21,6 +25,7 @@ little more than their number of entries.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -322,6 +327,9 @@ class FinGenAbGroup:
         object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion moduli must be >= 2")
+        # the modulus of each coordinate, 0 for a free one; not a field,
+        # so equality and hashing see only free_rank and torsion
+        object.__setattr__(self, "_moduli", (0,) * self.free_rank + self.torsion)
 
     @property
     def rank(self) -> int:
@@ -340,26 +348,29 @@ class FinGenAbGroup:
         return out
 
     def reduce(self, coords: Iterable[int]) -> Coords:
-        c = list(coords)
-        if len(c) != self.rank:
+        """The element with integer coordinates coords: free coordinates
+        as they are, torsion coordinate i taken into [0, d_i)."""
+        c = tuple(coords)
+        if len(c) != len(self._moduli):
             raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
-        r = self.free_rank
-        return tuple(c[:r]) + tuple(c[r + i] % d for i, d in enumerate(self.torsion))
+        if self.free_rank:
+            return tuple([a % d if d else a for a, d in zip(c, self._moduli)])
+        return tuple(map(operator.mod, c, self._moduli))
 
     def zero(self) -> Coords:
         return (0,) * self.rank
 
     def add(self, x: Coords, y: Coords) -> Coords:
-        return self.reduce(tuple(a + b for a, b in zip(x, y)))
+        return self.reduce(map(operator.add, x, y))
 
     def neg(self, x: Coords) -> Coords:
-        return self.reduce(tuple(-a for a in x))
+        return self.reduce(map(operator.neg, x))
 
     def sub(self, x: Coords, y: Coords) -> Coords:
-        return self.reduce(tuple(a - b for a, b in zip(x, y)))
+        return self.reduce(map(operator.sub, x, y))
 
     def scale(self, k: int, x: Coords) -> Coords:
-        return self.reduce(tuple(k * a for a in x))
+        return self.reduce([k * a for a in x])
 
     def element_order(self, x: Coords) -> Optional[int]:
         """Order of x; None means infinite."""
@@ -425,6 +436,35 @@ class FinGenAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
+def span(group: FinGenAbGroup, gens: Sequence[Coords], orders: Sequence[int]
+         ) -> Iterator[tuple[Coords, Coords]]:
+    """(c, sum_i c_i gens[i]) for every c with 0 <= c_i < orders[i], in
+    lexicographic order of c.
+
+    Each element is its predecessor plus one step: where c goes up by one
+    at position j and every later position k falls back from o_k - 1 to 0,
+    the step is gens[j] - sum_{k > j} (o_k - 1) gens[k].  So the elements
+    after the first cost one addition each.
+    """
+    n = len(orders)
+    steps: list[Coords] = [()] * n
+    tail = [0] * group.rank             # sum_{k > j} (o_k - 1) gens[k]
+    for j in range(n - 1, -1, -1):
+        steps[j] = group.reduce(map(operator.sub, gens[j], tail))
+        tail = [b + (orders[j] - 1) * a for a, b in zip(gens[j], tail)]
+    c = [0] * n
+    x = group.zero()
+    yield tuple(c), x
+    for _ in range(prod(orders) - 1):
+        j = n - 1
+        while c[j] == orders[j] - 1:
+            c[j] = 0
+            j -= 1
+        c[j] += 1
+        x = group.add(x, steps[j])
+        yield tuple(c), x
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 
@@ -448,12 +488,12 @@ class GroupHom:
                 raise ValueError(f"generator of order {d} maps to an element not killed by {d}")
 
     def apply(self, x: Coords) -> Coords:
-        x = self.source.reduce(x)
-        acc = self.target.zero()
-        for c, im in zip(x, self.images):
+        """sum_i x_i images[i], formed in integers and reduced once."""
+        acc = [0] * self.target.rank
+        for c, im in zip(self.source.reduce(x), self.images):
             if c:
-                acc = self.target.add(acc, self.target.scale(c, im))
-        return acc
+                acc = [a + c * b for a, b in zip(acc, im)]
+        return self.target.reduce(acc)
 
     def __call__(self, x: Coords) -> Coords:
         return self.apply(x)
@@ -546,16 +586,16 @@ class Subgroup:
         return prod(self.parent.torsion) // prod(next(a for a in row if a)
                                                  for row in self.lattice)
 
-    def elements(self) -> Iterator[Coords]:
+    def _span(self) -> Iterator[tuple[Coords, Coords]]:
+        """(coordinates, element) for every element, through `span` of
+        the smith_gens."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite subgroup")
         gens = self.smith_gens
-        for combo in itertools.product(*(range(o) for _, o in gens)):
-            acc = self.parent.zero()
-            for c, (g, _) in zip(combo, gens):
-                if c:
-                    acc = self.parent.add(acc, self.parent.scale(c, g))
-            yield acc
+        return span(self.parent, [g for g, _ in gens], [o for _, o in gens])
+
+    def elements(self) -> Iterator[Coords]:
+        return (x for _, x in self._span())
 
     def as_group(self) -> FinGenAbGroup:
         free = sum(1 for _, o in self.smith_gens if o == 0)
@@ -564,8 +604,7 @@ class Subgroup:
 
     @cached_property
     def _coords(self) -> dict[Coords, Coords]:
-        orders = [o for _, o in self.smith_gens]
-        return dict(zip(self.elements(), itertools.product(*(range(o) for o in orders))))
+        return {x: c for c, x in self._span()}
 
     def coords_of(self, x: Coords) -> Optional[Coords]:
         """Coordinates c of x in the smith_gens basis, 0 <= c_i < o_i, or

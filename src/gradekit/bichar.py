@@ -312,9 +312,6 @@ def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
               for gen in order]
     cands = [b2._rows_by_order.get(g1.torsion[gen], ()) for gen in order]
 
-    def add(x: Coords, y: Coords, moduli: tuple[int, ...]) -> Coords:
-        return tuple((a + b) % d for a, b, d in zip(x, y, moduli))
-
     def grow(known: dict[Coords, Coords], gen: int, cand: Coords
              ) -> Optional[dict[Coords, Coords]]:
         """The map `known` extended to one more generator, sent to cand;
@@ -322,13 +319,12 @@ def beta_isomorphism(b1: Bicharacter, b2: Bicharacter,
         steps = [(g1.zero(), g2.zero())]
         for _ in range(g1.torsion[gen] - 1):
             s, t = steps[-1]
-            steps.append((add(s, g1.unit(gen), g1.torsion),
-                          add(t, cand, g2.torsion)))
+            steps.append((g1.add(s, g1.unit(gen)), g2.add(t, cand)))
         grown: dict[Coords, Coords] = {}
         hit: set[Coords] = set()
         for src, img in known.items():
             for s, t in steps:
-                s, t = add(src, s, g1.torsion), add(img, t, g2.torsion)
+                s, t = g1.add(src, s), g2.add(img, t)
                 if t in hit or heights1[s] != heights2[t]:
                     return None
                 hit.add(t)

@@ -18,6 +18,7 @@ from typing import Optional, Union
 from .abgroup import (
     Coords,
     FinGenAbGroup,
+    GroupHom,
     Subgroup,
     factorize,
     hermite_normal_form,
@@ -295,19 +296,13 @@ def _two_height(x: Coords) -> int:
     return min((c & -c).bit_length() - 1 for c in x if c)
 
 
-def _close_orbit(orbit: set[Coords], isometries: list[tuple[Coords, ...]],
-                 moduli: tuple[int, ...]) -> None:
-    """Add to `orbit` its images under every composite of `isometries`,
-    each given by the images of the unit generators."""
+def _close_orbit(orbit: set[Coords], isometries: list[GroupHom]) -> None:
+    """Add to `orbit` its images under every composite of `isometries`."""
     todo = list(orbit)
     while todo:
         y = todo.pop()
-        for images in isometries:
-            acc = [0] * len(moduli)
-            for c, image in zip(y, images):
-                if c:
-                    acc = [a + c * b for a, b in zip(acc, image)]
-            z = tuple(a % d for a, d in zip(acc, moduli))
+        for phi in isometries:
+            z = phi.apply(y)
             if z not in orbit:
                 orbit.add(z)
                 todo.append(z)
@@ -335,12 +330,12 @@ def _involution_orbits(beta: Bicharacter) -> list[Coords]:
         raise ValueError("each coordinate must have 2-power or odd order")
     beta2 = Bicharacter.from_residues(FinGenAbGroup(0, tuple(moduli[i] for i in two)),
                                       beta.m, [[beta.N[i][j] for j in two] for i in two])
-    moduli2 = beta2.domain.torsion
-    involutions = itertools.product(*((0, d // 2) for d in moduli2))
+    dom2 = beta2.domain
+    involutions = itertools.product(*((0, d // 2) for d in dom2.torsion))
     next(involutions)  # zero
     # (representative, the isometries found from it, the members of its
     # orbit they reach)
-    reps: list[tuple[Coords, list[tuple[Coords, ...]], set[Coords]]] = []
+    reps: list[tuple[Coords, list[GroupHom], set[Coords]]] = []
     for x in involutions:
         if any(x in orbit for _, _, orbit in reps):
             continue
@@ -349,8 +344,8 @@ def _involution_orbits(beta: Bicharacter) -> list[Coords]:
                 continue
             images = beta_isomorphism(beta2, beta2, [(rep, x)])
             if images is not None:
-                found.append(images)
-                _close_orbit(orbit, found, moduli2)
+                found.append(GroupHom(dom2, dom2, images))
+                _close_orbit(orbit, found)
                 break
         else:
             reps.append((x, [], {x}))

@@ -13,6 +13,7 @@ give identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -94,66 +95,48 @@ def beta_to_json(beta: Bicharacter) -> dict:
             "q": [[str(v) for v in row] for row in beta.q]}
 
 
+# each spec kind's dataclass; a spec document holds one key per field
+KINDS = {"even": EvenAssocSpec, "odd_t": OddAssocTSpec, "odd_g": OddAssocGSpec,
+         "p": PSpec}
+
+
+def _lists(xs: tuple[Coords, ...]) -> list:
+    return [list(x) for x in xs]
+
+
+# (read, write) per field name; every field not named holds a list of
+# elements
+CODECS = {"group": (_group, FinGenAbGroup.to_json),
+          "beta": (_beta, beta_to_json), "beta_bar": (_beta, beta_to_json),
+          "t0": (_coords, list), "u": (_coords, list), "g0": (_coords, list)}
+ELEMENTS = (_coords_list, _lists)
+
+
 def parse_spec(obj):
+    """The spec a document describes; its fields are read in order, so
+    the first missing or malformed one is the one reported."""
     if not isinstance(obj, dict):
         raise SpecFormatError("spec document must be a JSON object")
     kind = obj.get("kind")
-    try:
-        if kind == "even":
-            return EvenAssocSpec(_group(obj["group"]),
-                                 _coords_list(obj["tgens"]),
-                                 _beta(obj["beta"]),
-                                 _coords_list(obj["gamma0"]),
-                                 _coords_list(obj["gamma1"]))
-        if kind == "odd_t":
-            return OddAssocTSpec(_group(obj["group"]),
-                                 _coords_list(obj["tgens"]),
-                                 _beta(obj["beta"]),
-                                 _coords_list(obj["gamma"]))
-        if kind == "odd_g":
-            return OddAssocGSpec(_group(obj["group"]),
-                                 _coords(obj["t0"]),
-                                 _coords_list(obj["tbar_gens"]),
-                                 _beta(obj["beta_bar"]),
-                                 _coords(obj["u"]),
-                                 _coords_list(obj["gamma"]))
-        if kind == "p":
-            return PSpec(_group(obj["group"]),
-                         _coords_list(obj["tgens"]),
-                         _beta(obj["beta"]),
-                         _coords_list(obj["gamma"]),
-                         _coords(obj["g0"]))
-    except KeyError as exc:
-        raise SpecFormatError(f"spec kind {kind!r} is missing field {exc}")
-    raise SpecFormatError(f"unknown spec kind {kind!r}")
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecFormatError(f"unknown spec kind {kind!r}")
+    values = []
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            raise SpecFormatError(f"spec kind {kind!r} is missing field {f.name!r}")
+        values.append(CODECS.get(f.name, ELEMENTS)[0](obj[f.name]))
+    return cls(*values)
 
 
 def spec_to_json(spec) -> dict:
-    if isinstance(spec, EvenAssocSpec):
-        return {"kind": "even", "group": spec.group.to_json(),
-                "tgens": [list(t) for t in spec.tgens],
-                "beta": beta_to_json(spec.beta),
-                "gamma0": [list(x) for x in spec.gamma0],
-                "gamma1": [list(x) for x in spec.gamma1]}
-    if isinstance(spec, OddAssocTSpec):
-        return {"kind": "odd_t", "group": spec.group.to_json(),
-                "tgens": [list(t) for t in spec.tgens],
-                "beta": beta_to_json(spec.beta),
-                "gamma": [list(x) for x in spec.gamma]}
-    if isinstance(spec, OddAssocGSpec):
-        return {"kind": "odd_g", "group": spec.group.to_json(),
-                "t0": list(spec.t0),
-                "tbar_gens": [list(t) for t in spec.tbar_gens],
-                "beta_bar": beta_to_json(spec.beta_bar),
-                "u": list(spec.u),
-                "gamma": [list(x) for x in spec.gamma]}
-    if isinstance(spec, PSpec):
-        return {"kind": "p", "group": spec.group.to_json(),
-                "tgens": [list(t) for t in spec.tgens],
-                "beta": beta_to_json(spec.beta),
-                "gamma": [list(x) for x in spec.gamma],
-                "g0": list(spec.g0)}
-    raise TypeError(f"not a spec: {spec!r}")
+    kind = next((k for k, cls in KINDS.items() if isinstance(spec, cls)), None)
+    if kind is None:
+        raise TypeError(f"not a spec: {spec!r}")
+    out = {"kind": kind}
+    for f in dataclasses.fields(spec):
+        out[f.name] = CODECS.get(f.name, ELEMENTS)[1](getattr(spec, f.name))
+    return out
 
 
 def _invariants(group: FinGenAbGroup) -> list[int]:

@@ -15,11 +15,10 @@ cyclotomic polynomial.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Sequence
 
-from .abgroup import Coords, factorize
-from .bichar import Bicharacter, DualPairDecomposition, common_modulus
+from .abgroup import Coords, factorize, span
+from .bichar import Bicharacter, common_modulus
 
 
 class MonomialMatrix:
@@ -207,13 +206,13 @@ class StandardRealization:
     are built on the first call of matrix.
     """
 
-    def __init__(self, beta: Bicharacter,
-                 decomposition: Optional[DualPairDecomposition] = None):
+    def __init__(self, beta: Bicharacter):
         self.beta = beta
         self.group = beta.domain
-        self.dec = decomposition or beta.symplectic_decomposition()
+        self.dec = beta.symplectic_decomposition()
         self.m = beta.m
-        self.labels: tuple[Coords, ...] = tuple(sorted(self._span(self.dec.b_gens)))
+        self.labels: tuple[Coords, ...] = tuple(sorted(
+            x for _, x in span(self.group, self.dec.b_gens, self.dec.orders)))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("dual pair generators are not independent")
         self.size = len(self.labels)
@@ -223,26 +222,18 @@ class StandardRealization:
         # t -> (a, b, X_t), filled by _build
         self._parts: dict[Coords, tuple[Coords, Coords, MonomialMatrix]] = {}
 
-    def _span(self, gens: Sequence[Coords]) -> list[Coords]:
-        """sum_i c_i gens[i] for every c below the dual pair orders."""
-        tors = self.group.torsion
-        return [tuple(sum(c * g[k] for c, g in zip(coeffs, gens)) % d
-                      for k, d in enumerate(tors))
-                for coeffs in itertools.product(*(range(o) for o in self.dec.orders))]
-
     def _build(self) -> dict[Coords, tuple[Coords, Coords, MonomialMatrix]]:
         """Every X_t, from the (alpha, delta) coordinates of t = a + b:
         entry j of X_t is a N (b + label j) modulo m."""
         m, n = self.m, self.beta.N
-        tors = self.group.torsion
-        targets = {b: [tuple((x + y) % d for x, y, d in zip(b, lab, tors))
-                       for lab in self.labels] for b in self.labels}
+        add = self.group.add
+        targets = {b: [add(b, lab) for lab in self.labels] for b in self.labels}
         perms = {b: tuple(self._index[u] for u in us) for b, us in targets.items()}
         parts = {}
-        for a in self._span(self.dec.a_gens):
+        for _, a in span(self.group, self.dec.a_gens, self.dec.orders):
             row = _row(a, n)
             for b, us in targets.items():
-                t = tuple((x + y) % d for x, y, d in zip(a, b, tors))
+                t = add(a, b)
                 exps = tuple(sum(r * u for r, u in zip(row, target)) % m
                              for target in us)
                 parts[t] = (a, b, MonomialMatrix._of(m, perms[b], exps))
@@ -284,7 +275,7 @@ def product_table(real: StandardRealization,
     The label of t + s is push(t + s), or t + s itself without push.
     The table keeps exponents and labels, not matrices.
     """
-    tors = real.group.torsion
+    add = real.group.add
     elems = sorted(real.group.elements())
     mats = {t: real.matrix(t) for t in elems}
     labels = {u: push(u) if push else u for u in elems}
@@ -292,7 +283,7 @@ def product_table(real: StandardRealization,
     for t in elems:
         xt = mats[t]
         for s in elems:
-            ts = tuple([(x + y) % d for x, y, d in zip(t, s, tors)])
+            ts = add(t, s)
             sigma = (xt * mats[s]).proportionality(mats[ts])
             table[t, s] = None if sigma is None else (sigma, labels[ts])
     return table

@@ -36,6 +36,7 @@ from .abgroup import (
     coset_canonical_rep,
     finitely_presented_quotient,
     hermite_normal_form,
+    span,
     squares_and_two_torsion,
     subgroup_and_quotient,
 )
@@ -51,16 +52,17 @@ class ParityExtension:
         self.group = FinGenAbGroup(base.free_rank, base.torsion + (2,))
 
     def embed(self, g: Coords) -> Coords:
-        return self.group.reduce(tuple(self.base.reduce(g)) + (0,))
+        return self.lift(g, 0)
 
     def lift(self, g: Coords, bit: int) -> Coords:
-        return self.group.reduce(tuple(self.base.reduce(g)) + (bit,))
+        return self.group.reduce(tuple(g) + (bit,))
 
     def base_part(self, x: Coords) -> Coords:
         return self.base.reduce(x[:-1])
 
     def bit(self, x: Coords) -> int:
-        return x[-1] % 2
+        """The parity bit of an element of G x Z/2."""
+        return x[-1]
 
     def extend_hom(self, alpha: GroupHom) -> GroupHom:
         """alpha x id on the parity bit."""
@@ -105,15 +107,8 @@ class EmbeddedPairing:
     @cached_property
     def elements(self) -> tuple[tuple[Coords, Coords], ...]:
         """(t_abs, t) for every element t_abs of the domain, in sorted
-        order, with t its image in T.  Built one generator at a time,
-        so each element costs one addition."""
-        ambient = self.ambient
-        out = [((), ambient.zero())]
-        for gen, o in zip(self.gens, self.beta.domain.torsion):
-            steps = [ambient.scale(c, gen) for c in range(o)]
-            out = [(a + (c,), ambient.add(t, step))
-                   for a, t in out for c, step in enumerate(steps)]
-        return tuple(out)
+        order, with t its image in T: the `span` of the generators."""
+        return tuple(span(self.ambient, self.gens, self.beta.domain.torsion))
 
     @cached_property
     def _abstract(self) -> dict[Coords, Coords]:
@@ -428,27 +423,25 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
       (c) tau(t) + tau(s) = tau(u) for every table entry, u its label.
     Then v(x) + v(y) = v(target) for every pair `_pair_failures` visits.
     """
-    dg = model.degree_group
-    mods = (0,) * dg.free_rank + dg.torsion + (2,)
-
-    def add(a, b):
-        return tuple([(x + y) % d if d else x + y for x, y, d in zip(a, b, mods)])
-
+    vg = ParityExtension(model.degree_group).group
+    add = vg.add
     basis = model.basis
     rows = sorted({b.i for b in basis} | {b.j for b in basis})
     vec = [b.degree + (b.parity,) for b in basis]
+    if any(len(v) != vg.rank for v in vec):
+        return False
     zero = model.realization.group.zero()
     block = {(b.i, b.j): v for b, v in zip(basis, vec) if b.t_abs == zero}
     if not rows or len(block) != len(rows) ** 2:
         return False
     i0 = rows[0]
-    origin = tuple([-x for x in block[i0, i0]])
+    origin = vg.neg(block[i0, i0])
     label = {b.t_abs: b.t for b in basis if b.i == b.j == i0}
     tau = {b.t: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == i0}
     # distinct (i, j, t) keys, as many as rows x rows x labels
     if len(model.index) != len(basis) or len(basis) != len(rows) ** 2 * len(label):
         return False
-    if any(len(v) != len(mods) or b.t_abs not in label or label[b.t_abs] != b.t
+    if any(b.t_abs not in label or label[b.t_abs] != b.t
            or v != add(block[b.i, b.j], tau[b.t]) for b, v in zip(basis, vec)):
         return False
     if any(add(block[i, j], block[j, l]) != block[i, l]
@@ -465,8 +458,6 @@ def _pair_failures(model: GradedMatrixModel, table) -> list[str]:
     against the table's entry for its (t, s): one finding per failing
     pair, in basis order."""
     dg = model.degree_group
-    # degree addition: free coordinates plain, torsion ones modulo d
-    mods = (0,) * dg.free_rank + dg.torsion
     by_row: dict[int, list[BasisElement]] = {}
     for b in model.basis:
         by_row.setdefault(b.i, []).append(b)
@@ -478,9 +469,13 @@ def _pair_failures(model: GradedMatrixModel, table) -> list[str]:
                 failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
                                 "is not a root multiple of the expected basis matrix")
                 continue
-            target = model.basis[model.index[x.i, y.j, entry[1]]]
-            want = tuple((a + b) % d if d else a + b
-                         for a, b, d in zip(x.degree, y.degree, mods))
+            n = model.index.get((x.i, y.j, entry[1]))
+            if n is None:
+                failures.append(f"product of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                                "lands on no basis element")
+                continue
+            target = model.basis[n]
+            want = dg.add(x.degree, y.degree)
             if target.degree != want:
                 failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
                                 f"is {target.degree}, expected {want}")
@@ -703,7 +698,6 @@ def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
     Each relation is the sparse row e_i + e_j - e_k on support indices,
     found once per unordered pair {i, j}."""
     index = {s: n for n, s in enumerate(supp)}
-    moduli = (0,) * group.free_rank + group.torsion
     sums: dict[tuple[int, int], int] = {}     # {(i, j): k} with i <= j
     for g, h in pairs:
         i, j = index[g], index[h]
@@ -711,8 +705,7 @@ def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
             i, j = j, i
         if (i, j) in sums:
             continue
-        target = tuple((a + b) % d if d else a + b for a, b, d in zip(g, h, moduli))
-        k = index.get(target)
+        k = index.get(group.add(g, h))
         if k is None:
             raise ValueError(f"the product of {g} and {h} leaves the support")
         sums[i, j] = k

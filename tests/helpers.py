@@ -258,7 +258,12 @@ def per_pair_failures(model):
                 failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
                                 "is not a root multiple of the expected basis matrix")
                 continue
-            target = model.basis[model.index[x.i, y.j, model.pairing.push(prod_abs)]]
+            n = model.index.get((x.i, y.j, model.pairing.push(prod_abs)))
+            if n is None:
+                failures.append(f"product of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                                "lands on no basis element")
+                continue
+            target = model.basis[n]
             want = dg.add(x.degree, y.degree)
             if target.degree != want:
                 failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "

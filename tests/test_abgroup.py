@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -17,6 +18,7 @@ from gradekit.abgroup import (
     lattice_intersect,
     lattice_tail,
     smith_normal_form,
+    span,
     squares_and_two_torsion,
     subgroup_and_quotient,
     unimodular_inverse,
@@ -368,6 +370,95 @@ def test_group_validation():
         FinGenAbGroup(0, (1,))
     with pytest.raises(ValueError):
         FinGenAbGroup(0, (2,)).reduce((1, 2))
+
+
+def _plain_reduce(group, coords):
+    """Coordinates reduced one at a time: a free one as it is, a torsion
+    one of modulus d to c - d * floor(c / d)."""
+    out = list(coords)
+    for i, d in enumerate(group.torsion):
+        c = out[group.free_rank + i]
+        out[group.free_rank + i] = c - d * (c // d)
+    return tuple(out)
+
+
+def _random_group(rng, max_free=2):
+    moduli = (2, 3, 4, 6, 7, 12, 10 ** 12 + 39)
+    return FinGenAbGroup(rng.randint(0, max_free),
+                         tuple(rng.choice(moduli) for _ in range(rng.randint(0, 3))))
+
+
+def _random_coords(rng, n):
+    return tuple(rng.choice((rng.randint(-30, 30), rng.randint(-10 ** 20, 10 ** 20)))
+                 for _ in range(n))
+
+
+def _killed_by(rng, group, d):
+    """A random element x of group with d x = 0 (any element when d = 0)."""
+    if d == 0:
+        return _random_coords(rng, group.rank)
+    return (0,) * group.free_rank + tuple(rng.randint(-3, 3) * (e // gcd(d, e))
+                                          for e in group.torsion)
+
+
+def test_arithmetic_matches_per_coordinate_arithmetic():
+    rng = random.Random(15)
+    for _ in range(300):
+        group = _random_group(rng)
+        n = group.rank
+        x, y = _random_coords(rng, n), _random_coords(rng, n)
+        k = rng.choice((0, 1, -1, rng.randint(-10 ** 6, 10 ** 6)))
+        assert group.reduce(x) == _plain_reduce(group, x)
+        assert group.reduce(iter(x)) == _plain_reduce(group, x)
+        assert group.add(x, y) == _plain_reduce(group, [a + b for a, b in zip(x, y)])
+        assert group.sub(x, y) == _plain_reduce(group, [a - b for a, b in zip(x, y)])
+        assert group.neg(x) == _plain_reduce(group, [-a for a in x])
+        assert group.scale(k, x) == _plain_reduce(group, [k * a for a in x])
+        for wrong in (x + (0,), x[1:]):
+            if len(wrong) != n:
+                with pytest.raises(ValueError) as err:
+                    group.reduce(wrong)
+                assert str(err.value) == f"expected {n} coordinates, got {len(wrong)}"
+        # a homomorphism into group: each image is killed by its
+        # generator's order, so the unreduced combination is its value
+        source = _random_group(rng)
+        orders = (0,) * source.free_rank + source.torsion
+        hom = GroupHom(source, group, tuple(_killed_by(rng, group, d) for d in orders))
+        s = _random_coords(rng, source.rank)
+        want = [sum(c * im[j] for c, im in zip(s, hom.images)) for j in range(n)]
+        assert hom.apply(s) == _plain_reduce(group, want)
+    # the moduli are kept beside the fields, which alone decide equality
+    assert [f.name for f in dataclasses.fields(FinGenAbGroup)] == ["free_rank", "torsion"]
+    assert FinGenAbGroup(1, (2,)) == FinGenAbGroup(1, [2])
+    assert hash(FinGenAbGroup(1, (2,))) == hash(FinGenAbGroup(1, (2,)))
+    assert repr(FinGenAbGroup(1, (2,))) == "FinGenAbGroup(free_rank=1, torsion=(2,))"
+
+
+def test_span_order_closure_and_additions(monkeypatch):
+    z6 = FinGenAbGroup(0, (6,))
+    assert list(span(z6, [(2,), (3,)], [3, 2])) == [
+        ((0, 0), (0,)), ((0, 1), (3,)), ((1, 0), (2,)),
+        ((1, 1), (5,)), ((2, 0), (4,)), ((2, 1), (1,))]
+    assert list(span(z6, [], [])) == [((), (0,))]
+    rng = random.Random(16)
+    for _ in range(80):
+        group = _random_group(rng, max_free=1)
+        gens = [_random_coords(rng, group.rank) for _ in range(rng.randint(0, 3))]
+        orders = [rng.randint(1, 4) for _ in gens]
+        adds = count_calls(monkeypatch, FinGenAbGroup, "add")
+        out = list(span(group, gens, orders))
+        monkeypatch.undo()
+        assert len(adds) == len(out) - 1
+        assert [c for c, _ in out] == list(itertools.product(*(range(o) for o in orders)))
+        for c, x in out:
+            assert x == _plain_reduce(group, [sum(a * g[j] for a, g in zip(c, gens))
+                                              for j in range(group.rank)])
+        # with each generator's own order the span is the subgroup
+        finite = FinGenAbGroup(0, group.torsion)
+        tgens = [finite.reduce(g[group.free_rank:]) for g in gens]
+        if all(finite.element_order(g) <= 12 for g in tgens):
+            elems = [x for _, x in span(finite, tgens, [finite.element_order(g) for g in tgens])]
+            assert set(elems) == brute_closure(finite, tgens)
 
 
 def test_invariant_factors_match_dense_oracle():

@@ -273,6 +273,35 @@ def test_parse_errors(tmp_path):
     assert run(["verify", "-f", str(tmp_path / "missing.json")]) == (None, 2)
 
 
+GROUP_Z = {"free": 1, "torsion": []}
+TRIVIAL_JSON = {"domain": {"free": 0, "torsion": []}, "q": []}
+
+# a spec document that fails to parse, and the one stderr line it gets
+PARSE_ERRORS = [
+    ({"kind": "odd_g", "group": GROUP_Z},
+     "gradekit: spec kind 'odd_g' is missing field 't0'\n"),
+    ({"kind": "p", "group": GROUP_Z, "tgens": [], "beta": TRIVIAL_JSON,
+      "gamma": [[0]]},
+     "gradekit: spec kind 'p' is missing field 'g0'\n"),
+    # tgens is read before the missing gamma0 and gamma1
+    ({"kind": "even", "group": GROUP_Z, "tgens": [[0.5]], "beta": TRIVIAL_JSON},
+     "gradekit: bad element coordinates [0.5]\n"),
+    ({"kind": "odd_g", "group": GROUP_Z, "t0": 3},
+     "gradekit: bad element coordinates 3\n"),
+    ({"kind": "bogus"}, "gradekit: unknown spec kind 'bogus'\n"),
+    ({"kind": ["even"]}, "gradekit: unknown spec kind ['even']\n"),
+    ({}, "gradekit: unknown spec kind None\n"),
+]
+
+
+@pytest.mark.parametrize("doc, err", PARSE_ERRORS)
+def test_parse_error_messages(tmp_path, capsys, doc, err):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "-f", str(bad)]) == (None, 2)
+    assert capsys.readouterr().err == err
+
+
 def test_stdin_and_determinism(tmp_path, monkeypatch, capsys):
     doc = json.dumps(spec_to_json(EVEN11))
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))

@@ -326,30 +326,32 @@ def _mutants(rng, model):
     yield "element dropped", with_parts(model, basis=tuple(basis[:n] + basis[n + 1:]))
 
 
-def _outcome(check, model):
-    """What check(model) returns, or the lookup error it raises."""
-    try:
-        return check(model)
-    except LookupError as exc:
-        return type(exc).__name__, exc.args
+def test_verify_reports_a_product_that_lands_on_no_basis_element():
+    model = build_matrix_model(EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,),), ((1,),)))
+    report = verify_grading(with_parts(model, basis=model.basis[1:]))
+    assert not report.ok
+    assert report.failures == [
+        "product of (0, 1, (0,)) * (1, 0, (0,)) lands on no basis element"]
 
 
 def test_verify_agrees_with_per_pair_oracle():
     """On 288 seeded models, unchanged or with one change each, verify's
     failures and verdict are those of the per-pair oracle; the
-    factorized proof accepts every unchanged model."""
+    factorized proof accepts every unchanged model, and a model that
+    lacks a basis element gets a failure record for each product that
+    lands on it."""
     rng = random.Random(14)
     seen: dict[str, int] = {}
     failing: dict[str, int] = {}
+    landed: dict[str, int] = {}
     for family, model in _oracle_models(rng):
         seen[family] = seen.get(family, 0) + 1
         for change, mutant in _mutants(rng, model):
-            want = _outcome(per_pair_failures, mutant)
-            got = _outcome(verify_grading, mutant)
-            if isinstance(want, list):
-                assert (got.failures, got.ok) == (want, not want), (family, change)
-            else:
-                assert got == want, (family, change)
+            want = per_pair_failures(mutant)
+            got = verify_grading(mutant)
+            assert (got.failures, got.ok) == (want, not want), (family, change)
+            if any(f.endswith("lands on no basis element") for f in want):
+                landed[change] = landed.get(change, 0) + 1
             if change == "unchanged":
                 assert want == []
                 table = product_table(mutant.realization, mutant.pairing.push)
@@ -364,6 +366,7 @@ def test_verify_agrees_with_per_pair_oracle():
     assert all(failing.get(change, 0) > 24 for change in
                ("degree bumped", "parity flipped", "block shifted",
                 "torus label shifted", "element dropped"))
+    assert landed == {"element dropped": 47}
 
 
 def test_coarsen_even_model():
