@@ -15,7 +15,7 @@ cyclotomic polynomial.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .abgroup import Coords, factorize, span
 from .bichar import Bicharacter, common_modulus
@@ -263,46 +263,41 @@ def _row(x: Coords, n: Sequence[Sequence[int]]) -> list[int]:
     return [sum(c * v for c, v in zip(x, col)) for col in zip(*n)]
 
 
-# One entry per ordered pair (t, s): (sigma, label of t + s) when
+# One entry per ordered pair (t, s) of the domain: (sigma, t + s) when
 # X_t X_s = zeta^sigma X_{t+s}, zeta = exp(2 pi i / m), else None.
 ProductTable = dict[tuple[Coords, Coords], Optional[tuple[int, Coords]]]
 
 
-def product_table(real: StandardRealization,
-                  push: Optional[Callable[[Coords], Coords]] = None) -> ProductTable:
-    """Multiply X_t X_s once for every ordered pair of the domain.
+def product_table(real: StandardRealization) -> ProductTable:
+    """Multiply X_t X_s once for every ordered pair (t, s) of the domain.
 
-    The label of t + s is push(t + s), or t + s itself without push.
-    The table keeps exponents and labels, not matrices.
+    The table keeps exponents and the domain's t + s, not matrices.
     """
     add = real.group.add
     elems = sorted(real.group.elements())
     mats = {t: real.matrix(t) for t in elems}
-    labels = {u: push(u) if push else u for u in elems}
     table: ProductTable = {}
     for t in elems:
         xt = mats[t]
         for s in elems:
             ts = add(t, s)
             sigma = (xt * mats[s]).proportionality(mats[ts])
-            table[t, s] = None if sigma is None else (sigma, labels[ts])
+            table[t, s] = None if sigma is None else (sigma, ts)
     return table
 
 
 def realization_failures(real: StandardRealization, table: ProductTable,
-                         beta: Optional[Bicharacter] = None) -> list[str]:
+                         beta: Bicharacter) -> list[str]:
     """Every defining identity of a realization that fails, in order.
 
     X_0 must be the identity; each X_t X_s must be sigma(t,s) X_{t+s}
     with sigma a root of unity and sigma(t,s)/sigma(s,t) = beta(t,s),
     that is X_t X_s = beta(t,s) X_s X_t; traces must vanish away from 0
     and equal the size at 0; transposes must match their partners.
-    beta defaults to the realization's own and must live on the same
-    group; commutation factors are compared as residues modulo the
-    common_modulus of the two root orders.  The products come from
-    table, filled by product_table.
+    beta must live on the realization's group; commutation factors are
+    compared as residues modulo the common_modulus of the two root
+    orders.  The products come from table, filled by product_table.
     """
-    beta = real.beta if beta is None else beta
     if beta.domain != real.group:
         raise ValueError("the bicharacter lives on a different group")
     group = real.group

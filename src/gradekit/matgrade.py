@@ -278,11 +278,11 @@ def coset_shifts(pairs: Sequence[tuple[CosetMultiset, CosetMultiset]]
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One element E_ij (x) X_t of a model, with its bookkeeping."""
+    """One element E_ij (x) X_t of a model, keyed by (i, j, t_abs): X_t is
+    `realization.matrix(t_abs)` and t is `pairing.push(t_abs)`."""
 
     i: int
     j: int
-    t: Coords          # ambient coordinates (G for even, G# for odd)
     t_abs: Coords      # coordinates in the bicharacter domain
     degree: Coords     # in the model's degree group
     parity: int
@@ -290,10 +290,11 @@ class BasisElement:
 
 
 class GradedMatrixModel:
-    """Explicit homogeneous basis of M(m,n) with exact product structure."""
+    """Explicit homogeneous basis of M(m,n) with exact product structure;
+    `index` maps each key (i, j, t_abs) to its position in `basis`."""
 
     def __init__(self, kind, base_group, degree_group, sizes, basis, pairing,
-                 realization, eps_support, partner, parity_coords):
+                 realization, parity_coords):
         self.kind = kind                      # 'even' | 'odd'
         self.base_group = base_group          # G
         self.degree_group = degree_group      # G or G x Z/2
@@ -301,10 +302,8 @@ class GradedMatrixModel:
         self.basis: tuple[BasisElement, ...] = basis
         self.pairing: EmbeddedPairing = pairing
         self.realization: StandardRealization = realization
-        self.eps_support: tuple[int, ...] = eps_support
-        self.partner: dict[int, int] = partner
         self.parity_coords = parity_coords    # u0 in G# for odd models, else None
-        self.index = {(b.i, b.j, b.t): n for n, b in enumerate(self.basis)}
+        self.index = {(b.i, b.j, b.t_abs): n for n, b in enumerate(self.basis)}
 
     def base_degree(self, elem: BasisElement) -> Coords:
         if self.kind == "even":
@@ -323,64 +322,38 @@ class GradedMatrixModel:
         return out
 
 
-def _even_model(spec: EvenAssocSpec, pairing: EmbeddedPairing) -> GradedMatrixModel:
-    g = spec.group
-    real = StandardRealization(spec.beta)
+def build_matrix_model(spec: Union[GradingSpec, CheckedSpec]) -> GradedMatrixModel:
+    """The model of a spec, or of a spec `check_spec` has already passed:
+    E_ij (x) X_t of degree gamma_i - gamma_j + t for every t in T, in the
+    pairing's domain order, its parity the block's plus t's parity bit."""
+    checked = spec if isinstance(spec, CheckedSpec) else check_spec(spec)
+    src = checked.spec
+    g = src.group
+    real = StandardRealization(src.beta)
     d = real.size
-    gamma = spec.gamma0 + spec.gamma1
-    k0 = len(spec.gamma0)
-    sizes = (k0 * d, len(spec.gamma1) * d)
+    if checked.t0 is None:
+        kind, gamma, k0 = "even", src.gamma0 + src.gamma1, len(src.gamma0)
+        sizes = (k0 * d, len(src.gamma1) * d)
+        degree_group, bit_tail, u0 = g, (), None
+    else:
+        kind, gamma, k0 = "odd", src.gamma, len(src.gamma)
+        if (k0 * d) % 2:
+            raise ValueError("matrix size is odd; support cannot be odd")
+        sizes = (k0 * d // 2,) * 2
+        ext = ParityExtension(g)
+        degree_group, bit_tail, u0 = ext.group, (0,), ext.embed(checked.t0)
+    # t's parity bit is its coordinate past G's, present only for odd specs
+    torus = [(t_abs, t, sum(t[g.rank:])) for t_abs, t in checked.pairing.elements]
     basis = []
     for i, gi in enumerate(gamma):
         for j, gj in enumerate(gamma):
             side_i, side_j = int(i >= k0), int(j >= k0)
-            block = g.sub(gi, gj)
-            for t_abs, t in pairing.elements:
-                degree = g.add(block, t)
-                basis.append(BasisElement(i, j, t, t_abs, degree,
-                                          side_i ^ side_j, side_i - side_j))
-    eps = tuple(n for n, b in enumerate(basis)
-                if b.i == b.j and b.i < k0 and not any(b.t_abs))
-    return GradedMatrixModel("even", g, g, sizes, tuple(basis), pairing,
-                             real, eps, {}, None)
-
-
-def _odd_model(spec: OddAssocTSpec, pairing: EmbeddedPairing,
-               t0: Coords) -> GradedMatrixModel:
-    g = spec.group
-    ext = ParityExtension(g)
-    real = StandardRealization(spec.beta)
-    d = real.size
-    if (len(spec.gamma) * d) % 2:
-        raise ValueError("matrix size is odd; support cannot be odd")
-    half = len(spec.gamma) * d // 2
-    u0 = ext.embed(t0)
-    u0_abs = pairing.abstract_coords(u0)
-    dom = spec.beta.domain
-    basis = []
-    for i, gi in enumerate(spec.gamma):
-        for j, gj in enumerate(spec.gamma):
-            block = ext.embed(g.sub(gi, gj))
-            for t_abs, t in pairing.elements:
-                degree = ext.group.add(block, t)
-                basis.append(BasisElement(i, j, t, t_abs, degree,
-                                          ext.bit(t), 0))
-    index = {(b.i, b.j, b.t_abs): n for n, b in enumerate(basis)}
-    partner = {}
-    for n, b in enumerate(basis):
-        partner[n] = index[(b.i, b.j, dom.add(b.t_abs, u0_abs))]
-    eps = tuple(n for n, b in enumerate(basis)
-                if b.i == b.j and (not any(b.t_abs) or b.t_abs == u0_abs))
-    return GradedMatrixModel("odd", g, ext.group, (half, half), tuple(basis),
-                             pairing, real, eps, partner, u0)
-
-
-def build_matrix_model(spec: Union[GradingSpec, CheckedSpec]) -> GradedMatrixModel:
-    """The model of a spec, or of a spec `check_spec` has already passed."""
-    checked = spec if isinstance(spec, CheckedSpec) else check_spec(spec)
-    if checked.t0 is None:
-        return _even_model(checked.spec, checked.pairing)
-    return _odd_model(checked.spec, checked.pairing, checked.t0)
+            block = g.sub(gi, gj) + bit_tail
+            for t_abs, t, bit in torus:
+                basis.append(BasisElement(i, j, t_abs, degree_group.add(block, t),
+                                          side_i ^ side_j ^ bit, side_i - side_j))
+    return GradedMatrixModel(kind, g, degree_group, sizes, tuple(basis),
+                             checked.pairing, real, u0)
 
 
 def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
@@ -396,11 +369,9 @@ def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
         degree_group = alpha_ext.target
         remap = alpha_ext.apply
     basis = tuple(replace(b, degree=remap(b.degree)) for b in model.basis)
-    out = GradedMatrixModel(model.kind, alpha.target, degree_group, model.sizes,
-                            basis, model.pairing, model.realization,
-                            model.eps_support, model.partner,
-                            remap(model.parity_coords) if model.parity_coords is not None else None)
-    return out
+    return GradedMatrixModel(model.kind, alpha.target, degree_group, model.sizes,
+                             basis, model.pairing, model.realization,
+                             remap(model.parity_coords) if model.parity_coords is not None else None)
 
 
 @dataclass
@@ -417,10 +388,10 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
     """Whether the product rule holds on every compatible basis pair, by
     the block x torus factorization v(E_ij X_t) = B(i, j) + tau(t) of
     v = (degree, parity mod 2), in O(k^2 |T| + k^3 + |T|^2):
-      (a) the basis is rows x rows x torus labels, one element each, and
+      (a) the basis is rows x rows x torus keys, one element each, and
           splits so, with B read at t_abs = 0 and tau on one diagonal block;
       (b) B(i, j) + B(j, l) = B(i, l) for every triple of rows;
-      (c) tau(t) + tau(s) = tau(u) for every table entry, u its label.
+      (c) tau(t) + tau(s) = tau(t + s) for every table entry.
     Then v(x) + v(y) = v(target) for every pair `_pair_failures` visits.
     """
     vg = ParityExtension(model.degree_group).group
@@ -436,28 +407,32 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
         return False
     i0 = rows[0]
     origin = vg.neg(block[i0, i0])
-    label = {b.t_abs: b.t for b in basis if b.i == b.j == i0}
-    tau = {b.t: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == i0}
-    # distinct (i, j, t) keys, as many as rows x rows x labels
-    if len(model.index) != len(basis) or len(basis) != len(rows) ** 2 * len(label):
+    tau = {b.t_abs: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == i0}
+    # distinct (i, j, t_abs) keys, as many as rows x rows x torus keys
+    if len(model.index) != len(basis) or len(basis) != len(rows) ** 2 * len(tau):
         return False
-    if any(b.t_abs not in label or label[b.t_abs] != b.t
-           or v != add(block[b.i, b.j], tau[b.t]) for b, v in zip(basis, vec)):
+    if any(b.t_abs not in tau or v != add(block[b.i, b.j], tau[b.t_abs])
+           for b, v in zip(basis, vec)):
         return False
     if any(add(block[i, j], block[j, l]) != block[i, l]
            for i in rows for j in rows for l in rows):
         return False
-    return len(table) == len(label) ** 2 and all(
-        entry is not None and t in label and s in label and entry[1] in tau
-        and add(tau[label[t]], tau[label[s]]) == tau[entry[1]]
+    return len(table) == len(tau) ** 2 and all(
+        entry is not None and t in tau and s in tau and entry[1] in tau
+        and add(tau[t], tau[s]) == tau[entry[1]]
         for (t, s), entry in table.items())
 
 
 def _pair_failures(model: GradedMatrixModel, table) -> list[str]:
     """The degree and parity of every compatible basis pair, checked
     against the table's entry for its (t, s): one finding per failing
-    pair, in basis order."""
+    pair, in basis order, naming each element (i, j, t) by t in T."""
     dg = model.degree_group
+    push = model.pairing.push
+
+    def pair(x: BasisElement, y: BasisElement) -> str:
+        return f"{(x.i, x.j, push(x.t_abs))} * {(y.i, y.j, push(y.t_abs))}"
+
     by_row: dict[int, list[BasisElement]] = {}
     for b in model.basis:
         by_row.setdefault(b.i, []).append(b)
@@ -471,23 +446,22 @@ def _pair_failures(model: GradedMatrixModel, table) -> list[str]:
                 continue
             n = model.index.get((x.i, y.j, entry[1]))
             if n is None:
-                failures.append(f"product of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
-                                "lands on no basis element")
+                failures.append(f"product of {pair(x, y)} lands on no basis element")
                 continue
             target = model.basis[n]
             want = dg.add(x.degree, y.degree)
             if target.degree != want:
-                failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
-                                f"is {target.degree}, expected {want}")
+                failures.append(f"degree of {pair(x, y)} is {target.degree}, "
+                                f"expected {want}")
             if target.parity != (x.parity + y.parity) % 2:
-                failures.append(f"parity of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
-                                "is not additive")
+                failures.append(f"parity of {pair(x, y)} is not additive")
     return failures
 
 
 def verify_grading(model: GradedMatrixModel) -> GradingReport:
-    """Check the realization identities, then the product rule on every
-    compatible basis pair.
+    """Check the realization identities, that the basis holds one element
+    per (i, j, t) for the k x k block grid the sizes make and every t in
+    T, then the product rule on every compatible basis pair.
 
     Each product X_t X_s is formed once, in a table over the pairing's
     domain.  The product rule is proved for all pairs at once through
@@ -496,8 +470,13 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     `failures` lists every failing pair.  `pairs_checked` counts the
     compatible pairs either way.
     """
-    table = product_table(model.realization, model.pairing.push)
+    table = product_table(model.realization)
     failures = realization_failures(model.realization, table, model.pairing.beta)
+    k = sum(model.sizes) // model.realization.size
+    failures += [f"basis element {(i, j, t)} is missing"
+                 for i in range(k) for j in range(k)
+                 for t_abs, t in model.pairing.elements
+                 if (i, j, t_abs) not in model.index]
     if not _factorized_product_rule(model, table):
         failures += _pair_failures(model, table)
     row_size: dict[int, int] = {}

@@ -413,10 +413,6 @@ def check_p_spec(spec: PSpec) -> CheckedSpec:
     return CheckedSpec(out, out, pairing)
 
 
-def validate_p_spec(spec: PSpec) -> PSpec:
-    return check_p_spec(spec).spec
-
-
 def ambient_even_spec(spec: PSpec) -> EvenAssocSpec:
     """The even grading on M(n+1,n+1) whose restriction is the P grading."""
     g = spec.group

@@ -217,36 +217,55 @@ def verify_realization(real) -> None:
 
     Raises ValueError with the first failure of realization_failures.
     """
-    failures = realization_failures(real, product_table(real))
+    failures = realization_failures(real, product_table(real), real.beta)
     if failures:
         raise ValueError(failures[0])
 
 
 def is_even_grading(model) -> bool:
-    """Whether the model's grading is even, via two independent criteria."""
-    # (a) compatibility with the canonical Z-grading: every basis element
-    # either is Z-homogeneous or merges with its parity partner
+    """Whether the model's grading is even, via two independent criteria.
+
+    Both read the model's keys (i, j, t_abs).  An odd model's parity
+    element u0 is found in the pairing's domain as the nonzero element
+    that pairs trivially with every even t; an even model's first
+    sizes[0] // realization.size rows are even."""
+    pairing = model.pairing
+    dom = pairing.beta.domain
+    zero = dom.zero()
     if model.kind == "even":
+        k0 = model.sizes[0] // model.realization.size
+        eps = [b for b in model.basis if b.i == b.j < k0 and b.t_abs == zero]
         z_compatible = True
     else:
-        z_compatible = all(model.basis[n].degree == model.basis[p].degree
-                           for n, p in model.partner.items()
-                           if model.basis[n].parity == 1)
+        even = [s for s in dom.elements() if pairing.push(s)[-1] == 0]
+        u0 = next(x for x in dom.elements()
+                  if any(x) and all(pairing.beta.value(x, s) == 0 for s in even))
+        eps = [b for b in model.basis if b.i == b.j and b.t_abs in (zero, u0)]
+        # (a) compatibility with the canonical Z-grading: every odd basis
+        # element merges with its parity partner, t_abs shifted by u0
+        z_compatible = all(
+            b.degree == model.basis[model.index[b.i, b.j, dom.add(b.t_abs, u0)]].degree
+            for b in model.basis if b.parity == 1)
     # (b) the Morita idempotent diag(I_m, 0) is homogeneous
-    eps_degrees = {model.basis[n].degree for n in model.eps_support}
-    eps_homogeneous = len(eps_degrees) == 1
+    eps_homogeneous = len({b.degree for b in eps}) == 1
     if z_compatible != eps_homogeneous:
         raise RuntimeError("even-grading criteria disagree; model bookkeeping is broken")
     return z_compatible
 
 
 def per_pair_failures(model):
-    """Degree and parity findings of a plain loop that multiplies the
-    monomial matrices of every compatible basis pair afresh."""
+    """The basis elements (i, j, t) missing from the k x k block grid
+    times T, then the degree and parity findings of a plain loop that
+    multiplies the monomial matrices of every compatible basis pair
+    afresh; each element is named by t = push(t_abs) in T."""
     real = model.realization
+    push = model.pairing.push
     dom = model.pairing.beta.domain
     dg = model.degree_group
-    failures = []
+    k = sum(model.sizes) // real.size
+    failures = [f"basis element {(i, j, push(t))} is missing"
+                for i in range(k) for j in range(k) for t in sorted(dom.elements())
+                if (i, j, t) not in model.index]
     for x in model.basis:
         for y in model.basis:
             if y.i != x.j:
@@ -258,18 +277,20 @@ def per_pair_failures(model):
                 failures.append(f"product of X_{x.t_abs} and X_{y.t_abs} "
                                 "is not a root multiple of the expected basis matrix")
                 continue
-            n = model.index.get((x.i, y.j, model.pairing.push(prod_abs)))
+            xname = (x.i, x.j, push(x.t_abs))
+            yname = (y.i, y.j, push(y.t_abs))
+            n = model.index.get((x.i, y.j, prod_abs))
             if n is None:
-                failures.append(f"product of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                failures.append(f"product of {xname} * {yname} "
                                 "lands on no basis element")
                 continue
             target = model.basis[n]
             want = dg.add(x.degree, y.degree)
             if target.degree != want:
-                failures.append(f"degree of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                failures.append(f"degree of {xname} * {yname} "
                                 f"is {target.degree}, expected {want}")
             if target.parity != (x.parity + y.parity) % 2:
-                failures.append(f"parity of {(x.i, x.j, x.t)} * {(y.i, y.j, y.t)} "
+                failures.append(f"parity of {xname} * {yname} "
                                 "is not additive")
     return failures
 

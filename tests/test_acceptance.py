@@ -542,7 +542,7 @@ def test_superadjoint_carries_components_onto_inverse_data():
     m2 = build_matrix_model(superadjoint_spec(spec4))
     assert m1.dimension_table() == m2.dimension_table()
     for b in m1.basis:
-        mate = m2.basis[m2.index[(b.j, b.i, b.t)]]
+        mate = m2.basis[m2.index[(b.j, b.i, b.t_abs)]]
         assert mate.degree == b.degree
         assert mate.parity == b.parity
     _budget(start, 10.0)

@@ -620,6 +620,65 @@ def test_cli_output_digests(tmp_path):
     assert got == OUTPUT_DIGESTS
 
 
+FINE_LISTINGS = (["fine", "odd", "4"], ["fine", "odd", "6"], ["fine", "even", "4", "4"])
+
+# sha256 of the verify payload of every descriptor of FINE_LISTINGS,
+# recorded while even and odd models had separate builders: the odd
+# listings build odd models, the even one even models.
+FINE_VERIFY_DIGESTS = {
+    "verify fine odd 4 #0":
+        "3c0f3c6ae8c1b835d9807ec64d59f354c4480d9858fe146305c2f2ae56df0c00",
+    "verify fine odd 4 #1":
+        "584fbd285379175b1ff8128e16cfb4654610ce609cb055e0a70e276669888520",
+    "verify fine odd 4 #2":
+        "2d3e0918d3177a6c315a691ef9a015758c610feef8c255aeddc0bf80bd396ecd",
+    "verify fine odd 4 #3":
+        "528ec3ff94dda31d359bc2571b68d9c7f03ebcb79d7f426caca897a17ebee210",
+    "verify fine odd 4 #4":
+        "4a6325f7681f0ebb34610a021d40bc26f3821b9e084fb400077b71cd182dc912",
+    "verify fine odd 4 #5":
+        "322c842ee71e0797a199aefd32d31880390db8a0d86e5e871fe2d51d0f437d09",
+    "verify fine odd 4 #6":
+        "ef89625161eaefd5af0b1f715d44a011798600627c258051fe2184eec2ce7134",
+    "verify fine odd 6 #0":
+        "cb1b492fe529ecab572906ea91eb2641199663fced9bad8cfadf5a8176bd27dc",
+    "verify fine odd 6 #1":
+        "3c226f6dd0e7462abc487ea367282f25344d0c182e76d8140b3bd08e238362cb",
+    "verify fine odd 6 #2":
+        "bfaadaa05bafa25b5aded409894df0bc9485d31fb20e6b0a0e82f9508ab48ae1",
+    "verify fine odd 6 #3":
+        "2c58e0fbe4d207021c606bcf032cfe04a21db461d61730e5add3d82ecd1d149d",
+    "verify fine odd 6 #4":
+        "60ddfbcef27c24bdb3d4486b75bd9e23cddce9daf84fdb7ec73bc6f25ade9938",
+    "verify fine odd 6 #5":
+        "83265b7e72b87159f636c715166ca36261421e91c87b9bd25e9f60be392cc757",
+    "verify fine even 4 4 #0":
+        "a1cd312739baf356d95de2344b53f9ff2f0f2bba7ead940926f098ae0d526c48",
+    "verify fine even 4 4 #1":
+        "5b3aa824decf88923cf54c4dd03ae65b173ebc05197bfcefd205c7d2c01b9c59",
+    "verify fine even 4 4 #2":
+        "4119bd53aee8cf2fa879dc26ee4b8a6cd82e1f95d2da8a7cae53d2c3f8e6d878",
+    "verify fine even 4 4 #3":
+        "daf08593c1b571b999e044eaa61e5744afc1e69d60863b4a139432882644ea14",
+}
+
+
+def test_fine_verify_digests(tmp_path):
+    start = time.perf_counter()
+    got = {}
+    for argv in FINE_LISTINGS:
+        listing, _ = run(argv)
+        for i, desc in enumerate(listing["descriptors"]):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(desc["spec"]))
+            payload, _ = run(["verify", "-f", str(path)])
+            text = json.dumps(payload, sort_keys=True)
+            got[f"verify {' '.join(argv)} #{i}"] = hashlib.sha256(
+                text.encode("utf-8")).hexdigest()
+    assert time.perf_counter() - start < 5.0
+    assert got == FINE_VERIFY_DIGESTS
+
+
 # argv that end in argparse's SystemExit: usage errors and help
 USAGE_ARGV = {
     "no command": [],

@@ -173,12 +173,11 @@ def test_verify_realization(h):
 def test_product_table():
     _, beta = standard_pair([2])
     real = StandardRealization(beta)
-    table = product_table(real, push=lambda u: ("label",) + u)
+    table = product_table(real)
     elems = sorted(beta.domain.elements())
     assert sorted(table) == [(t, s) for t in elems for s in elems]
-    for (t, s), (sigma, label) in table.items():
-        ts = beta.domain.add(t, s)
-        assert label == ("label",) + ts
+    for (t, s), (sigma, ts) in table.items():
+        assert ts == beta.domain.add(t, s)
         assert real.matrix(t) * real.matrix(s) == real.matrix(ts).scale(sigma)
         assert root(sigma - table[s, t][0], real.m) == ref_value(beta, t, s)
 
@@ -204,18 +203,18 @@ def bump(j):
 def test_realization_failures_name_each_broken_identity():
     _, beta = standard_pair([4])
     real = StandardRealization(beta)
-    assert realization_failures(real, product_table(real)) == []
+    assert realization_failures(real, product_table(real), beta) == []
     wrong = realization_failures(real, product_table(real), beta.inverse())
     assert wrong and all(f.startswith("commutation factor") for f in wrong)
 
     minus = Altered(beta, (0, 0), lambda x: x.scale(x.m // 2))
-    assert realization_failures(minus, product_table(minus)) == [
+    assert realization_failures(minus, product_table(minus), beta) == [
         "X at the identity is not the identity matrix",
         "trace at the identity is not the dimension",
     ]
 
     bumped = Altered(beta, (1, 0), bump(0))
-    failures = realization_failures(bumped, product_table(bumped))
+    failures = realization_failures(bumped, product_table(bumped), beta)
     assert "X_(1, 0) X_(0, 1) is not a root multiple of X_(t+s)" in failures
     assert "transpose identity fails at (3, 0)" in failures
     with pytest.raises(ValueError, match="not a root multiple"):
@@ -259,7 +258,7 @@ def test_integer_core_matches_the_fraction_reference(h):
             assert root_sum_vanishes(counts) == ref.trace(t).equals_rational(real.size)
         else:
             assert root_sum_vanishes(counts) == ref.trace(t).is_zero()
-    assert realization_failures(real, table) == ref.failures(want) == []
+    assert realization_failures(real, table, beta) == ref.failures(want) == []
 
 
 @pytest.mark.parametrize("h", SHAPES)
@@ -274,4 +273,4 @@ def test_altered_exponent_gives_the_reference_failures(h):
     ref.mats[at] = (perm, exps[:j] + ((exps[j] + F(1, real.m)) % 1,) + exps[j + 1:])
     want = ref.failures()
     assert want
-    assert realization_failures(real, product_table(real)) == want
+    assert realization_failures(real, product_table(real), beta) == want

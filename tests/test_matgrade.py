@@ -233,8 +233,7 @@ def with_parts(model, **parts):
     args = dict(kind=model.kind, base_group=model.base_group,
                 degree_group=model.degree_group, sizes=model.sizes,
                 basis=model.basis, pairing=model.pairing,
-                realization=model.realization, eps_support=model.eps_support,
-                partner=model.partner, parity_coords=model.parity_coords)
+                realization=model.realization, parity_coords=model.parity_coords)
     args.update(parts)
     return GradedMatrixModel(**args)
 
@@ -319,8 +318,8 @@ def _mutants(rng, model):
     shifted = tuple(replace(b, degree=dg.add(b.degree, delta))
                     if (b.i, b.j) == (i, j) else b for b in basis)
     yield "block shifted", with_parts(model, basis=shifted)
-    t = basis[n].t
-    torus = tuple(replace(b, degree=dg.add(b.degree, delta)) if b.t == t else b
+    t_abs = basis[n].t_abs
+    torus = tuple(replace(b, degree=dg.add(b.degree, delta)) if b.t_abs == t_abs else b
                   for b in basis)
     yield "torus label shifted", with_parts(model, basis=torus)
     yield "element dropped", with_parts(model, basis=tuple(basis[:n] + basis[n + 1:]))
@@ -331,15 +330,25 @@ def test_verify_reports_a_product_that_lands_on_no_basis_element():
     report = verify_grading(with_parts(model, basis=model.basis[1:]))
     assert not report.ok
     assert report.failures == [
+        "basis element (0, 0, (0,)) is missing",
         "product of (0, 1, (0,)) * (1, 0, (0,)) lands on no basis element"]
+
+
+def test_verify_reports_a_missing_basis_element():
+    # no product of two present elements lands on E_01, so only the
+    # comparison of the basis with the block grid times T can see it
+    model = build_matrix_model(EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,),), ((1,),)))
+    dropped = with_parts(model, basis=model.basis[:1] + model.basis[2:])
+    assert per_pair_failures(dropped) == verify_grading(dropped).failures == [
+        "basis element (0, 1, (0,)) is missing"]
 
 
 def test_verify_agrees_with_per_pair_oracle():
     """On 288 seeded models, unchanged or with one change each, verify's
     failures and verdict are those of the per-pair oracle; the
     factorized proof accepts every unchanged model, and a model that
-    lacks a basis element gets a failure record for each product that
-    lands on it."""
+    lacks a basis element gets a failure record for it, and one for each
+    product that lands on it."""
     rng = random.Random(14)
     seen: dict[str, int] = {}
     failing: dict[str, int] = {}
@@ -354,7 +363,7 @@ def test_verify_agrees_with_per_pair_oracle():
                 landed[change] = landed.get(change, 0) + 1
             if change == "unchanged":
                 assert want == []
-                table = product_table(mutant.realization, mutant.pairing.push)
+                table = product_table(mutant.realization)
                 assert _factorized_product_rule(mutant, table), family
             elif want:
                 failing[change] = failing.get(change, 0) + 1
@@ -366,6 +375,7 @@ def test_verify_agrees_with_per_pair_oracle():
     assert all(failing.get(change, 0) > 24 for change in
                ("degree bumped", "parity flipped", "block shifted",
                 "torus label shifted", "element dropped"))
+    assert failing["element dropped"] == 48
     assert landed == {"element dropped": 47}
 
 

@@ -33,6 +33,7 @@ from gradekit.superlie import (
     _rref,
     ambient_even_spec,
     build_P_model,
+    check_p_spec,
     p_intersection,
     realized_basis_matrix,
     restrict_type_I,
@@ -40,7 +41,6 @@ from gradekit.superlie import (
     supercommutator,
     supertrace,
     supertranspose,
-    validate_p_spec,
     verify_P_graded,
 )
 
@@ -274,15 +274,15 @@ def test_restrict_type_I_dimension_sums():
 
 def test_p_spec_validation_errors():
     with pytest.raises(ValueError):
-        validate_p_spec(PSpec(Z, (), TRIVIAL_BETA, (), (0,)))
+        check_p_spec(PSpec(Z, (), TRIVIAL_BETA, (), (0,)))
     with pytest.raises(ValueError):
         # half size 2 is below P(2)
-        validate_p_spec(PSpec(Z, (), TRIVIAL_BETA, ((0,), (1,)), (0,)))
+        check_p_spec(PSpec(Z, (), TRIVIAL_BETA, ((0,), (1,)), (0,)))
     group4 = FinGenAbGroup(0, (4, 4))
     _, beta4 = standard_pair((4,))
     with pytest.raises(ValueError):
-        validate_p_spec(PSpec(group4, (group4.unit(0), group4.unit(1)), beta4,
-                              ((0, 0),), (0, 0)))
+        check_p_spec(PSpec(group4, (group4.unit(0), group4.unit(1)), beta4,
+                           ((0, 0),), (0, 0)))
 
 
 def test_build_P_trivial_grading():
@@ -359,7 +359,7 @@ def test_restriction_condition_frozen():
 def test_restriction_condition_matches_ambient_of_every_p_spec():
     rng = random.Random(19)
     for _ in range(6):
-        spec = validate_p_spec(random_p_spec(rng))
+        spec = check_p_spec(random_p_spec(rng)).spec
         g0 = P_restriction_condition(ambient_even_spec(spec))
         assert g0 is not None
         rebuilt = build_P_model(PSpec(spec.group, spec.tgens, spec.beta,
