@@ -360,18 +360,13 @@ def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
     """Relabel all degrees through a homomorphism out of the base group."""
     if alpha.source != model.base_group:
         raise ValueError("homomorphism does not start at the grading group")
-    if model.kind == "even":
-        degree_group = alpha.target
-        remap = alpha.apply
-    else:
-        ext = ParityExtension(model.base_group)
-        alpha_ext = ext.extend_hom(alpha)
-        degree_group = alpha_ext.target
-        remap = alpha_ext.apply
-    basis = tuple(replace(b, degree=remap(b.degree)) for b in model.basis)
-    return GradedMatrixModel(model.kind, alpha.target, degree_group, model.sizes,
+    hom = (alpha if model.kind == "even"
+           else ParityExtension(model.base_group).extend_hom(alpha))
+    basis = tuple(replace(b, degree=hom.apply(b.degree)) for b in model.basis)
+    u0 = model.parity_coords
+    return GradedMatrixModel(model.kind, alpha.target, hom.target, model.sizes,
                              basis, model.pairing, model.realization,
-                             remap(model.parity_coords) if model.parity_coords is not None else None)
+                             None if u0 is None else hom.apply(u0))
 
 
 @dataclass
@@ -384,12 +379,36 @@ class GradingReport:
     stats: dict[str, int] = field(default_factory=dict)
 
 
+def grid_failures(model: GradedMatrixModel) -> list[str]:
+    """The keys (i, j, t_abs) of the block grid range(k)^2 x the pairing's
+    domain, k = sum(sizes) // realization.size, that the basis lacks, then
+    in basis order each element outside that grid or with a key met
+    before; every element named (i, j, t) by t = push(t_abs)."""
+    k = sum(model.sizes) // model.realization.size
+    elements = model.pairing.elements
+    failures = [f"basis element {(i, j, t)} is missing"
+                for i in range(k) for j in range(k) for t_abs, t in elements
+                if (i, j, t_abs) not in model.index]
+    # every grid key is present, so a basis no larger than the grid is the grid
+    if not failures and len(model.basis) == k * k * len(elements):
+        return failures
+    domain, seen = {t_abs for t_abs, _ in elements}, set()
+    for b in model.basis:
+        key, name = (b.i, b.j, b.t_abs), (b.i, b.j, model.pairing.push(b.t_abs))
+        if not (0 <= b.i < k and 0 <= b.j < k and b.t_abs in domain):
+            failures.append(f"basis element {name} is outside the block grid")
+        elif key in seen:
+            failures.append(f"basis element {name} is duplicated")
+        seen.add(key)
+    return failures
+
+
 def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
-    """Whether the product rule holds on every compatible basis pair, by
-    the block x torus factorization v(E_ij X_t) = B(i, j) + tau(t) of
+    """Whether the product rule holds on every compatible basis pair of a
+    model whose basis is the block grid (`grid_failures` empty), by the
+    block x torus factorization v(E_ij X_t) = B(i, j) + tau(t) of
     v = (degree, parity mod 2), in O(k^2 |T| + k^3 + |T|^2):
-      (a) the basis is rows x rows x torus keys, one element each, and
-          splits so, with B read at t_abs = 0 and tau on one diagonal block;
+      (a) every v splits so, with B read at t_abs = 0 and tau on block (0, 0);
       (b) B(i, j) + B(j, l) = B(i, l) for every triple of rows;
       (c) tau(t) + tau(s) = tau(t + s) for every table entry.
     Then v(x) + v(y) = v(target) for every pair `_pair_failures` visits.
@@ -397,30 +416,19 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
     vg = ParityExtension(model.degree_group).group
     add = vg.add
     basis = model.basis
-    rows = sorted({b.i for b in basis} | {b.j for b in basis})
     vec = [b.degree + (b.parity,) for b in basis]
-    if any(len(v) != vg.rank for v in vec):
+    if not vec or any(len(v) != vg.rank for v in vec):
         return False
-    zero = model.realization.group.zero()
+    zero = model.pairing.beta.domain.zero()
     block = {(b.i, b.j): v for b, v in zip(basis, vec) if b.t_abs == zero}
-    if not rows or len(block) != len(rows) ** 2:
-        return False
-    i0 = rows[0]
-    origin = vg.neg(block[i0, i0])
-    tau = {b.t_abs: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == i0}
-    # distinct (i, j, t_abs) keys, as many as rows x rows x torus keys
-    if len(model.index) != len(basis) or len(basis) != len(rows) ** 2 * len(tau):
-        return False
-    if any(b.t_abs not in tau or v != add(block[b.i, b.j], tau[b.t_abs])
-           for b, v in zip(basis, vec)):
-        return False
-    if any(add(block[i, j], block[j, l]) != block[i, l]
-           for i in rows for j in rows for l in rows):
-        return False
-    return len(table) == len(tau) ** 2 and all(
-        entry is not None and t in tau and s in tau and entry[1] in tau
-        and add(tau[t], tau[s]) == tau[entry[1]]
-        for (t, s), entry in table.items())
+    origin = vg.neg(block[0, 0])
+    tau = {b.t_abs: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == 0}
+    rows = range(sum(model.sizes) // model.realization.size)
+    return (all(v == add(block[b.i, b.j], tau[b.t_abs]) for b, v in zip(basis, vec))
+            and all(add(block[i, j], block[j, l]) == block[i, l]
+                    for i in rows for j in rows for l in rows)
+            and all(entry is not None and add(tau[t], tau[s]) == tau[entry[1]]
+                    for (t, s), entry in table.items()))
 
 
 def _pair_failures(model: GradedMatrixModel, table) -> list[str]:
@@ -459,25 +467,20 @@ def _pair_failures(model: GradedMatrixModel, table) -> list[str]:
 
 
 def verify_grading(model: GradedMatrixModel) -> GradingReport:
-    """Check the realization identities, that the basis holds one element
-    per (i, j, t) for the k x k block grid the sizes make and every t in
-    T, then the product rule on every compatible basis pair.
+    """Check the realization identities, that the basis is the block grid
+    (`grid_failures`), then the product rule on every compatible basis pair.
 
     Each product X_t X_s is formed once, in a table over the pairing's
     domain.  The product rule is proved for all pairs at once through
-    the block x torus factorization of the degrees; when that proof does
-    not go through, every pair is checked against the table, so
+    the block x torus factorization of the degrees; off the block grid,
+    or when that proof does not go through, every pair is checked, so
     `failures` lists every failing pair.  `pairs_checked` counts the
-    compatible pairs either way.
-    """
+    compatible pairs either way."""
     table = product_table(model.realization)
     failures = realization_failures(model.realization, table, model.pairing.beta)
-    k = sum(model.sizes) // model.realization.size
-    failures += [f"basis element {(i, j, t)} is missing"
-                 for i in range(k) for j in range(k)
-                 for t_abs, t in model.pairing.elements
-                 if (i, j, t_abs) not in model.index]
-    if not _factorized_product_rule(model, table):
+    grid = grid_failures(model)
+    failures += grid
+    if grid or not _factorized_product_rule(model, table):
         failures += _pair_failures(model, table)
     row_size: dict[int, int] = {}
     for b in model.basis:
@@ -700,13 +703,25 @@ def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
 
 def universal_group(model: GradedMatrixModel
                     ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
-    """The group presented by the support with one relation per nonzero
-    product: E_ij X_s times E_jk X_t is nonzero, so each distinct
-    (degree, column) of a left factor meets every degree in that row."""
-    degree = [model.base_degree(b) for b in model.basis]
-    row_degrees: dict[int, set[Coords]] = {}
-    for b, d in zip(model.basis, degree):
-        row_degrees.setdefault(b.i, set()).add(d)
-    lefts = {(d, b.j) for b, d in zip(model.basis, degree)}
-    pairs = {(d, e) for d, j in lefts for e in row_degrees.get(j, ())}
-    return presented_quotient(model.base_group, tuple(sorted(set(degree))), pairs)
+    """The group presented by the support with [x] + [y] = [xy] for every
+    nonzero product (i, j, t)(j, l, s) = (i, l, t + s) of basis elements.
+    Three families of products, with 0 the first row and the domain's
+    zero and g each unit generator of the domain, generate them all:
+      B: (i, 0, 0)(0, l, 0); D: (i, j, 0)(j, j, t); T: (0, 0, t)(0, 0, g),
+    k^2 + k^2 |T| + |T| r pairs.  D gives [j, j, 0] = 0 and [i, j, t] =
+    [i, j, 0] + tau(t), as E_jj X_t and E_00 X_t share the degree tau(t);
+    B then gives [i, l, 0] = b(i) - b(l); T gives tau(t + s) = tau(t) +
+    tau(s) by induction on s as a word in the g.  The Hermite form of the
+    rows is canonical, so it is that of all product pairs.  The model must
+    be a grading; ValueError when `grid_failures` is not empty."""
+    bad = grid_failures(model)
+    if bad:
+        raise ValueError(f"not a block grid model: {bad[0]}")
+    k, dom = sum(model.sizes) // model.realization.size, model.pairing.beta.domain
+    zero, ts = dom.zero(), [t_abs for t_abs, _ in model.pairing.elements]
+    deg = {key: model.base_degree(model.basis[n]) for key, n in model.index.items()}
+    pairs = [(deg[i, 0, zero], deg[0, l, zero]) for i in range(k) for l in range(k)]
+    pairs += [(deg[i, j, zero], deg[j, j, t])
+              for i in range(k) for j in range(k) for t in ts]
+    pairs += [(deg[0, 0, t], deg[0, 0, dom.unit(r)]) for t in ts for r in range(dom.rank)]
+    return presented_quotient(model.base_group, tuple(sorted(set(deg.values()))), pairs)

@@ -255,17 +255,27 @@ def is_even_grading(model) -> bool:
 
 def per_pair_failures(model):
     """The basis elements (i, j, t) missing from the k x k block grid
-    times T, then the degree and parity findings of a plain loop that
-    multiplies the monomial matrices of every compatible basis pair
-    afresh; each element is named by t = push(t_abs) in T."""
+    times T, then each basis element outside that grid or met before,
+    then the degree and parity findings of a plain loop that multiplies
+    the monomial matrices of every compatible basis pair afresh; each
+    element is named by t = push(t_abs) in T."""
     real = model.realization
     push = model.pairing.push
     dom = model.pairing.beta.domain
     dg = model.degree_group
     k = sum(model.sizes) // real.size
+    grid = [(i, j, t) for i in range(k) for j in range(k) for t in sorted(dom.elements())]
     failures = [f"basis element {(i, j, push(t))} is missing"
-                for i in range(k) for j in range(k) for t in sorted(dom.elements())
-                if (i, j, t) not in model.index]
+                for i, j, t in grid if (i, j, t) not in model.index]
+    count = dict.fromkeys(grid, 0)
+    for b in model.basis:
+        name = (b.i, b.j, push(b.t_abs))
+        if (b.i, b.j, b.t_abs) not in count:
+            failures.append(f"basis element {name} is outside the block grid")
+        else:
+            count[b.i, b.j, b.t_abs] += 1
+            if count[b.i, b.j, b.t_abs] > 1:
+                failures.append(f"basis element {name} is duplicated")
     for x in model.basis:
         for y in model.basis:
             if y.i != x.j:
@@ -293,6 +303,21 @@ def per_pair_failures(model):
                 failures.append(f"parity of {xname} * {yname} "
                                 "is not additive")
     return failures
+
+
+def full_pair_universal_group(model):
+    """(group, labels) presented by the support with one relation for
+    the pair of degrees (deg x, deg y) of every nonzero product x y of
+    basis elements: each distinct (degree, column) of a left factor meets
+    every degree in that row.  Up to k^3 |T|^2 pairs; the oracle for the
+    generating pairs of matgrade.universal_group."""
+    degree = [model.base_degree(b) for b in model.basis]
+    row_degrees: dict = {}
+    for b, d in zip(model.basis, degree):
+        row_degrees.setdefault(b.i, set()).add(d)
+    lefts = {(d, b.j) for b, d in zip(model.basis, degree)}
+    pairs = {(d, e) for d, j in lefts for e in row_degrees.get(j, ())}
+    return matgrade.presented_quotient(model.base_group, model.support(), pairs)
 
 
 def solve_square(group, a):

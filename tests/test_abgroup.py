@@ -39,6 +39,7 @@ from helpers import (
     dense_smith_normal_form,
     fraction_inverse,
     fraction_triangular_solve,
+    full_pair_universal_group,
     random_unimodular,
     solve_square,
     sparse_rows,
@@ -235,17 +236,22 @@ def test_hnf_matches_dense_oracle():
 
 
 def test_hnf_matches_dense_oracle_on_relation_matrices(monkeypatch):
-    """The relation rows universal_group hands to hermite_normal_form,
-    captured on fine gradings of M(4,4), M(3,3) and P(3)."""
+    """The relation rows universal groups hand to hermite_normal_form,
+    captured on fine gradings of M(4,4), M(3,3) and P(3), and the rows
+    of every product pair of the matrix gradings."""
     calls = count_calls(monkeypatch, matgrade, "hermite_normal_form")
     matrix_descs = enumerate_even_fine(4, 4) + enumerate_odd_fine(3)
     p_descs = enumerate_P_fine(3)
-    for desc in matrix_descs:
-        universal_group(build_matrix_model(desc.spec))
+    models = [build_matrix_model(desc.spec) for desc in matrix_descs]
+    for model in models:
+        universal_group(model)
     for desc in p_descs:
         universal_P_group(build_P_model(desc.spec))
     # one relation matrix per grading
     assert len(calls) == len(matrix_descs) + len(p_descs)
+    for model in models:
+        full_pair_universal_group(model)
+    assert len(calls) == 2 * len(matrix_descs) + len(p_descs)
     assert max(len(rows) for (rows,) in calls) > 500
     for (rows,) in calls:
         # the rows are sparse; both forms must give the dense oracle's rows

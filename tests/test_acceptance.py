@@ -773,14 +773,26 @@ UGROUP_DIGESTS = {
         "7bcb89a67dc1a0645be9a25668544a6a650a36a1f148dcb7e55b696f95023bd0",
         "41009c8ebb36f8a0d78b83c502db055687e4cda4ea7cbc802c32fdf38b146dad"],
     12: ["57b809e55150eb42f020835ee56517530263c79d3128937bc5ea52cf4af4d9bd",
-         "876ab0880f3f5286d87eb2935e27a6e8adbf4f4010575f27b63234b9ebc88d7d"],
+         "876ab0880f3f5286d87eb2935e27a6e8adbf4f4010575f27b63234b9ebc88d7d",
+         "6038231971fe4644c44c55c6c63d90ee9ed0611981c6f0d87c2d3b89731d36e7",
+         "289d59a04cc1b36108b3c36c4280b59bd5008f6ca76a562046f986396ea2606e",
+         "553f1ffdc3c4f330088104597620e9106eefa91865fed5f91f584c6cc2cc29e3",
+         "3fc74bb4b7ab092a12687f6cb10cdf7ebf50b3830931dfb519a61d5948611efb",
+         "3fc74bb4b7ab092a12687f6cb10cdf7ebf50b3830931dfb519a61d5948611efb",
+         "294726d69d1f390a163c5d390170231605cfe0d4593c030f36cf71d7991f135c",
+         "843ede4bd507b9791bfa81c55c93a1b47130dbeddb855fb84ef28062565d1808",
+         "664944502068b46cd99b8e4fc21ab90c8ca51b5611c8912a83be34d84d9d7930",
+         "e757a43a224806a43e239907c0368617f006ec64914ca1157a8900fb2127f5eb",
+         "9fc9d0312c8acbe9339838a7b761a937b1cc8bfe2add7379a161b5fcc9223a08",
+         "9fc9d0312c8acbe9339838a7b761a937b1cc8bfe2add7379a161b5fcc9223a08",
+         "68bd868dd0ee5047794290ab1e19397cf61686b06057ed17d5e5db7d5b88aced"],
 }
 
 
 def test_universal_groups_of_fine_odd_8_and_12(tmp_path):
-    """`gradekit ugroup` on every fine odd 8 descriptor and on fine odd 12
-    #0 and #1 (M(12,12), up to 496 support degrees) gives the recorded
-    payload, each in under two seconds, model build included."""
+    """`gradekit ugroup` on every fine odd 8 and fine odd 12 descriptor
+    (M(12,12), up to 496 support degrees) gives the recorded payload,
+    each in under two seconds, model build included."""
     specs = []
     for n, digests in UGROUP_DIGESTS.items():
         payload, code = run(["fine", "odd", str(n)])
@@ -789,7 +801,7 @@ def test_universal_groups_of_fine_odd_8_and_12(tmp_path):
             path = tmp_path / f"odd-{n}-{i}.json"
             path.write_text(json.dumps(desc["spec"]))
             specs.append((str(path), digest))
-    assert len(specs) == 16
+    assert len(specs) == 28
     start = time.perf_counter()
     for path, digest in specs:
         one = time.perf_counter()

@@ -10,6 +10,7 @@ import pytest
 
 from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, standard_pair
+from gradekit.classify import enumerate_even_fine, enumerate_odd_fine
 from gradekit.graddiv import StandardRealization, product_table
 from gradekit.matgrade import (
     CosetMultiset,
@@ -37,6 +38,7 @@ from helpers import (
     count_odd_conversions,
     embedded_standard_torus,
     exponent,
+    full_pair_universal_group,
     is_even_grading,
     oracle_chi_and_a,
     per_pair_failures,
@@ -323,6 +325,11 @@ def _mutants(rng, model):
                   for b in basis)
     yield "torus label shifted", with_parts(model, basis=torus)
     yield "element dropped", with_parts(model, basis=tuple(basis[:n] + basis[n + 1:]))
+    yield "element duplicated", with_parts(model, basis=tuple(basis + [basis[n]]))
+    # E_kk X_0 of degree 0 multiplies only with itself, consistently
+    k = sum(model.sizes) // model.realization.size
+    outside = replace(basis[0], i=k, j=k)
+    yield "element outside the grid", with_parts(model, basis=tuple(basis + [outside]))
 
 
 def test_verify_reports_a_product_that_lands_on_no_basis_element():
@@ -343,12 +350,26 @@ def test_verify_reports_a_missing_basis_element():
         "basis element (0, 1, (0,)) is missing"]
 
 
+def test_verify_reports_duplicated_and_out_of_grid_elements():
+    # the product rule holds on both models, so only the comparison of
+    # the basis keys with the block grid can see the extra element
+    model = build_matrix_model(EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,),), ((1,),)))
+    duplicated = with_parts(model, basis=model.basis + model.basis[1:2])
+    outside = with_parts(model, basis=model.basis + (replace(model.basis[0], i=2, j=2),))
+    assert per_pair_failures(duplicated) == verify_grading(duplicated).failures == [
+        "basis element (0, 1, (0,)) is duplicated"]
+    assert per_pair_failures(outside) == verify_grading(outside).failures == [
+        "basis element (2, 2, (0,)) is outside the block grid"]
+    assert verify_grading(duplicated).stats["pairs_checked"] == 12
+    assert verify_grading(outside).stats["pairs_checked"] == 9
+
+
 def test_verify_agrees_with_per_pair_oracle():
-    """On 288 seeded models, unchanged or with one change each, verify's
+    """On 384 seeded models, unchanged or with one change each, verify's
     failures and verdict are those of the per-pair oracle; the
-    factorized proof accepts every unchanged model, and a model that
-    lacks a basis element gets a failure record for it, and one for each
-    product that lands on it."""
+    factorized proof accepts every unchanged model, a model that lacks a
+    basis element gets a failure record for it, and one for each product
+    that lands on it, and a duplicated or out-of-grid element fails."""
     rng = random.Random(14)
     seen: dict[str, int] = {}
     failing: dict[str, int] = {}
@@ -371,11 +392,13 @@ def test_verify_agrees_with_per_pair_oracle():
     assert seen == {"even": 12, "odd": 12, "coarsened": 12, "free-rank": 12,
                     "unchanged": 48, "degree bumped": 48, "parity flipped": 48,
                     "block shifted": 48, "torus label shifted": 48,
-                    "element dropped": 48}
+                    "element dropped": 48, "element duplicated": 48,
+                    "element outside the grid": 48}
     assert all(failing.get(change, 0) > 24 for change in
                ("degree bumped", "parity flipped", "block shifted",
                 "torus label shifted", "element dropped"))
     assert failing["element dropped"] == 48
+    assert failing["element duplicated"] == failing["element outside the grid"] == 48
     assert landed == {"element dropped": 47}
 
 
@@ -552,6 +575,37 @@ def test_universal_group_division_even():
     for s in group.elements():
         for t in group.elements():
             assert quo.add(labels[s], labels[t]) == labels[group.add(s, t)]
+
+
+def test_universal_group_matches_the_full_pair_oracle():
+    """The generating pairs give the (group, labels) of every product
+    pair on each fine grading of M(2,2), M(2,4), M(3,3), M(4,4), M(6,6)
+    and odd M(n,n), n <= 6, and on a seeded coarsening of each."""
+    rng = random.Random(18)
+    descs = [d for m, n in ((2, 2), (2, 4), (3, 3), (4, 4), (6, 6))
+             for d in enumerate_even_fine(m, n)]
+    descs += [d for n in range(1, 7) for d in enumerate_odd_fine(n)]
+    coarser = 0
+    for desc in descs:
+        model = build_matrix_model(desc.spec)
+        got = universal_group(model)
+        assert got == full_pair_universal_group(model), desc
+        group = model.base_group
+        kernel = [random_element(rng, group) for _ in range(rng.randint(1, 2))]
+        coarse = coarsen(model, subgroup_and_quotient(group, kernel)[2])
+        want = full_pair_universal_group(coarse)
+        assert universal_group(coarse) == want, desc
+        coarser += want[0] != got[0]
+    assert len(descs) == 35
+    assert coarser > 10
+
+
+def test_universal_group_needs_the_block_grid():
+    model = build_matrix_model(EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,),), ((1,),)))
+    for basis in (model.basis[1:], model.basis + model.basis[1:2],
+                  model.basis + (replace(model.basis[0], i=2, j=2),)):
+        with pytest.raises(ValueError, match="not a block grid model: basis element"):
+            universal_group(with_parts(model, basis=basis))
 
 
 def test_universal_group_trivial_grading():
