@@ -15,11 +15,12 @@ the others call `FinGenAbGroup.reduce` and the arithmetic built on it,
 
 A subgroup is the Hermite normal form of its lattice of lifts.
 Kernels, intersections and preimages are read from one Hermite form of
-an augmented matrix (`lattice_tail`); the Smith normal form only
-diagonalises quotients, and invariant factors of given moduli come from
-gcds and lcms.  Both normal forms work on sparse {col: value} rows, so
-a universal group's relations, whose pivots are almost all 1, cost
-little more than their number of entries.
+an augmented matrix (`lattice_tail`), and the coordinates of an element
+are solved by back-substitution on another (`GroupHom.preimage`); the
+Smith normal form only diagonalises quotients, and invariant factors of
+given moduli come from gcds and lcms.  Both normal forms work on sparse
+{col: value} rows, so a universal group's relations, whose pivots are
+almost all 1, cost little more than their number of entries.
 """
 
 from __future__ import annotations
@@ -498,6 +499,32 @@ class GroupHom:
     def __call__(self, x: Coords) -> Coords:
         return self.apply(x)
 
+    @cached_property
+    def _preimage_form(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
+        """The Hermite rows of [images | I; target relations | 0; 0 |
+        source relations] with a pivot among the target columns, split
+        into target and source parts.  The lattice holds (x, c) exactly
+        when hom(c) = x, so the target parts span the lifts of the image."""
+        n, k = self.target.rank, self.source.rank
+        eye = _identity(k)
+        rows = ([im + tuple(e) for im, e in zip(self.images, eye)]
+                + [tuple(r) + (0,) * k for r in self.target.relation_rows()]
+                + [(0,) * n + tuple(r) for r in self.source.relation_rows()])
+        top = [r for r in hermite_normal_form(rows) if any(r[:n])]
+        return tuple(r[:n] for r in top), tuple(r[n:] for r in top)
+
+    def preimage(self, x: Coords) -> Optional[Coords]:
+        """A c with hom(c) = x, the only one when hom is injective, or
+        None when x is outside the image: back-substitution writes x as
+        a combination of the target parts of `_preimage_form`, and the
+        same combination of the source parts is c."""
+        head, tail = self._preimage_form
+        coeffs = lattice_coords(head, self.target.reduce(x))
+        if coeffs is None:
+            return None
+        return self.source.reduce([sum(a * r[j] for a, r in zip(coeffs, tail))
+                                   for j in range(self.source.rank)])
+
     @classmethod
     def identity(cls, group: FinGenAbGroup) -> "GroupHom":
         return cls(group, group, tuple(group.generators()))
@@ -586,16 +613,12 @@ class Subgroup:
         return prod(self.parent.torsion) // prod(next(a for a in row if a)
                                                  for row in self.lattice)
 
-    def _span(self) -> Iterator[tuple[Coords, Coords]]:
-        """(coordinates, element) for every element, through `span` of
-        the smith_gens."""
+    def elements(self) -> Iterator[Coords]:
+        """Every element, through `span` of the smith_gens."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite subgroup")
         gens = self.smith_gens
-        return span(self.parent, [g for g, _ in gens], [o for _, o in gens])
-
-    def elements(self) -> Iterator[Coords]:
-        return (x for _, x in self._span())
+        return (x for _, x in span(self.parent, [g for g, _ in gens], [o for _, o in gens]))
 
     def as_group(self) -> FinGenAbGroup:
         free = sum(1 for _, o in self.smith_gens if o == 0)
@@ -603,17 +626,17 @@ class Subgroup:
         return FinGenAbGroup(free, tors)
 
     @cached_property
-    def _coords(self) -> dict[Coords, Coords]:
-        return {x: c for c, x in self._span()}
+    def _inclusion(self) -> GroupHom:
+        return GroupHom(self.as_group(), self.parent, tuple(g for g, _ in self.smith_gens))
 
     def coords_of(self, x: Coords) -> Optional[Coords]:
         """Coordinates c of x in the smith_gens basis, 0 <= c_i < o_i, or
-        None if x is not in the subgroup.
-
-        Finite subgroups only: the first call tabulates every element,
-        and on an infinite subgroup it raises the ValueError of `elements`.
-        """
-        return self._coords.get(self.parent.reduce(x))
+        None if x is not in the subgroup: its preimage under the
+        inclusion of `as_group`.  Finite subgroups only; ValueError on
+        an infinite one."""
+        if not self.is_finite:
+            raise ValueError("coordinates need a finite subgroup")
+        return self._inclusion.preimage(x)
 
     def image_under(self, hom: GroupHom) -> "Subgroup":
         if hom.source != self.parent:

@@ -21,8 +21,6 @@ from .abgroup import (
     GroupHom,
     Subgroup,
     factorize,
-    hermite_normal_form,
-    lattice_coords,
 )
 from .bichar import Bicharacter, beta_isomorphism, common_modulus, standard_pair
 from .matgrade import (
@@ -63,35 +61,10 @@ def _same_division_data(p1: EmbeddedPairing, p2: EmbeddedPairing,
     if p1.sub != p2.sub:
         return False
     # p1.gens[i] has coordinates e_i in the first domain
-    coords = _domain_coords(p2, p1.gens)
+    coords = [p2.abstract_coords(g) for g in p1.gens]
     mod, f1, f2 = common_modulus(p1.beta.m, p2.beta.m)
     return all((delta * n1 * f1 - p2.beta.value(x, y) * f2) % mod == 0
                for row, x in zip(p1.beta.N, coords) for n1, y in zip(row, coords))
-
-
-def _domain_coords(pairing: EmbeddedPairing, xs: tuple[Coords, ...]) -> list[Coords]:
-    """The coordinates in the pairing's domain of the elements xs of T.
-
-    The lattice of rows (g_i, e_i), the ambient relations and the domain
-    orders holds (t, c) exactly when c are coordinates of t.  Its Hermite
-    rows with a pivot among the ambient columns restrict there to the
-    lattice of T; back-substitution on them writes t as a combination of
-    these rows, and the same combination of their domain parts is c.
-    """
-    ambient, domain = pairing.ambient, pairing.beta.domain
-    n, k = ambient.rank, domain.rank
-    eye = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    rows = ([g + e for g, e in zip(pairing.gens, eye)]
-            + [tuple(r) + (0,) * k for r in ambient.relation_rows()]
-            + [(0,) * n + tuple(r) for r in domain.relation_rows()])
-    top = [r for r in hermite_normal_form(rows) if any(r[:n])]
-    head = tuple(r[:n] for r in top)
-    out = []
-    for x in xs:
-        coeffs = lattice_coords(head, ambient.reduce(x))
-        out.append(domain.reduce([sum(c * r[n + j] for c, r in zip(coeffs, top))
-                                  for j in range(k)]))
-    return out
 
 
 def _common_group(c1: CheckedSpec, c2: CheckedSpec) -> FinGenAbGroup:
@@ -158,18 +131,15 @@ def iso_odd_assoc(s1: OddSpec, s2: OddSpec) -> Optional[IsoWitness]:
     return _iso_odd(check_spec(s1), check_spec(s2))
 
 
-def iso_lie_typeI(s1, s2, kind: Optional[str] = None) -> Optional[IsoWitness]:
+def iso_lie_typeI(s1, s2) -> Optional[IsoWitness]:
     """Isomorphism of the induced gradings on the special linear Lie
     superalgebra: the associative test, run for both signs delta.
 
     delta = -1 composes with the superadjoint, which inverts the
     bicharacter and all degree data.
     """
-    even = isinstance(s1, EvenAssocSpec)
-    if kind is not None and kind != ("even" if even else "odd"):
-        raise ValueError(f"kind {kind!r} does not match the spec types")
     c1, c2 = check_spec(s1), check_spec(s2)
-    decider = _iso_even if even else _iso_odd
+    decider = _iso_even if isinstance(s1, EvenAssocSpec) else _iso_odd
     witness = decider(c1, c2)
     if witness is not None:
         return witness

@@ -197,7 +197,7 @@ def cmd_iso(s1, s2, mode: str) -> tuple[dict, int]:
     elif mode == "p":
         witness = iso_P(s1, s2)
     elif mode == "lie":
-        witness = iso_lie_typeI(s1, s2, f1)
+        witness = iso_lie_typeI(s1, s2)
     elif f1 == "even":
         witness = iso_even_assoc(s1, s2)
     else:
@@ -260,6 +260,9 @@ def _load_json(path: str):
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deeply, or an integer over Python's digit limit
+        raise SpecFormatError(f"cannot decode {path}: {exc}") from exc
 
 
 @functools.cache

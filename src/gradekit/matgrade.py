@@ -82,8 +82,9 @@ class EmbeddedPairing:
     values transfer to T unambiguously.  The domain maps onto T, so
     `check` finds them independent exactly when T and the domain have
     the same order.  `elements` pairs every domain element with its
-    image in T; it is built on first use, never by `check`, and
-    `abstract_coords` looks elements of T up in its inverse.
+    image in T; it is built on first use, never by `check`.
+    `abstract_coords` solves for the domain element over T through
+    `GroupHom.preimage`, with no table.
     """
 
     def __init__(self, ambient: FinGenAbGroup, gens: tuple[Coords, ...],
@@ -110,15 +111,10 @@ class EmbeddedPairing:
         order, with t its image in T: the `span` of the generators."""
         return tuple(span(self.ambient, self.gens, self.beta.domain.torsion))
 
-    @cached_property
-    def _abstract(self) -> dict[Coords, Coords]:
-        return {t: t_abs for t_abs, t in self.elements}
-
     def abstract_coords(self, x: Coords) -> Coords:
-        x = self.ambient.reduce(x)
-        got = self._abstract.get(x)
+        got = self.hom.preimage(x)
         if got is None:
-            raise ValueError(f"{x} is not in the support subgroup")
+            raise ValueError(f"{self.ambient.reduce(x)} is not in the support subgroup")
         return got
 
     def push(self, dom: Coords) -> Coords:
@@ -593,48 +589,53 @@ def odd_existence_check(group: FinGenAbGroup, t0: Coords,
 def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
     """Convert the G-description of an odd grading to explicit support in G#.
 
-    `check_spec` checks the pairing of the result and that its parity
-    element is the given t0.
+    No subgroup is listed.  abar, the element of Tbar pairing as chi
+    squared, is one `GroupHom.preimage`; a is its lift through the
+    tbar_gens, moved by t0 where chi is 1/2; beta is read from one (bit,
+    coordinates of theta(s), chi(s)) triple per generator (s + bit u,
+    bit) of T_u.  `check_spec` checks the pairing of the result and that
+    its parity element is the given t0.
     """
     g = spec.group
     t0, theta, bar_pairing, t_plus, extends = _quotient_data(
         g, spec.t0, spec.tbar_gens, spec.beta_bar)
     if not extends:
         raise ValueError("no odd grading exists for this quotient data")
+    beta_bar = bar_pairing.beta
     # chi and beta_bar in residues modulo one common modulus
-    mod, f_bar, _ = common_modulus(bar_pairing.beta.m,
-                                   lcm(*(o for _, o in t_plus.smith_gens)))
+    mod, f_bar, _ = common_modulus(beta_bar.m, lcm(*(o for _, o in t_plus.smith_gens)))
     chi = _canonical_chi(t_plus, t0, mod)
-    # the unique element pairing (via beta_bar) as chi squared
-    a_bar = None
-    plus_gens = [x for x, _ in t_plus.smith_gens]
-    for cand in bar_pairing.sub.elements():
-        if all((bar_pairing.value(cand, theta(s)) * f_bar - 2 * chi(s)) % mod == 0
-               for s in plus_gens):
-            a_bar = cand
-            break
+    # abar is the preimage of (2 chi(s))_s under x -> (beta_bar(x, theta(s)))_s
+    # over the generators s of T+; beta_bar is nondegenerate and the
+    # theta(s) span Tbar, so that map is injective
+    plus = [(bar_pairing.abstract_coords(theta(s)), chi(s)) for s, _ in t_plus.smith_gens]
+    pair_with = GroupHom(beta_bar.domain, FinGenAbGroup(0, (mod,) * len(plus)),
+                         tuple(tuple(beta_bar.value(e, y) * f_bar for y, _ in plus)
+                               for e in beta_bar.domain.generators()))
+    a_bar = pair_with.preimage([2 * c for _, c in plus])
     assert a_bar is not None, "chi^2 must be represented by the nondegenerate pairing"
-    a = next(x for x in t_plus.elements()
-             if theta(x) == a_bar and chi(x) == 0)
+    # the two lifts of abar in T+ differ by t0, and chi(t0) = 1/2
+    a = g.zero()
+    for c, lift in zip(a_bar, spec.tbar_gens):
+        a = g.add(a, g.scale(c, lift))
+    if chi(a):
+        a = g.add(a, t0)
     u = g.reduce(spec.u)
     if g.scale(2, u) != a:
         raise ValueError(f"u squared is {g.scale(2, u)}, expected {a}")
     ext = ParityExtension(g)
-
-    def beta_u(x: Coords, y: Coords) -> int:
-        i, j = ext.bit(x), ext.bit(y)
+    tu = Subgroup(ext.group, [ext.embed(x) for x, _ in t_plus.smith_gens] + [ext.lift(u, 1)])
+    # beta((s + i u, i), (t + j u, j)) = beta_bar(theta(s), theta(t)) - j chi(s) + i chi(t)
+    parts = []
+    for x, _ in tu.smith_gens:
+        i = ext.bit(x)
         s = g.sub(ext.base_part(x), g.scale(i, u))
-        t = g.sub(ext.base_part(y), g.scale(j, u))
-        val = bar_pairing.value(theta(s), theta(t))
-        return (val * f_bar - j * chi(s) + i * chi(t)) % mod
-
-    tu_gens = [ext.embed(x) for x, _ in t_plus.smith_gens] + [ext.lift(u, 1)]
-    tu = Subgroup(ext.group, tu_gens)
-    gens = tuple(x for x, _ in tu.smith_gens)
-    orders = tuple(o for _, o in tu.smith_gens)
-    beta = Bicharacter.from_residues(FinGenAbGroup(0, orders), mod,
-                                     [[beta_u(x, y) for y in gens] for x in gens])
-    return OddAssocTSpec(g, gens, beta, spec.gamma)
+        parts.append((i, bar_pairing.abstract_coords(theta(s)), chi(s)))
+    beta = Bicharacter.from_residues(
+        FinGenAbGroup(0, tuple(o for _, o in tu.smith_gens)), mod,
+        [[beta_bar.value(cs, ct) * f_bar - j * chi_s + i * chi_t for j, ct, chi_t in parts]
+         for i, cs, chi_s in parts])
+    return OddAssocTSpec(g, tuple(x for x, _ in tu.smith_gens), beta, spec.gamma)
 
 
 def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:

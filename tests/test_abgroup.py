@@ -650,6 +650,46 @@ def test_preimage_against_brute_force():
         assert all(pre.contains(x) == (x in expected) for x in src.elements())
 
 
+def test_hom_preimage_against_brute_force():
+    # free source generator i goes to k_i times target unit i plus
+    # torsion, and k_i = 0 makes the hom non-injective; so a member of
+    # the target box, free coordinates in [-2, 2], has a preimage in the
+    # source box, free coordinate i in [-2, 2] or, when k_i = 0, below the
+    # order of its image
+    rng = random.Random(47)
+    kinds = set()
+    for _ in range(80):
+        free = rng.randint(0, 1)
+        src = FinGenAbGroup(free, tuple(rng.choice((2, 3, 4, 6))
+                                        for _ in range(rng.randint(0, 2))))
+        tgt = FinGenAbGroup(free + rng.randint(0, 1), tuple(rng.choice((2, 3, 4, 6))
+                                                            for _ in range(rng.randint(1, 2))))
+        ks = [rng.randint(0, 2) for _ in range(free)]
+        images = [tuple(k * (j == i) for j in range(tgt.free_rank))
+                  + tuple(rng.randrange(e) for e in tgt.torsion) for i, k in enumerate(ks)]
+        images += [_killed_by(rng, tgt, d) for d in src.torsion]
+        hom = GroupHom(src, tgt, tuple(images))
+        boxes = [range(-2, 3) if k else range(tgt.element_order(im))
+                 for k, im in zip(ks, hom.images)] + [range(d) for d in src.torsion]
+        table: dict = {}
+        for c in itertools.product(*boxes):
+            table.setdefault(hom(c), set()).add(src.reduce(c))
+        if not any(ks):
+            assert set(table) == brute_closure(tgt, hom.images)
+        injective = all(ks) and all(len(cs) == 1 for cs in table.values())
+        kinds.add((free, injective))
+        for x in itertools.product(*[range(-2, 3)] * tgt.free_rank,
+                                   *(range(e) for e in tgt.torsion)):
+            got = hom.preimage(x)
+            if x not in table:
+                assert got is None
+                continue
+            assert got is not None and hom(got) == x
+            if injective:
+                assert table[x] == {got}
+    assert kinds == {(0, False), (0, True), (1, False), (1, True)}
+
+
 def test_intersect_against_brute_force():
     rng = random.Random(43)
     for _ in range(100):

@@ -57,6 +57,7 @@ from gradekit.superlie import (
 
 from helpers import (
     TRIVIAL_BETA,
+    count_calls,
     embedded_standard_torus,
     oracle_chi_and_a,
     random_even_spec,
@@ -229,6 +230,57 @@ def test_square_subgroup_equals_two_torsion_complement():
                         [bar.abstract_coords(theta(x)) for x in tors])
         comp = spec.beta_bar.orthogonal_complement(rbar).image_under(bar.hom)
         assert sbar == comp
+
+
+def _conversion_digest(specs):
+    out = []
+    for spec in specs:
+        tspec = build_odd_from_G(spec)
+        out.append([[list(t) for t in tspec.tgens], tspec.beta.m,
+                    [list(row) for row in tspec.beta.N]])
+    return hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest()
+
+
+def _large_odd_g_spec(h, u):
+    """t0 generating the Z/2 of Z/2 x H x H, Tbar = H x H with its standard
+    pairing; chi is 0 on H x H, so a = 0 and u is any two-torsion element."""
+    group = FinGenAbGroup(0, (2,) + h + h)
+    lifts = tuple(group.unit(1 + i) for i in range(2 * len(h)))
+    return OddAssocGSpec(group, group.unit(0), lifts, standard_pair(h)[1], u,
+                         (group.zero(),))
+
+
+def _twisted_odd_g_specs():
+    """Z/4 x Z/4 with t0 = (2, 0) and Tbar = Z/2 x Z/2 under the hyperbolic
+    pairing: chi has order 4 and abar is nonzero.  Moving a lift by t0
+    moves the lift of abar the tbar_gens give, so both lifts of abar in
+    T+ come up; u runs over the four square roots of a."""
+    group = FinGenAbGroup(0, (4, 4))
+    hyper = standard_pair((2,))[1]
+    return [OddAssocGSpec(group, (2, 0), lifts, hyper, u, ((0, 0),))
+            for lifts in (((1, 0), (0, 2)), ((1, 0), (2, 2)), ((3, 0), (0, 2)))
+            for u in ((0, 1), (0, 3), (2, 1), (2, 3))]
+
+
+# sha256 of (tgens, beta.m, beta.N) per conversion, recorded before the
+# conversion solved for coordinates instead of listing subgroups
+CONVERSION_DIGESTS = {
+    "sample": "fe5420c1df7d9213200d79a6e3f6493131ef41c0c7c0806dad121cd1b5dd80c9",
+    "twisted": "4a580cb02a209a64681946e2a6a2428d27fe896ab678fa1cc6512882569f8754",
+    (8, 8): "6bd1620097a54245af0b51b3773b8d86aec928306f291dfa67282e6dc1cf20c3",
+    (4, 4, 4): "c92e7a8d9c7ac7d4b90537ff0b97eef287147be186ab1ea32f7982b9f5e27214",
+}
+LARGE_ROOTS = {(8, 8): (1, 4, 0, 4, 0), (4, 4, 4): (1, 2, 0, 0, 2, 0, 0)}
+
+
+def test_odd_conversion_is_pinned_and_lists_no_subgroup(monkeypatch):
+    assert _conversion_digest(_odd_sample()) == CONVERSION_DIGESTS["sample"]
+    assert _conversion_digest(_twisted_odd_g_specs()) == CONVERSION_DIGESTS["twisted"]
+    for h, u in LARGE_ROOTS.items():
+        assert _conversion_digest([_large_odd_g_spec(h, u)]) == CONVERSION_DIGESTS[h]
+    listed = count_calls(monkeypatch, Subgroup, "elements")
+    build_odd_from_G(_large_odd_g_spec((8, 8), LARGE_ROOTS[8, 8]))
+    assert listed == []
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_iso_lie_delta_minus_one(monkeypatch):
     s2 = EvenAssocSpec(group, tgens, beta.inverse(), gamma, gamma)
     assert iso_even_assoc(s1, s2) is None
     counts = count_one_pass(monkeypatch)
-    assert iso_lie_typeI(s1, s2, "even") == IsoWitness((0, 0), delta=-1)
+    assert iso_lie_typeI(s1, s2) == IsoWitness((0, 0), delta=-1)
     # the superadjoint try reuses both checked pairings
     assert {step: len(calls) for step, calls in counts.items()} == {
         "pairings": 2, "checks": 2, "parities": 0, "quotients": 0,
@@ -272,14 +272,8 @@ def test_iso_lie_odd_branch():
     group = FinGenAbGroup(0, (4,))
     s1 = OddAssocGSpec(group, (2,), (), TRIVIAL_BETA, (0,), ((0,), (1,)))
     s2 = superadjoint_spec(s1)
-    witness = iso_lie_typeI(s1, s2, "odd")
+    witness = iso_lie_typeI(s1, s2)
     assert witness is not None
-
-
-def test_iso_lie_kind_mismatch():
-    s1 = EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,),), ((1,),))
-    with pytest.raises(ValueError):
-        iso_lie_typeI(s1, s1, "odd")
 
 
 # --- P decider ---

@@ -302,6 +302,29 @@ def test_parse_error_messages(tmp_path, capsys, doc, err):
     assert capsys.readouterr().err == err
 
 
+# documents that json cannot decode: bytes that are not UTF-8, nesting
+# past the recursion limit, and a coordinate over Python's 4 300-digit
+# limit on reading integers
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe{}",
+    "nested": b"[" * 100000 + b"]" * 100000,
+    "long-integer": b'{"kind": "odd_g", "t0": [' + b"7" * 5000 + b"]}",
+}
+
+
+@pytest.mark.parametrize("name", UNDECODABLE)
+def test_undecodable_documents_exit_2(tmp_path, monkeypatch, capsys, name):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE[name])
+    stdin = io.TextIOWrapper(io.BytesIO(UNDECODABLE[name]), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    for path in (str(bad), "-"):
+        assert run(["verify", "-f", path]) == (None, 2)
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradekit: cannot decode {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_stdin_and_determinism(tmp_path, monkeypatch, capsys):
     doc = json.dumps(spec_to_json(EVEN11))
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
