@@ -18,11 +18,10 @@ from typing import Optional, Union
 from .abgroup import (
     Coords,
     FinGenAbGroup,
-    GroupHom,
     Subgroup,
     factorize,
 )
-from .bichar import Bicharacter, beta_isomorphism, common_modulus, standard_pair
+from .bichar import Bicharacter, common_modulus, standard_pair
 from .matgrade import (
     CheckedSpec,
     CosetMultiset,
@@ -260,77 +259,52 @@ def enumerate_even_fine(m: int, n: int) -> list[FineGradingDescriptor]:
     return out
 
 
-def _two_height(x: Coords) -> int:
-    """2-height of a nonzero x in a group of 2-power cyclic factors: the
-    largest k with x in 2^k times the group."""
-    return min((c & -c).bit_length() - 1 for c in x if c)
-
-
-def _close_orbit(orbit: set[Coords], isometries: list[GroupHom]) -> None:
-    """Add to `orbit` its images under every composite of `isometries`."""
-    todo = list(orbit)
-    while todo:
-        y = todo.pop()
-        for phi in isometries:
-            z = phi.apply(y)
-            if z not in orbit:
-                orbit.add(z)
-                todo.append(z)
-
-
 def _involution_orbits(beta: Bicharacter) -> list[Coords]:
     """Representatives of the isometry orbits of the involutions of
     (T, beta), each the lexicographically least member of its orbit,
-    smallest representative first.
+    smallest representative first: for each modulus 2^a > 1 among T's
+    coordinates, 2^(a-1) in the last coordinate of that modulus.
 
-    Each coordinate of T must have 2-power or odd order.  Every
-    involution lies in the 2-power coordinates T_2, which beta pairs
-    trivially with the rest, and every isometry of T_2 extends by the
-    identity; so orbits are searched in T_2 and embedded back with zeros.
-    Involutions are taken in lexicographic order.  One already reached
-    from a representative by a composite of isometries found so far
-    joins its orbit; otherwise each representative of the same 2-height
-    (an isometry keeps heights) is searched for an isometry onto it, and
-    the first one found joins it and closes the orbit under the
-    isometries found.  An involution no search reaches starts an orbit.
+    Each coordinate of T must have 2-power or odd order.  The orbits are
+    the classes of the 2-height h(x), the largest k with x in 2^k T.
+    Every involution lies in the 2-power part A, which beta pairs
+    trivially with the rest, and every isometry of A extends by the
+    identity, so it suffices to work in A, where beta is nondegenerate
+    and alternating.  An isometry is an automorphism and keeps heights.
+    Conversely let x and x' be involutions of height h; write x = 2^h y.
+    Then y has order 2^(h+1), and 2^k y has height exactly k for k <= h
+    (more would lift x), so <y> is pure, and a bounded pure subgroup is
+    a direct summand.  The character chi with chi(y) = 1/2^(h+1) that
+    kills a complement has order 2^(h+1); z -> beta(., z) is injective,
+    hence onto the characters, so chi = beta(., z) for a z of the same
+    order.  On P = <y, z> the Gram matrix is [[0, e], [-e, 0]] with
+    e = 1/2^(h+1), so a y + b z pairs trivially with P only when 2^(h+1)
+    divides a and b: P is a nondegenerate plane (Z/2^(h+1))^2, and
+    A = P + P^perp orthogonally, since each beta(a, .) restricted to P
+    is some beta(p, .) and a - p lies in P^perp; beta stays
+    nondegenerate on P^perp.  Split x' the same way.  Sending y, z to
+    y', z' is an isometry of the planes; the complements are
+    isomorphic groups (Krull-Schmidt), and a nondegenerate
+    alternating form on a finite abelian p-group is an orthogonal sum of
+    hyperbolic planes determined up to isometry by its group (C. T. C.
+    Wall, "Quadratic forms on finite groups, and related topics",
+    Topology 2, 1963), so the complements are isometric too.  The sum of
+    the two isometries sends x to x'.  An involution of height a - 1 is
+    nonzero at some coordinate of modulus 2^a and at none of smaller
+    modulus, so the least one is nonzero only at the last such
+    coordinate.
     """
     moduli = beta.domain.torsion
-    two = [i for i, d in enumerate(moduli) if d & (d - 1) == 0]
     if any(d % 2 == 0 for d in moduli if d & (d - 1)):
         raise ValueError("each coordinate must have 2-power or odd order")
-    beta2 = Bicharacter.from_residues(FinGenAbGroup(0, tuple(moduli[i] for i in two)),
-                                      beta.m, [[beta.N[i][j] for j in two] for i in two])
-    dom2 = beta2.domain
-    involutions = itertools.product(*((0, d // 2) for d in dom2.torsion))
-    next(involutions)  # zero
-    # (representative, the isometries found from it, the members of its
-    # orbit they reach)
-    reps: list[tuple[Coords, list[GroupHom], set[Coords]]] = []
-    for x in involutions:
-        if any(x in orbit for _, _, orbit in reps):
-            continue
-        for rep, found, orbit in reps:
-            if _two_height(rep) != _two_height(x):
-                continue
-            images = beta_isomorphism(beta2, beta2, [(rep, x)])
-            if images is not None:
-                found.append(GroupHom(dom2, dom2, images))
-                _close_orbit(orbit, found)
-                break
-        else:
-            reps.append((x, [], {x}))
-    out = []
-    for rep, _, _ in reps:
-        full = [0] * len(moduli)
-        for i, c in zip(two, rep):
-            full[i] = c
-        out.append(tuple(full))
-    return out
+    last = {d: i for i, d in enumerate(moduli) if d > 1 and d & (d - 1) == 0}
+    return sorted(tuple(d // 2 if j == i else 0 for j in range(len(moduli)))
+                  for d, i in last.items())
 
 
 def enumerate_odd_fine(n: int) -> list[FineGradingDescriptor]:
     """Fine odd gradings on M(n,n): ell | n, H of order 2*ell, and one
-    parity involution t0 per automorphism orbit of (H x H^, beta)."""
+    parity involution t0 per 2-height in (H x H^, beta)."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []

@@ -503,7 +503,8 @@ def _bit_subgroup(pairing: EmbeddedPairing, ext: ParityExtension) -> Subgroup:
 
 
 def _parity_element(pairing: EmbeddedPairing, ext: ParityExtension) -> Coords:
-    """parity_element of the support a pairing inside G# lives on."""
+    """The order-2 element t0 of G whose character separates the even
+    from the odd support a pairing inside G# lives on."""
     plus = _bit_subgroup(pairing, ext)
     comp = pairing.beta.orthogonal_complement(plus)
     if comp.order() != 2:
@@ -514,12 +515,6 @@ def _parity_element(pairing: EmbeddedPairing, ext: ParityExtension) -> Coords:
     if ext.bit(u0) != 0:
         raise ValueError("parity element has odd parity; spec is corrupted")
     return ext.base_part(u0)
-
-
-def parity_element(spec: OddAssocTSpec) -> Coords:
-    """The order-2 element of G whose character separates even from odd support."""
-    ext = ParityExtension(spec.group)
-    return _parity_element(EmbeddedPairing(ext.group, spec.tgens, spec.beta), ext)
 
 
 def _character_on(sub: Subgroup, vector: tuple[int, ...], mod: int):
@@ -639,31 +634,32 @@ def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
 
 
 def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
-    """The even grading induced over G modulo the parity element."""
+    """The even grading induced over G modulo the parity element.
+
+    The base parts of the even support form T+, spanned by those of the
+    bit-0 generators, and theta maps T+ onto Tbar with kernel <t0>.  So
+    the lifts of a generator of Tbar are one coset of <t0>, and the base
+    parts of the odd support are one coset of T+; the least element of
+    each, `coset_canonical_rep`, is the lift taken and u.
+    """
     g = spec.group
     ext = ParityExtension(g)
     pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
     t0 = _parity_element(pairing, ext)
-    _, gbar, theta = subgroup_and_quotient(g, [t0])
-    plus_dom = _bit_subgroup(pairing, ext)
-    plus_elems_g = sorted(ext.base_part(pairing.push(x)) for x in plus_dom.elements())
-    tbar = Subgroup(gbar, [theta(x) for x in plus_elems_g])
-    tbar_gens = []
-    q_lifts = []
-    for gen, _ in tbar.smith_gens:
-        lift = next(x for x in plus_elems_g if theta(x) == gen)
-        tbar_gens.append(gen)
-        q_lifts.append(lift)
+    t0_sub, gbar, theta = subgroup_and_quotient(g, [t0])
+    plus = [ext.base_part(pairing.push(x)) for x in _bit_subgroup(pairing, ext).gens]
+    tbar = Subgroup(gbar, [theta(x) for x in plus])
+    tbar_gens = tuple(gen for gen, _ in tbar.smith_gens)
+    q_lifts = [coset_canonical_rep(g, t0_sub, theta.preimage(gen)) for gen in tbar_gens]
     beta_bar = Bicharacter.from_residues(
         tbar.as_group(), pairing.beta.m,
         [[pairing.value(ext.embed(x), ext.embed(y)) for y in q_lifts] for x in q_lifts])
-    u = min(ext.base_part(pairing.push(x))
-            for x in spec.beta.domain.elements()
-            if ext.bit(pairing.push(x)) == 1)
+    odd = next(t for t in pairing.gens if ext.bit(t) == 1)
+    u = coset_canonical_rep(g, Subgroup(g, plus), ext.base_part(odd))
     u_bar = theta(u)
     gamma_bar = tuple(theta(x) for x in spec.gamma)
     gamma_shift = tuple(gbar.add(u_bar, x) for x in gamma_bar)
-    return EvenAssocSpec(gbar, tuple(tbar_gens), beta_bar, gamma_bar, gamma_shift)
+    return EvenAssocSpec(gbar, tbar_gens, beta_bar, gamma_bar, gamma_shift)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ from math import gcd, lcm
 from typing import Optional
 
 from gradekit.abgroup import (
+    Coords,
     FinGenAbGroup,
+    GroupHom,
     Subgroup,
     squares_and_two_torsion,
     subgroup_and_quotient,
 )
-from gradekit.bichar import Bicharacter, standard_pair
+from gradekit.bichar import Bicharacter, beta_isomorphism, standard_pair
 from gradekit import matgrade
 from gradekit.graddiv import product_table, realization_failures
 from gradekit.superlie import PSpec, ambient_even_spec
@@ -633,6 +635,75 @@ def standard_isometries(h):
         extend(0)
 
     return elems, walk
+
+
+def _two_height(x: Coords) -> int:
+    """2-height of a nonzero x in a group of 2-power cyclic factors: the
+    largest k with x in 2^k times the group."""
+    return min((c & -c).bit_length() - 1 for c in x if c)
+
+
+def _close_orbit(orbit: set[Coords], isometries: list[GroupHom]) -> None:
+    """Add to `orbit` its images under every composite of `isometries`."""
+    todo = list(orbit)
+    while todo:
+        y = todo.pop()
+        for phi in isometries:
+            z = phi.apply(y)
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+
+
+def search_involution_orbits(beta: Bicharacter) -> list[Coords]:
+    """Representatives of the isometry orbits of the involutions of
+    (T, beta), each the lexicographically least member of its orbit,
+    smallest representative first, found by search: the oracle of
+    `classify._involution_orbits`.
+
+    Each coordinate of T must have 2-power or odd order.  Every
+    involution lies in the 2-power coordinates T_2, which beta pairs
+    trivially with the rest, and every isometry of T_2 extends by the
+    identity; so orbits are searched in T_2 and embedded back with zeros.
+    Involutions are taken in lexicographic order.  One already reached
+    from a representative by a composite of isometries found so far
+    joins its orbit; otherwise each representative of the same 2-height
+    (an isometry keeps heights) is searched for an isometry onto it, and
+    the first one found joins it and closes the orbit under the
+    isometries found.  An involution no search reaches starts an orbit.
+    """
+    moduli = beta.domain.torsion
+    two = [i for i, d in enumerate(moduli) if d & (d - 1) == 0]
+    if any(d % 2 == 0 for d in moduli if d & (d - 1)):
+        raise ValueError("each coordinate must have 2-power or odd order")
+    beta2 = Bicharacter.from_residues(FinGenAbGroup(0, tuple(moduli[i] for i in two)),
+                                      beta.m, [[beta.N[i][j] for j in two] for i in two])
+    dom2 = beta2.domain
+    involutions = itertools.product(*((0, d // 2) for d in dom2.torsion))
+    next(involutions)  # zero
+    # (representative, the isometries found from it, the members of its
+    # orbit they reach)
+    reps: list[tuple[Coords, list[GroupHom], set[Coords]]] = []
+    for x in involutions:
+        if any(x in orbit for _, _, orbit in reps):
+            continue
+        for rep, found, orbit in reps:
+            if _two_height(rep) != _two_height(x):
+                continue
+            images = beta_isomorphism(beta2, beta2, [(rep, x)])
+            if images is not None:
+                found.append(GroupHom(dom2, dom2, images))
+                _close_orbit(orbit, found)
+                break
+        else:
+            reps.append((x, [], {x}))
+    out = []
+    for rep, _, _ in reps:
+        full = [0] * len(moduli)
+        for i, c in zip(two, rep):
+            full[i] = c
+        out.append(tuple(full))
+    return out
 
 
 def brute_involution_orbits(h):

@@ -32,6 +32,7 @@ from gradekit.matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
     OddAssocGSpec,
+    OddAssocTSpec,
     ParityExtension,
     build_matrix_model,
     build_odd_from_G,
@@ -280,6 +281,58 @@ def test_odd_conversion_is_pinned_and_lists_no_subgroup(monkeypatch):
         assert _conversion_digest([_large_odd_g_spec(h, u)]) == CONVERSION_DIGESTS[h]
     listed = count_calls(monkeypatch, Subgroup, "elements")
     build_odd_from_G(_large_odd_g_spec((8, 8), LARGE_ROOTS[8, 8]))
+    assert listed == []
+
+
+def _coarsening_digest(tspecs):
+    out = []
+    for tspec in tspecs:
+        even = finest_even_coarsening(tspec)
+        out.append([even.group.to_json(), [list(t) for t in even.tgens], even.beta.m,
+                    [list(row) for row in even.beta.N], [list(x) for x in even.gamma0],
+                    [list(x) for x in even.gamma1]])
+    return hashlib.sha256(json.dumps(out).encode("utf-8")).hexdigest()
+
+
+def _rebased(tspec):
+    """The same grading on another basis of T: each generator in turn
+    gains every other one whose order divides its own, which keeps the
+    orders.  The first odd generator's degree is then seldom the least
+    of its coset."""
+    ext = ParityExtension(tspec.group)
+    pairing = EmbeddedPairing(ext.group, tspec.tgens, tspec.beta)
+    gens = list(pairing.gens)
+    orders = tspec.beta.domain.torsion
+    for i in range(len(gens)):
+        for j in range(len(gens)):
+            if j != i and orders[i] % orders[j] == 0:
+                gens[i] = ext.group.add(gens[i], gens[j])
+    beta = Bicharacter.from_residues(tspec.beta.domain, tspec.beta.m,
+                                     [[pairing.value(x, y) for y in gens] for x in gens])
+    return OddAssocTSpec(tspec.group, tuple(gens), beta, tspec.gamma)
+
+
+# sha256 of (group, tgens, beta.m, beta.N, gamma0, gamma1) per finest even
+# coarsening, recorded while it still listed the support
+COARSENING_DIGESTS = {
+    "sample": "b8c1a631702aa1f13ac12cd095bcbaea6ffdf76eb3d1889161c6746048e20d22",
+    (16, 16): "fc2eee2f0ad8f594d8967dddb32d28711fcf55a88ebf044c9b11686ed2806697",
+}
+
+
+def test_finest_even_coarsening_is_pinned_and_lists_no_subgroup(monkeypatch):
+    specs = (_odd_sample() + _twisted_odd_g_specs()
+             + [_large_odd_g_spec(h, u) for h, u in LARGE_ROOTS.items()])
+    tspecs = [build_odd_from_G(spec) for spec in specs]
+    assert _coarsening_digest(tspecs) == COARSENING_DIGESTS["sample"]
+    # the coarsening depends on the grading, not on the basis of T
+    assert _coarsening_digest(map(_rebased, tspecs)) == COARSENING_DIGESTS["sample"]
+    tspec = build_odd_from_G(_large_odd_g_spec((16, 16), (1, 8, 0, 8, 0)))
+    assert _coarsening_digest([tspec]) == COARSENING_DIGESTS[16, 16]
+    listed = count_calls(monkeypatch, Subgroup, "elements")
+    start = time.perf_counter()
+    finest_even_coarsening(tspec)
+    _budget(start, 0.2)
     assert listed == []
 
 
@@ -777,8 +830,8 @@ def test_fine_grading_counts_and_pairwise_distinctness():
 # 11. the odd fine gradings of M(n,n) for n = 4, 8, 12
 
 # descriptors per torus shape h: one per isometry orbit of involutions of
-# the 2-part of H x H^; the shapes up to order 64 are checked against a
-# brute force in test_classify.py
+# the 2-part of H x H^, that is one per 2-height; the shapes up to order
+# 64 are checked against a brute force in test_classify.py
 ODD_FINE_ORBITS = {
     4: {(2,): 1, (4,): 1, (2, 2): 1, (8,): 1, (2, 4): 2, (2, 2, 2): 1},
     8: {(2,): 1, (4,): 1, (2, 2): 1, (8,): 1, (2, 4): 2, (2, 2, 2): 1,
@@ -804,6 +857,27 @@ def test_fine_odd_4_8_12_finish():
             assert all(c == 0 for c, d in zip(t0, moduli) if d % 2)
     assert [sum(v.values()) for v in ODD_FINE_ORBITS.values()] == [7, 14, 14]
     _budget(start, 15.0)
+
+
+# sha256 of json.dumps(payload, sort_keys=True) of `gradekit fine odd n`,
+# recorded while the parity involutions came from an isometry search
+FINE_ODD_DIGESTS = {
+    16: "5313eb4d163825968f5d97e75c70909566aca08f48ceba82059eabc5bb5bd3de",
+    24: "e0ce7587ac0cf95fdd8adb65eb08cb037ae70211df506c643aa29da7ba93fe8a",
+    32: "5536cb7b696bd51f46dfddc2b130f771a379184675edd324b4d845c745ea666f",
+}
+
+
+def test_fine_odd_16_24_32_are_pinned():
+    for n, digest in FINE_ODD_DIGESTS.items():
+        start = time.perf_counter()
+        payload, code = run(["fine", "odd", str(n)])
+        if n == 32:
+            _budget(start, 0.1)
+            assert payload["count"] == 45
+        assert code == 0
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, n
 
 
 # sha256 of json.dumps(payload, sort_keys=True) of `gradekit ugroup` on

@@ -51,6 +51,7 @@ from helpers import (
     random_even_spec,
     random_odd_g_spec,
     random_p_spec,
+    search_involution_orbits,
 )
 
 Z = FinGenAbGroup(1, ())
@@ -479,6 +480,16 @@ def test_involution_orbits_search_the_two_part_only():
     assert _involution_orbits(standard_pair((3,))[1]) == []
     with pytest.raises(ValueError):
         _involution_orbits(standard_pair((6,))[1])
+
+
+@pytest.mark.parametrize("odd", (1, 3))
+@pytest.mark.parametrize("k", range(7))
+def test_involution_orbits_equal_the_isometry_search(k, odd):
+    """The height rule gives the search's representatives on every H
+    whose 2-part has order at most 64, with and without a factor Z/3."""
+    for h in abelian_groups_of_order(odd * 2 ** k):
+        _, beta = standard_pair(h)
+        assert _involution_orbits(beta) == search_involution_orbits(beta), h
 
 
 def test_enumerate_odd_fine_specs_verify():

@@ -27,7 +27,6 @@ from gradekit.matgrade import (
     coarsen,
     finest_even_coarsening,
     odd_existence_check,
-    parity_element,
     universal_group,
     validate_spec,
     verify_grading,
@@ -423,7 +422,7 @@ def test_minimal_odd_conversion():
     assert tspec.tgens == ((2, 0), (0, 1))
     assert tspec.beta.domain == FinGenAbGroup(0, (2, 2))
     assert tspec.beta.q == ((F(0), F(1, 2)), (F(1, 2), F(0)))
-    assert parity_element(tspec) == (2,)
+    assert check_spec(tspec).t0 == (2,)
 
 
 def test_minimal_odd_model():
@@ -481,7 +480,7 @@ def fine_odd_m11_spec():
 
 def test_fine_odd_m11():
     spec = validate_spec(fine_odd_m11_spec())
-    assert parity_element(spec) == (1, 0)
+    assert check_spec(spec).t0 == (1, 0)
     model = build_matrix_model(spec)
     assert model.sizes == (1, 1)
     assert verify_grading(model).ok
@@ -533,7 +532,7 @@ def midsize_odd_spec():
 def test_midsize_odd_pipeline():
     spec = midsize_odd_spec()
     tspec = build_odd_from_G(spec)
-    assert parity_element(tspec) == (2, 0, 0)
+    assert check_spec(tspec).t0 == (2, 0, 0)
     model = build_matrix_model(spec)
     assert model.sizes == (2, 2)
     assert verify_grading(model).ok
@@ -636,7 +635,7 @@ def test_random_odd_specs():
     for _ in range(5):
         spec = random_odd_g_spec(rng)
         tspec = build_odd_from_G(spec)
-        assert parity_element(tspec) == spec.group.reduce(spec.t0)
+        assert check_spec(tspec).t0 == spec.group.reduce(spec.t0)
         model = build_matrix_model(spec)
         assert verify_grading(model).ok
         assert not is_even_grading(model)
