@@ -286,37 +286,60 @@ def product_table(real: StandardRealization) -> ProductTable:
     return table
 
 
-def realization_failures(real: StandardRealization, table: ProductTable,
-                         beta: Bicharacter) -> list[str]:
-    """Every defining identity of a realization that fails, in order.
+def generator_products(real: StandardRealization,
+                       beta: Bicharacter) -> Optional[ProductTable]:
+    """The entries (t, g) of the product table for every t of the domain
+    and every unit generator g, |T| r products for r generators, when
+    they prove identities 1-3 of `realization_failures` for every pair
+    (t, s); else None.
 
-    X_0 must be the identity; each X_t X_s must be sigma(t,s) X_{t+s}
-    with sigma a root of unity and sigma(t,s)/sigma(s,t) = beta(t,s),
-    that is X_t X_s = beta(t,s) X_s X_t; traces must vanish away from 0
-    and equal the size at 0; transposes must match their partners.
-    beta must live on the realization's group; commutation factors are
-    compared as residues modulo the common_modulus of the two root
-    orders.  The products come from table, filled by product_table.
+    They prove them when (i) X_0 is the identity, (ii) every X_t X_g is a
+    root multiple of X_{t+g}, and (iii) sigma(g, h) - sigma(h, g) is
+    beta(g, h) for every pair of generators:
+      - by (ii) and invertibility, X_{s+g} is a root multiple of X_s X_g,
+        so by induction on the length of s as a word in the generators,
+        with X_0 = I to start, X_t X_s is a root multiple of
+        X_t X_{g_1} ... X_{g_l}, hence of X_{t+s};
+      - so X_t X_s = c(t, s) X_s X_t with c a root of unity, and c is
+        multiplicative in each argument: X_t X_s X_u moves X_t past X_s
+        and then past X_u, and X_s X_u is a root multiple of X_{s+u};
+      - for coordinates t = sum t_i g_i and s = sum s_j g_j,
+        c(t, s) = prod c(g_i, g_j)^(t_i s_j), and the residue that
+        `realization_failures` compares with is sum t_i s_j N_ij, so (iii)
+        gives c(t, s) = beta(t, s), which is identity 3.
     """
     if beta.domain != real.group:
         raise ValueError("the bicharacter lives on a different group")
     group = real.group
-    m = real.m
-    unit, fr, fb = common_modulus(m, beta.m)
-    elems = sorted(group.elements())
-    e = group.zero()
+    if real.matrix(group.zero()) != MonomialMatrix.identity(real.size, real.m):
+        return None
+    add = group.add
+    gens = group.generators()
+    mats = {t: real.matrix(t) for t in sorted(group.elements())}
+    table: ProductTable = {}
+    for t, xt in mats.items():
+        for g in gens:
+            tg = add(t, g)
+            sigma = (xt * mats[g]).proportionality(mats[tg])
+            if sigma is None:
+                return None
+            table[t, g] = (sigma, tg)
+    unit, fr, fb = common_modulus(real.m, beta.m)
+    for g in gens:
+        row = _row(g, beta.N)
+        for h in gens:
+            factor = (table[g, h][0] - table[h, g][0]) * fr
+            if (factor - sum(r * y for r, y in zip(row, h)) * fb) % unit:
+                return None
+    return table
+
+
+def element_failures(real: StandardRealization) -> list[str]:
+    """Identities 4 and 5 of `realization_failures`, one element at a
+    time: traces and transposes."""
     failures = []
-    if real.matrix(e) != MonomialMatrix.identity(real.size, m):
-        failures.append("X at the identity is not the identity matrix")
-    for t in elems:
-        row = _row(t, beta.N)
-        for s in elems:
-            entry, back = table[t, s], table[s, t]
-            if entry is None:
-                failures.append(f"X_{t} X_{s} is not a root multiple of X_(t+s)")
-            elif back is not None and ((entry[0] - back[0]) * fr
-                                       - sum(r * y for r, y in zip(row, s)) * fb) % unit:
-                failures.append(f"commutation factor at ({t}, {s}) is off")
+    e = real.group.zero()
+    elems = sorted(real.group.elements())
     for t in elems:
         counts = real.matrix(t).trace_counts()
         if t == e:
@@ -330,3 +353,37 @@ def realization_failures(real: StandardRealization, table: ProductTable,
         if real.matrix(t).transpose() != real.matrix(u).scale(c):
             failures.append(f"transpose identity fails at {t}")
     return failures
+
+
+def realization_failures(real: StandardRealization, table: ProductTable,
+                         beta: Bicharacter) -> list[str]:
+    """Every defining identity of a realization that fails, in order.
+
+    1. X_0 must be the identity; 2. each X_t X_s must be sigma(t,s)
+    X_{t+s} with sigma a root of unity; 3. sigma(t,s)/sigma(s,t) =
+    beta(t,s), that is X_t X_s = beta(t,s) X_s X_t; 4. traces must
+    vanish away from 0 and equal the size at 0; 5. transposes must match
+    their partners (`element_failures`).  beta must live on the
+    realization's group; commutation factors are compared as residues
+    modulo the common_modulus of the two root orders.  The products come
+    from table, filled by product_table.
+    """
+    if beta.domain != real.group:
+        raise ValueError("the bicharacter lives on a different group")
+    group = real.group
+    m = real.m
+    unit, fr, fb = common_modulus(m, beta.m)
+    elems = sorted(group.elements())
+    failures = []
+    if real.matrix(group.zero()) != MonomialMatrix.identity(real.size, m):
+        failures.append("X at the identity is not the identity matrix")
+    for t in elems:
+        row = _row(t, beta.N)
+        for s in elems:
+            entry, back = table[t, s], table[s, t]
+            if entry is None:
+                failures.append(f"X_{t} X_{s} is not a root multiple of X_(t+s)")
+            elif back is not None and ((entry[0] - back[0]) * fr
+                                       - sum(r * y for r, y in zip(row, s)) * fb) % unit:
+                failures.append(f"commutation factor at ({t}, {s}) is off")
+    return failures + element_failures(real)

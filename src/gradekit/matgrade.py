@@ -41,7 +41,13 @@ from .abgroup import (
     subgroup_and_quotient,
 )
 from .bichar import Bicharacter, common_modulus
-from .graddiv import StandardRealization, product_table, realization_failures
+from .graddiv import (
+    StandardRealization,
+    element_failures,
+    generator_products,
+    product_table,
+    realization_failures,
+)
 
 
 class ParityExtension:
@@ -403,11 +409,18 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
     """Whether the product rule holds on every compatible basis pair of a
     model whose basis is the block grid (`grid_failures` empty), by the
     block x torus factorization v(E_ij X_t) = B(i, j) + tau(t) of
-    v = (degree, parity mod 2), in O(k^2 |T| + k^3 + |T|^2):
+    v = (degree, parity mod 2), in O(k^2 |T| + len(table)):
       (a) every v splits so, with B read at t_abs = 0 and tau on block (0, 0);
-      (b) B(i, j) + B(j, l) = B(i, l) for every triple of rows;
-      (c) tau(t) + tau(s) = tau(t + s) for every table entry.
-    Then v(x) + v(y) = v(target) for every pair `_pair_failures` visits.
+      (b) B(j, j) = 0 and B(i, j) = B(i, 0) + B(0, j) for all rows i, j;
+      (c) tau(t) + tau(s) = tau(t + s) for every table entry (t, s).
+    (b) gives B(i, j) + B(j, l) = B(i, 0) + B(0, l) = B(i, l), since
+    B(0, j) + B(j, 0) = B(j, j) = 0.  With table = `product_table`, (c)
+    holds for every pair; with table = `generator_products`, for every
+    t and unit generator g, and then tau is a homomorphism: tau(0) = 0,
+    and tau(t + s + g) = tau(t + s) + tau(g) = tau(t) + tau(s + g) by
+    induction on the length of s as a word in the generators.  Either
+    way v(x) + v(y) = v(target) for every pair `_pair_failures` visits,
+    whose product lands on E_il X_{t+s}.
     """
     vg = ParityExtension(model.degree_group).group
     add = vg.add
@@ -420,9 +433,11 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
     origin = vg.neg(block[0, 0])
     tau = {b.t_abs: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == 0}
     rows = range(sum(model.sizes) // model.realization.size)
+    vzero = vg.zero()
     return (all(v == add(block[b.i, b.j], tau[b.t_abs]) for b, v in zip(basis, vec))
-            and all(add(block[i, j], block[j, l]) == block[i, l]
-                    for i in rows for j in rows for l in rows)
+            and all(block[j, j] == vzero for j in rows)
+            and all(add(block[i, 0], block[0, j]) == block[i, j]
+                    for i in rows for j in rows)
             and all(entry is not None and add(tau[t], tau[s]) == tau[entry[1]]
                     for (t, s), entry in table.items()))
 
@@ -466,18 +481,31 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     """Check the realization identities, that the basis is the block grid
     (`grid_failures`), then the product rule on every compatible basis pair.
 
-    Each product X_t X_s is formed once, in a table over the pairing's
-    domain.  The product rule is proved for all pairs at once through
-    the block x torus factorization of the degrees; off the block grid,
-    or when that proof does not go through, every pair is checked, so
-    `failures` lists every failing pair.  `pairs_checked` counts the
-    compatible pairs either way."""
-    table = product_table(model.realization)
-    failures = realization_failures(model.realization, table, model.pairing.beta)
+    First a proof from the generators of the pairing's domain, with
+    |T| r products for r generators: `generator_products` proves the
+    product and commutation identities for every pair (t, s),
+    `element_failures` checks traces and transposes per element, and
+    `_factorized_product_rule` on the generator entries proves the rule
+    for every compatible basis pair.  When any of these fails, each
+    product X_t X_s is formed once, in a table over the domain, and the
+    realization identities are checked pair by pair; the product rule is
+    then proved through the factorization on the full table, and off the
+    block grid, or when that proof does not go through, every pair is
+    checked, so `failures` lists every failing pair.  Either way
+    `distinct_products` (|T|^2) and `pairs_checked` count the products
+    and the compatible pairs that the verdict covers."""
+    real = model.realization
+    beta = model.pairing.beta
+    products = generator_products(real, beta)
     grid = grid_failures(model)
-    failures += grid
-    if grid or not _factorized_product_rule(model, table):
-        failures += _pair_failures(model, table)
+    if (products is None or grid or element_failures(real)
+            or not _factorized_product_rule(model, products)):
+        table = product_table(real)
+        failures = realization_failures(real, table, beta) + grid
+        if grid or not _factorized_product_rule(model, table):
+            failures += _pair_failures(model, table)
+    else:
+        failures = []
     row_size: dict[int, int] = {}
     for b in model.basis:
         row_size[b.i] = row_size.get(b.i, 0) + 1
@@ -485,7 +513,7 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     support = model.support()
     supp_even = tuple(sorted({b.degree for b in model.basis if b.parity == 0}))
     supp_odd = tuple(sorted({b.degree for b in model.basis if b.parity == 1}))
-    stats = {"pairs_checked": pairs, "distinct_products": len(table)}
+    stats = {"pairs_checked": pairs, "distinct_products": real.group.order() ** 2}
     return GradingReport(not failures, failures, support, supp_even, supp_odd, stats)
 
 

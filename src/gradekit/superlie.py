@@ -36,6 +36,7 @@ from .matgrade import (
     check_spec,
     coset_shifts,
     presented_quotient,
+    verify_grading,
 )
 
 F0 = Fraction(0)
@@ -478,14 +479,18 @@ class PGradedModel:
     def total_dim(self) -> int:
         return sum(len(items) for items in self.components.values())
 
+    def echelon(self, degree: Coords) -> dict:
+        """The echelon rows of the component, computed once."""
+        if degree not in self._echelon:
+            self._echelon[degree] = _echelon(
+                _entries(x) for x, _ in self.components.get(degree, ()))
+        return self._echelon[degree]
+
     def contains(self, degree: Coords, entries: Entries) -> bool:
         """Whether the matrix with these entries lies in the component."""
-        items = self.components.get(degree)
-        if not items:
+        if not self.components.get(degree):
             return not entries
-        if degree not in self._echelon:
-            self._echelon[degree] = _echelon(_entries(x) for x, _ in items)
-        return not _reduce(entries, self._echelon[degree])
+        return not _reduce(entries, self.echelon(degree))
 
 
 def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, int]]]:
@@ -542,22 +547,142 @@ class PReport:
     stats: dict[str, int]
 
 
-def verify_P_graded(model: PGradedModel) -> PReport:
-    """Dimension bookkeeping and exact bracket closure for a P model.
+def _p_image(r: int, c: int, half: int) -> tuple[int, int, int]:
+    """(r', c', s) with sigma(E_rc) = s E_r'c' for the involution
+    sigma(a b; c d) = (-d^T b^T; -c^T -a^T) of M(half, half), whose fixed
+    points with tr a = 0 are the standard copy of P(n)."""
+    swap = (c + half if c < half else c - half, r + half if r < half else r - half)
+    return swap + (1 if r < half <= c else -1,)
 
-    stats counts the brackets formed (one per unordered pair of basis
-    vectors) and the membership checks among them.
+
+def _fixed_copy_closed(half: int, image=_p_image) -> bool:
+    """Whether {x : sigma(x) = x, tr a = 0} is closed under the
+    supercommutator, for sigma(E_rc) = e(r, c) E_r'c' given by image, in
+    O((2 half)^3) steps on matrix units.
+
+    Write |rc| for the parity of E_rc (r and c on different sides of
+    half) and tau = -sigma.  The checks are:
+      - sigma is an involution that keeps parities and sends E_rc to
+        +-E_{pi c, pi r} for one permutation pi;
+      - e(p, u) = -(-1)^(|pq| |qu|) e(p, q) e(q, u) for every triple of
+        indices p, q, u;
+      - sigma(E_ii) = -E_jj with i and j on different sides.
+    Proof.  tau(E_rs) tau(E_pq) is a multiple of E_{pi s, pi r}
+    E_{pi q, pi p}, which vanishes unless q = r, as E_pq E_rs does; for
+    q = r the triple check is tau(E_pq E_qu) = (-1)^(|pq| |qu|) tau(E_qu)
+    tau(E_pq).  By bilinearity tau(xy) = (-1)^(|x||y|) tau(y) tau(x) for
+    homogeneous x and y, so tau is a super-anti-automorphism, and
+    sigma[x, y] = -tau(xy) + (-1)^(|x||y|) tau(yx) = [tau x, tau y]
+    = [sigma x, sigma y]: the fixed points of sigma are closed under the
+    bracket.  The supertrace vanishes on brackets, and on a fixed point
+    the diagonal check pairs each x_ii of a with x_jj = -x_ii of d, so
+    str x = 2 tr a: the bracket has tr a = 0 too.
     """
+    units = range(2 * half)
+    side = [int(i >= half) for i in units]
+    pi = [image(i, i, half)[1] for i in units]
+    if sorted(pi) != list(units):
+        return False
+    sign = []
+    for r in units:
+        row = []
+        for c in units:
+            r2, c2, s = image(r, c, half)
+            if ((r2, c2) != (pi[c], pi[r]) or image(r2, c2, half) != (r, c, s)
+                    or side[r] ^ side[c] != side[r2] ^ side[c2]):
+                return False
+            row.append(s)
+        sign.append(tuple(row))
+    if any(sign[i][i] != -1 or side[i] == side[pi[i]] for i in units):
+        return False
+    # the triple rule, row p of sign at once: for each q, the row is
+    # -s(p, q) s(q, .), its entries negated where both |pq| and |q.| are odd
+    for q in units:
+        plain = tuple(-x for x in sign[q])
+        twisted = tuple(-x if side[q] ^ side[t] else x for t, x in zip(units, plain))
+        want = {(0, 1): plain, (1, 1): twisted,
+                (0, -1): tuple(-x for x in plain), (1, -1): tuple(-x for x in twisted)}
+        if any(sign[p] != want[side[p] ^ side[q], sign[p][q]] for p in units):
+            return False
+    return True
+
+
+def _in_fixed_copy(entries: Entries, z: int, half: int) -> bool:
+    """Whether a matrix lies in the z-corner of P(n): every entry inside
+    the corner, sigma(x) = x (`_p_image`) and, for z = 0, tr a = 0."""
+    size = 2 * half
+    trace = 0
+    for (r, c), v in entries.items():
+        if not (0 <= r < size and 0 <= c < size) or int(r >= half) - int(c >= half) != z:
+            return False
+        r2, c2, s = _p_image(r, c, half)
+        if entries.get((r2, c2), 0) != s * v:
+            return False
+        if r == c < half:
+            trace += v
+    return not trace
+
+
+def _ambient_proof(model: PGradedModel) -> bool:
+    """Whether the ambient even grading proves the bracket rule of every
+    pair of basis vectors, given the dimension checks of
+    `verify_P_graded`:
+      (0) `verify_grading` passes on the ambient model, an even model of
+          M(half, half) with an elementary 2-group torus;
+      (3) every basis vector (x, z) of component g lies in the z-corner
+          of P(n) (`_in_fixed_copy`), and its coordinates in the ambient
+          basis E_IJ X_t are nonzero only on elements of degree g and
+          z_degree z;
+      (4) the vectors of each component are independent;
+      (5) the standard copy is closed (`_fixed_copy_closed(half)`).
+    Each X_t is a signed permutation matrix, so X_t^T = X_t^-1 and
+    tr(X_t^T X_s) = d if s = t and 0 otherwise (X_t^-1 X_s is a root
+    multiple of X_{s-t}): the |T| = d^2 matrices X_t are an orthogonal
+    basis of the d x d matrices, and the coordinate of X_t in block
+    (I, J) of x is (1/d) sum_col x[perm col, col] sign(col).
+    """
+    ambient = model.ambient
+    real = ambient.realization
+    half = ambient.sizes[0]
+    if (ambient.kind != "even" or ambient.sizes[1] != half
+            or real.group != ambient.pairing.beta.domain
+            or any(t != 2 for t in real.group.torsion)
+            or not verify_grading(ambient).ok or not _fixed_copy_closed(half)):
+        return False
+    d = real.size
+    # (row, col) of a d x d block -> (t_abs, sign) of every X_t nonzero there
+    positions: dict[tuple[int, int], list[tuple[Coords, int]]] = {}
+    for t in sorted(real.group.elements()):
+        mono = real.matrix(t)
+        for col, (row, e) in enumerate(zip(mono.perm, mono.exps)):
+            positions.setdefault((row, col), []).append((t, _sign(e, mono.m)))
+    basis, index = ambient.basis, ambient.index
+    for g, items in model.components.items():
+        for rows, z in items:
+            entries = _entries(rows)
+            if not _in_fixed_copy(entries, z, half):
+                return False
+            coords: dict[tuple[int, int, Coords], int] = {}
+            for (r, c), v in entries.items():
+                block = (r // d, c // d)
+                for t, s in positions[r % d, c % d]:
+                    key = block + (t,)
+                    coords[key] = coords.get(key, 0) + s * v
+            for key, v in coords.items():
+                n = index.get(key)
+                if v and (n is None or basis[n].degree != g or basis[n].z_degree != z):
+                    return False
+        if len(model.echelon(g)) != len(items):
+            return False
+    return True
+
+
+def _bracket_failures(model: PGradedModel) -> list[str]:
+    """The bracket of every unordered pair of basis vectors, checked
+    exactly: one failure per pair of Z-degrees summing to +-2 whose
+    bracket does not vanish, and per other pair whose bracket leaves the
+    component of the sum of the degrees."""
     failures = []
-    stats = {"brackets_formed": 0, "membership_checks": 0}
-    n1 = model.n + 1
-    total = model.total_dim()
-    if total != 2 * n1 * n1 - 1:
-        failures.append(f"dimensions sum to {total}, expected {2 * n1 * n1 - 1}")
-    z_dims = model.z_dims()
-    expected_z = {0: n1 * n1 - 1, -1: n1 * (n1 + 1) // 2, 1: n1 * (n1 - 1) // 2}
-    if z_dims != expected_z:
-        failures.append(f"Z-component dimensions {z_dims} != {expected_z}")
     group = model.ambient.base_group
     degrees = list(model.components)
     # [y,x] is proportional to [x,y], so unordered pairs suffice
@@ -569,16 +694,47 @@ def verify_P_graded(model: PGradedModel) -> PReport:
                 start = a if g == h else 0
                 for y, zy in items_h[start:]:
                     lie = _bracket(x, zx, y, zy)
-                    stats["brackets_formed"] += 1
                     if zx + zy in (2, -2):
                         if lie:
                             failures.append(f"bracket of z-degrees {zx},{zy} "
                                             "does not vanish")
-                        continue
-                    stats["membership_checks"] += 1
-                    if not model.contains(target, lie):
+                    elif not model.contains(target, lie):
                         failures.append(f"bracket of components {g} and {h} "
                                         f"leaves the component at {target}")
+    return failures
+
+
+def verify_P_graded(model: PGradedModel) -> PReport:
+    """Dimension bookkeeping and exact bracket closure for a P model.
+
+    The bracket rule is proved through the ambient grading when
+    `_ambient_proof` holds and the dimension checks pass: the components
+    V_g lie in P and in A_g, are independent and sum to dim P, and the
+    A_g are independent, so P is their direct sum and V_g = P cap A_g.
+    For x in V_g and y in V_h, [x, y] lies in P (`_fixed_copy_closed`)
+    and in A_{g+h} (the ambient product rule), hence in V_{g+h}; and
+    two vectors of the b corner, or two of the c corner, multiply to 0
+    both ways, so brackets of Z-degrees summing to +-2 vanish.  When any
+    check fails, every unordered pair of basis vectors is bracketed
+    (`_bracket_failures`).  Either way stats count the pairs the verdict
+    covers: every unordered pair of basis vectors, and among them the
+    pairs whose Z-degrees do not sum to +-2, whose bracket must lie in a
+    component.
+    """
+    failures = []
+    n1 = model.n + 1
+    total = model.total_dim()
+    if total != 2 * n1 * n1 - 1:
+        failures.append(f"dimensions sum to {total}, expected {2 * n1 * n1 - 1}")
+    z_dims = model.z_dims()
+    expected_z = {0: n1 * n1 - 1, -1: n1 * (n1 + 1) // 2, 1: n1 * (n1 - 1) // 2}
+    if z_dims != expected_z:
+        failures.append(f"Z-component dimensions {z_dims} != {expected_z}")
+    if failures or not _ambient_proof(model):
+        failures += _bracket_failures(model)
+    pairs = total * (total + 1) // 2
+    vanishing = sum(k * (k + 1) // 2 for k in (z_dims[-1], z_dims[1]))
+    stats = {"brackets_formed": pairs, "membership_checks": pairs - vanishing}
     return PReport(not failures, failures, model.dims(), z_dims, stats)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from gradekit.abgroup import FinGenAbGroup, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, standard_pair
-from gradekit.cli import run
+from gradekit.cli import parse_spec, run
 from gradekit.classify import (
     _same_division_data,
     enumerate_P_fine,
@@ -36,6 +36,7 @@ from gradekit.matgrade import (
     ParityExtension,
     build_matrix_model,
     build_odd_from_G,
+    check_spec,
     coarsen,
     finest_even_coarsening,
     odd_existence_check,
@@ -937,3 +938,69 @@ def test_universal_groups_of_fine_odd_8_and_12(tmp_path):
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, path
     _budget(start, 20.0)
+
+
+# sha256 of json.dumps(payload, sort_keys=True) of `gradekit verify` on
+# every `fine odd 16` and `fine p 15` descriptor, recorded while verify
+# formed every product X_t X_s and bracketed every pair of P(n) basis
+# vectors
+VERIFY_DIGESTS_16 = {
+    "odd 16": [
+        "fc03a4340adeb3a4133a7275e38ab1414c7187bc3c4e041100f84871ef34a881",
+        "a878679ee1a403cda01b90b20aea547b550b81e41d96ebc90aac47286d68e42d",
+        "c60046f87a0b663477c742257c7741b8faad333556d1a6a804cf318fa30b5cf1",
+        "5bf8818e0cd0a5c152e539343d4e2a31849d4bc18c6b5a2008c55f782125218a",
+        "451822bd801fec020af0e2be1e837d2b0c52030dc106ba6ac34d6bc4921ef614",
+        "97f38ca78a3cb3fb0d912b26468552b69ef206cc4ea9284d76e2c3f528b2d08a",
+        "ba1a3358b56476d8d6e504f15597bb20242cdffe4587cd3adca165e7df295558",
+        "9b663cc01001a2303db6e619ccd9fa3953e71348c2bc8b085fa52fcd52a675da",
+        "54ace5c01520532ab68160a7a6a8f23dc7972dc2f4c40bcdb33644ffd5276da5",
+        "95fbf071ed46746f242a9ebac933751cde58e6464c124af5abe83c50b5151b72",
+        "9876e38e60ed9fd1b258aa71fd58c0717e885d6e06cfab3c3e237b066f4fee57",
+        "2a5fb7f4d414fc21f13bc01925a0dca3005ac888be8f155aec917f3bc9b43e69",
+        "5576f9fa2d61500381f007e3b9c94d98c0227a1add92e9aff4775a5fb2d8090a",
+        "e18f114b39133514d674224e8e66571cf6ec28400352e3770e1f74d1283b3442",
+        "676f8a2355e009dc7e7cbd599a88d88c18329441487bf199f77c12032b673477",
+        "d8c3e204481847b928a9ddd276b35f685cb20f03bfec3a942f6e8b91fae01eda",
+        "801a7401115f1db895ac144d6ef9e0fda70794b7cce38e5b6d9ac13e68a7a2aa",
+        "c074d237d4b39b808f53d9dee1c067b37bf1e48808e8d842845014c571af63b6",
+        "52d9f799284b08f78221fd5418429b7fa6077fe3bb27f29b7f5c47d1a709f3ef",
+        "b153a177c682460b35b31511864ffba12c4a4ccc7f415d85f1719270c5980ccd",
+        "7f5f404ba62a83506b87ab5557ccd81a86b953e9f80d37fc5ae86b412e62ad2d",
+        "c32d08e096cdabb7777d6fedb2523b0cf99169f2b1fcc7c62434e2ea8020ea32",
+        "0d6b850a26e0c3687a025cbf191bc2a6826d6c444407d03fc6fd266826247cb6",
+        "b6c965b1b12a8b71aa5d55175dcf6d7628cf8d97f6eecacff2da83b03e81917d",
+        "0838781204b713d5e1411592adcde42eaf56e752e1e2dd7a926fd1abd7354d28",
+        "e7d06ac66918d7563bef006302e6cd17a0f1f61acd46be3155941c8918bf418d"],
+    "p 15": [
+        "e8780ff069c46138a03595bd510551c3a52b3750049baef9cc91f9e871238d95",
+        "1f7d63f8aa567676aa09f8947d1081516c1d6b3974c2b7a251cf05dcf65e8a09",
+        "71c9c29d810dc72fc43d4f6e14826b10ea42e5a7ba731b85dfb07a701092ad4f",
+        "db69ba1d47038ae5423239803f468b55ad5ffb32dd648d383ce77144cf7e3dc5",
+        "33d2338e487791feda67ef667fa8286dc41c6352f0f532e3607a185e444b9f21"],
+}
+
+
+def test_verify_of_fine_odd_16_and_p_15_is_pinned(tmp_path, monkeypatch):
+    """`gradekit verify` on every fine grading of M(16, 16) with odd
+    support and of P(15) gives the recorded payload, each in under a
+    second, model build included; on `fine odd 16` #14 (|T| = 1 024) it
+    multiplies fewer than |T|^2 / 10 pairs of torus matrices."""
+    for listing, digests in VERIFY_DIGESTS_16.items():
+        payload, code = run(["fine"] + listing.split())
+        assert code == 0 and len(payload["descriptors"]) == len(digests)
+        for i, (desc, digest) in enumerate(zip(payload["descriptors"], digests)):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(desc["spec"]))
+            with monkeypatch.context() as patch:
+                products = count_calls(patch, MonomialMatrix, "__mul__")
+                start = time.perf_counter()
+                out, code = run(["verify", "-f", str(path)])
+                _budget(start, 1.0)
+            assert code == 0
+            text = json.dumps(out, sort_keys=True)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (listing, i)
+            if (listing, i) == ("odd 16", 14):
+                order = check_spec(parse_spec(desc["spec"])).pairing.beta.domain.order()
+                assert order == 1024
+                assert len(products) < order ** 2 / 10

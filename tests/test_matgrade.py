@@ -8,10 +8,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from gradekit import matgrade
 from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, standard_pair
 from gradekit.classify import enumerate_even_fine, enumerate_odd_fine
-from gradekit.graddiv import StandardRealization, product_table
+from gradekit.graddiv import (
+    MonomialMatrix,
+    StandardRealization,
+    element_failures,
+    generator_products,
+    product_table,
+    realization_failures,
+)
 from gradekit.matgrade import (
     CosetMultiset,
     EmbeddedPairing,
@@ -34,6 +42,7 @@ from gradekit.matgrade import (
 
 from helpers import (
     TRIVIAL_BETA,
+    count_calls,
     count_odd_conversions,
     embedded_standard_torus,
     exponent,
@@ -399,6 +408,82 @@ def test_verify_agrees_with_per_pair_oracle():
     assert failing["element dropped"] == 48
     assert failing["element duplicated"] == failing["element outside the grid"] == 48
     assert landed == {"element dropped": 47}
+
+
+def _generator_proof_mutants():
+    """An even model of M(8, 4) over T = (Z/2)^4 with k = 3 blocks, and
+    four mutants, each with a fault that one step of the generator proof
+    alone can see: (iii) a realization of another pairing; (ii) one X_t,
+    t a sum of three generators, with the two entries of one 2-cycle
+    negated (same trace, same transpose rule); (c') the degrees of that
+    torus label t shifted; (b') the degrees of block (1, 2) shifted."""
+    group, tgens, beta = embedded_standard_torus((2, 2), free=1)
+    gamma = tuple(group.scale(i, group.unit(0)) for i in range(3))
+    model = build_matrix_model(EvenAssocSpec(group, tgens, beta, gamma[:2], gamma[2:]))
+    yield "unchanged", model
+    dg, dom = model.degree_group, beta.domain
+    delta = dg.unit(0)
+    n = [list(row) for row in beta.N]
+    n[0][1] = n[1][0] = beta.m // 2
+    other = Bicharacter.from_residues(dom, beta.m, n)
+    assert other != beta and other.is_nondegenerate()
+    yield "generator commutation", with_parts(model, realization=StandardRealization(other))
+    real = StandardRealization(beta)
+    # no product of two generators lands on t, so only (ii) multiplies X_t
+    t = next(t for t in sorted(dom.elements())
+             if sum(t) == 3 and real.matrix(t).perm[0] != 0)
+    mono = real.matrix(t)
+    exps = list(mono.exps)
+    for j in (0, mono.perm[0]):
+        exps[j] = (exps[j] + mono.m // 2) % mono.m
+    a, b, _ = real._parts[t]
+    real._parts[t] = (a, b, MonomialMatrix(mono.m, mono.perm, exps))
+    yield "one product", with_parts(model, realization=real)
+    yield "one torus label", with_parts(model, basis=tuple(
+        replace(x, degree=dg.add(x.degree, delta)) if x.t_abs == t else x
+        for x in model.basis))
+    yield "one block", with_parts(model, basis=tuple(
+        replace(x, degree=dg.add(x.degree, delta)) if (x.i, x.j) == (1, 2) else x
+        for x in model.basis))
+
+
+def test_generator_proof_mutants_give_the_reference_failures():
+    """The unchanged model is proved from its |T| r generator products.
+    Each mutant fails the step of the proof it was made for, and verify
+    then reports the failures of the full path: the realization
+    identities on the full product table, then the per-pair oracle."""
+    for name, mutant in _generator_proof_mutants():
+        real, beta = mutant.realization, mutant.pairing.beta
+        products = generator_products(real, beta)
+        assert element_failures(real) == [], name
+        realization = realization_failures(real, product_table(real), beta)
+        report = verify_grading(mutant)
+        if name == "unchanged":
+            assert len(products) == 16 * 4
+            assert _factorized_product_rule(mutant, products)
+            assert realization == [] and report.ok
+            continue
+        if name in ("generator commutation", "one product"):
+            assert products is None and realization, name
+        else:
+            assert not _factorized_product_rule(mutant, products), name
+            assert realization == [], name
+        assert not report.ok, name
+        assert report.failures == realization + per_pair_failures(mutant), name
+
+
+def test_verify_forms_no_product_table_on_a_valid_model(monkeypatch):
+    """A valid model is verified from |T| r products, r the number of
+    generators of the pairing's domain, without the full table."""
+    group, tgens, beta = embedded_standard_torus((2, 2), free=1)
+    model = build_matrix_model(EvenAssocSpec(group, tgens, beta, (group.zero(),),
+                                             (group.unit(0),)))
+    tables = count_calls(monkeypatch, matgrade, "product_table")
+    products = count_calls(monkeypatch, MonomialMatrix, "__mul__")
+    report = verify_grading(model)
+    assert report.ok and tables == []
+    assert len(products) == 16 * 4
+    assert report.stats["distinct_products"] == 16 ** 2
 
 
 def test_coarsen_even_model():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from gradekit.abgroup import FinGenAbGroup
 from gradekit.bichar import standard_pair
 from gradekit.matgrade import (
     EvenAssocSpec,
+    GradedMatrixModel,
     OddAssocGSpec,
     OddAssocTSpec,
     build_matrix_model,
@@ -22,13 +24,20 @@ from gradekit.matgrade import (
 from gradekit.classify import enumerate_P_fine
 from gradekit.superlie import (
     BlockMatrix,
+    PGradedModel,
     PSpec,
     P_restriction_condition,
+    _ambient_proof,
     _basis_entries,
     _bracket,
+    _bracket_failures,
     _dense,
     _entries,
+    _fixed_copy_closed,
+    _in_fixed_copy,
     _kernel,
+    _p_constraints,
+    _p_image,
     _reduce_vector,
     _rref,
     ambient_even_spec,
@@ -541,3 +550,120 @@ def test_verify_P_rejects_a_component_vector_outside_P():
     assert report.failures == _dense_closure_failures(model)
     assert report.dims == {(-3,): 1, (-2,): 2, (-1,): 3, (0,): 3, (1,): 3,
                            (2,): 3, (3,): 1, (4,): 1}
+
+
+def _p2_model():
+    return build_P_model(PSpec(Z, (), TRIVIAL_BETA, ((0,), (1,), (2,)), (0,)))
+
+
+def _ambient_proof_mutants():
+    """P(2) over Z with block degrees 0, 1, 2 (every ambient element is
+    one matrix unit E_ij), and four mutants that keep every dimension:
+    a vector moved to another degree, the same with the two ambient
+    elements it lies on relabelled to that degree, a vector with one
+    entry outside its Z-corner, and a vector replaced by a copy of
+    another in its component."""
+    model = _p2_model()
+    moved = model.components[(-3,)].pop()
+    assert _entries(moved[0]) == {(4, 2): -1, (5, 1): 1}
+    model.components[(4,)].append(moved)
+    yield "moved", model
+    amb = model.ambient
+    basis = tuple(replace(b, degree=(4,)) if (b.i, b.j) in ((4, 2), (5, 1)) else b
+                  for b in amb.basis)
+    yield "moved with its ambient elements", PGradedModel(
+        model.spec, GradedMatrixModel(amb.kind, amb.base_group, amb.degree_group,
+                                      amb.sizes, basis, amb.pairing,
+                                      amb.realization, amb.parity_coords),
+        model.components)
+    model = _p2_model()
+    rows, z = model.components[(-1,)][0]
+    assert z == 0
+    model.components[(-1,)][0] = ({**rows, 0: {**rows[0], 4: 1}}, z)
+    yield "entry outside its corner", model
+    model = _p2_model()
+    items = model.components[(-1,)]
+    assert items[0][1] == items[1][1] == 0
+    items[1] = items[0]
+    yield "dependent", model
+
+
+def test_ambient_proof_mutants_give_the_pair_loop_failures():
+    for name, model in _ambient_proof_mutants():
+        assert not _ambient_proof(model), name
+        report = verify_P_graded(model)
+        assert not report.ok, name
+        assert report.failures == _bracket_failures(model), name
+        assert report.failures == _dense_closure_failures(model), name
+        assert report.z_dims == {-1: 6, 0: 8, 1: 3}
+        assert report.stats == {"brackets_formed": 17 * 18 // 2,
+                                "membership_checks": 17 * 18 // 2 - 21 - 6}
+
+
+def test_ambient_proof_agrees_with_the_pair_loop():
+    """Every fine grading of P(n), n <= 7, and 50 seeded random P specs
+    are proved through the ambient grading, and the pair loop finds no
+    failure on any of them."""
+    models = [build_P_model(d.spec) for n in range(2, 8) for d in enumerate_P_fine(n)]
+    rng = random.Random(53)
+    models += [build_P_model(random_p_spec(rng)) for _ in range(50)]
+    for model in models:
+        assert _ambient_proof(model)
+        assert verify_P_graded(model).ok
+        assert _bracket_failures(model) == []
+
+
+def _b_antisymmetric(r, c, half):
+    r2, c2, _ = _p_image(r, c, half)
+    return r2, c2, -1
+
+
+def _c_symmetric(r, c, half):
+    r2, c2, s = _p_image(r, c, half)
+    return r2, c2, 1 if r >= half > c else s
+
+
+def test_fixed_copy_is_closed_and_wrong_copies_are_not():
+    for half in range(3, 17):
+        assert _fixed_copy_closed(half)
+        assert not _fixed_copy_closed(half, _b_antisymmetric)
+        assert not _fixed_copy_closed(half, _c_symmetric)
+
+
+def test_fixed_copy_membership_matches_the_p_constraints():
+    """`_in_fixed_copy` (sigma(x) = x, tr a = 0) and the constraint
+    functionals of p_intersection cut out the same matrices of each
+    Z-corner: on y + sigma(y), on y + sigma(y) with one entry changed,
+    and on every component vector of the fine gradings of P(3)."""
+    rng = random.Random(59)
+    half = 4
+
+    def corner(z):
+        rows = range(half) if z < 1 else range(half, 2 * half)
+        cols = range(half) if z > -1 else range(half, 2 * half)
+        if z == 0 and rng.random() < 0.5:
+            rows = cols = range(half, 2 * half)
+        return rng.choice(rows), rng.choice(cols)
+
+    for _ in range(300):
+        z = rng.choice((-1, 0, 1))
+        x: dict = {}
+        for _ in range(rng.randint(1, 4)):
+            r, c = corner(z)
+            r2, c2, s = _p_image(r, c, half)
+            v = rng.choice((1, -1, 2))
+            x[r, c] = x.get((r, c), 0) + v
+            x[r2, c2] = x.get((r2, c2), 0) + s * v
+        if z == 0:
+            trace = sum(v for (r, c), v in x.items() if r == c < half)
+            x[0, 0] = x.get((0, 0), 0) - trace
+            x[half, half] = x.get((half, half), 0) + trace
+        if rng.random() < 0.5:
+            key = corner(z)
+            x[key] = x.get(key, 0) + rng.choice((1, -1))
+        x = {k: v for k, v in x.items() if v}
+        assert _in_fixed_copy(x, z, half) == (_p_constraints(x, z, half) == {})
+    for model in _fine_p3_models():
+        for items in model.components.values():
+            for rows, z in items:
+                assert _in_fixed_copy(_entries(rows), z, half)
