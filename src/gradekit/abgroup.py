@@ -421,10 +421,6 @@ class FinGenAbGroup:
                 ds[i], ds[j] = g, ds[i] // g * ds[j]
         return tuple(d for d in ds if d > 1)
 
-    def is_isomorphic_to(self, other: "FinGenAbGroup") -> bool:
-        return (self.free_rank == other.free_rank
-                and self.invariant_factors() == other.invariant_factors())
-
     def to_json(self) -> dict:
         return {"free": self.free_rank, "torsion": list(self.torsion)}
 

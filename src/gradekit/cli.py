@@ -235,7 +235,7 @@ def cmd_fine(family: str, sizes: Sequence[int]) -> tuple[dict, int]:
 
 def cmd_ugroup(spec) -> tuple[dict, int]:
     if isinstance(spec, PSpec):
-        group, labels = universal_P_group(build_P_model(spec))
+        group, labels = universal_P_group(spec)
     else:
         group, labels = universal_group(build_matrix_model(spec))
     payload = {

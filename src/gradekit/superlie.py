@@ -11,7 +11,11 @@ ambient even model with the fixed standard copy
 inside M(n+1,n+1).  The support of the division algebra must be an
 elementary 2-group, so every realized basis element is a signed
 permutation block and the P(n) layer is exact sparse integer linear
-algebra, with one bracket routine for closure and universal groups.
+algebra, with one bracket routine for closure.  Universal groups need
+no P(n) basis: each basis vector off the trace-free diagonal is
+x + sigma(x) for one ambient basis element x, of x's degree, and a
+family of pairs of them with closed-form nonzero brackets generates
+every relation (`p_labels`).
 """
 
 from __future__ import annotations
@@ -524,12 +528,17 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, in
     return {g: items for g, items in sorted(components.items())}
 
 
-def build_P_model(spec: PSpec) -> PGradedModel:
+def _ambient_model(spec: PSpec) -> tuple[PSpec, GradedMatrixModel]:
+    """The checked spec and its ambient even model of M(n+1, n+1)."""
     checked = check_p_spec(spec)
     spec = checked.spec
     # the ambient even spec has the same (T, beta), so its pairing is checked
-    ambient = build_matrix_model(CheckedSpec(spec, ambient_even_spec(spec),
-                                             checked.pairing))
+    return spec, build_matrix_model(CheckedSpec(spec, ambient_even_spec(spec),
+                                                checked.pairing))
+
+
+def build_P_model(spec: PSpec) -> PGradedModel:
+    spec, ambient = _ambient_model(spec)
     model = PGradedModel(spec, ambient, p_intersection(ambient))
     expected = 2 * (model.n + 1) ** 2 - 1
     if model.total_dim() != expected:
@@ -738,18 +747,151 @@ def verify_P_graded(model: PGradedModel) -> PReport:
     return PReport(not failures, failures, model.dims(), z_dims, stats)
 
 
-def universal_P_group(model: PGradedModel
-                      ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
-    """Group presented by the support with a relation per nonzero bracket."""
-    supp = sorted(g for g, items in model.components.items() if items)
-    pairs = []
-    for a, g in enumerate(supp):
-        for h in supp[a:]:
-            if any(zx + zy not in (2, -2) and _bracket(x, zx, y, zy)
-                   for x, zx in model.components[g]
-                   for y, zy in model.components[h]):
-                pairs.append((g, h))
-    return presented_quotient(model.ambient.base_group, supp, pairs)
+Key = tuple[int, int, Coords]
+
+
+def p_labels(ambient: GradedMatrixModel) -> tuple[list[Key], list[tuple[Key, Key]]]:
+    """The labels of P(n) in its ambient even model and a family of
+    label pairs whose brackets generate every relation of the universal
+    group.
+
+    Labels.  Write k for the number of block degrees, so the ambient
+    keys (I, J, t) have I, J < 2k, and eps(t) = +-1 for X_t^T = eps(t) X_t
+    (`transpose_partner`; T is elementary 2).  A label is the ambient key
+    of an element x = E_IJ X_t, standing for x + sigma(x) (`_p_image`):
+      A(i, j, t) = (i, j, t), i, j < k: E_ij X_t with -(E_ij X_t)^T in
+        the d corner; A(i, i, 0) for i >= 1 stands for the trace-free
+        A(i, i, 0) - A(0, 0, 0), and (0, 0, 0) is no label;
+      B(i, j, t) = (i, k + j, t): the symmetric b corner E_ij X_t +
+        eps(t) E_ji X_t, zero iff i = j and eps(t) = -1;
+      C(i, j, t) = (k + i, j, t): the antisymmetric c corner E_ij X_t -
+        eps(t) E_ji X_t, zero iff i = j and eps(t) = +1.
+    B(j, i, t) and C(j, i, t) are +-B(i, j, t) and +-C(i, j, t); the
+    labels returned take i <= j for them, 2 (n+1)^2 - 1 in all, a basis
+    of P(n).  sigma sends E_IJ X_t to +-E_J'I' X_t, I' = I +- k, of the
+    same degree since gamma1 = g0 - gamma: a label has the degree of its
+    key, P_g is spanned by the labels of degree g, the support is their
+    degrees, and [P_g, P_h] != 0 iff two labels of degrees g and h have
+    a nonzero bracket.
+
+    Brackets.  A(x) = (x 0; 0 -x^T), B(S) = (0 S; 0 0), C(K) = (0 0;
+    K 0) give [A(x), A(y)] = A([x, y]), [A(x), B(S)] = B(x S + S x^T),
+    [A(x), C(K)] = C(-(x^T K + K x)) and [B(S), C(K)] = A(S K).  Each
+    pair below is kept only when its labels and the label it is said to
+    land on exist, and then its bracket is a nonzero multiple of that
+    label, or of a nonzero trace-free diagonal (landing on "0"), by
+    these rules and X_t X_s = +-X_{t+s}.  Write [l] for the class of a
+    label's degree in the group the pairs present, g for the unit
+    generators of T, and t for any element.
+
+    k >= 2, with u_i = [A(i, 0, 0)], u_0 = 0, w = [B(0, 0, 0)] and
+    tau(t) = [A(j, j, t)] for t != 0 (one degree for all j), tau(0) = 0:
+      (A(1, 1, 0), A(1, 0, 0)) lands on 2 A(1, 0, 0): [0] = 0;
+      (A(i, 0, 0), A(0, j, 0)), i, j >= 1, lands on A(i, j, 0), on the
+        diagonal if i = j: [A(0, i, 0)] = -u_i, [A(i, j, 0)] = u_i - u_j;
+      (A(i, j, 0), A(j, j, t)), i != j, t != 0, lands on A(i, j, t):
+        [A(i, j, t)] = u_i - u_j + tau(t);
+      (A(0, 1, t), A(1, 0, g)) lands on E_00 X_{t+g} -+ E_11 X_{t+g}, the
+        diagonal if t = g: tau(t) + tau(g) = tau(t + g), so tau is a
+        homomorphism;
+      (A(i, 0, 0), B(0, j, t)), i >= 1, lands on B(i, j, t) and
+        (A(j, j, t), B(0, j, 0)), t != 0, on B(0, j, t): [B(0, i, 0)] =
+        [B(i, 0, 0)] = u_i + w, then [B(0, j, t)] = u_j + w + tau(t) and
+        [B(i, j, t)] = u_i + u_j + w + tau(t) (B(i, 0, t) with eps(t) =
+        -1 is +-B(0, i, t));
+      (B(0, 0, 0), C(0, j, t)) lands on A(0, j, t): [C(0, j, t)] = -u_j -
+        w + tau(t); (A(0, i, 0), C(0, j, t)), i >= 1, lands on C(i, j,
+        t): [C(i, j, t)] = -u_i - u_j - w + tau(t).
+    k = 1, with A(t), B(t), C(t) for A(0, 0, t) and so on, L(t) the one
+    of B(t), C(t) that exists, w = [B(0)] and phi(t) = [L(t)] - eps(t) w:
+    for every t and every g in {0} and the unit generators, (A(t), L(g))
+    if t != 0 and eps(t+g) = eps(g), landing on L(t+g), and (L(t), L(g))
+    if eps(t) != eps(g), landing on A(t+g).  By the rules [A(t), L(g)]
+    is +-2 X_t X_g (1 + eps(g) eps(t+g)) in L's corner, as (X_t X_g)^T =
+    eps(t) eps(g) X_g X_t and X_t X_g = +-X_{t+g}, and [B(t), C(g)] =
+    A(4 X_t X_g).  g = 0 gives [A(t)] = phi(t) for t != 0.  For a unit
+    generator g, the pair of (t, g) gives phi(t+g) = phi(t) + phi(g)
+    unless eps(t) = eps(g) != eps(t+g).  (g, g) gives 2 phi(g) = 0 when
+    eps(g) = +1, and so do (t, g) and (t+g, g) when eps(g) = -1, for a t
+    with eps(t) = eps(t+g) = -1.  Such a t exists: eps(t+g) = eps(t)
+    eps(g) beta(t, g), so else every t0 + s with beta(t0, g) = -1 and s
+    in g's orthogonal complement S would have eps = +1; then eps(s) =
+    beta(t0, s) on S and beta(s, s') = eps(s+s') eps(s) eps(s') = 1, but
+    |S| = |T|/2 > sqrt|T| = d, as d >= 4 when k = 1, and beta is
+    nondegenerate.  In the remaining case (t+g, g) gives phi(t) = phi(t+g)
+    + phi(g).  So phi is a homomorphism; set u_0 = 0 and tau = phi.
+
+    Why that suffices.  Give each label the formal degree e_i - e_j + t
+    (A; 0 on the diagonal), e_i + e_j - f + t (B) or f - e_i - e_j + t
+    (C), a degree of the grading of M(half, half) in which E_IJ X_t has
+    e_I - e_J + t, e_{k+i} = f - e_i; sigma keeps it, so P is graded by
+    it, the labels of one formal degree share their degree, and a
+    nonzero bracket of labels of formal degrees a and b has a label of
+    formal degree a + b in its expansion.  Every relation of the
+    universal group is therefore [a] + [b] = [a + b] for such a, b.  The
+    pairs force [l] = N(a) for every label l of formal degree a, with N
+    the homomorphism e_i -> u_i, f -> -w, t -> tau(t), which is additive,
+    so they imply every relation; each pair is itself a relation.
+    """
+    real, dom = ambient.realization, ambient.pairing.beta.domain
+    k = ambient.sizes[0] // real.size
+    zero, ts = dom.zero(), [t for t, _ in ambient.pairing.elements]
+    gens = [dom.unit(r) for r in range(dom.rank)]
+    eps = {t: _sign(real.transpose_partner(t)[1], real.m) for t in ts}
+
+    def b(i, j, t):
+        return (i, k + j, t) if i != j or eps[t] > 0 else None
+
+    def c(i, j, t):
+        return (k + i, j, t) if i != j or eps[t] < 0 else None
+
+    labels = [(i, j, t) for i in range(k) for j in range(k) for t in ts
+              if (i, j, t) != (0, 0, zero)]
+    labels += [key for i in range(k) for j in range(i, k) for t in ts
+               for key in (b(i, j, t), c(i, j, t)) if key]
+    if k == 1:
+        odd = {t: b(0, 0, t) or c(0, 0, t) for t in ts}
+        pairs = []
+        for t in ts:
+            for g in [zero] + gens:
+                if t != zero and eps[dom.add(t, g)] == eps[g]:
+                    pairs.append(((0, 0, t), odd[g]))
+                if eps[t] != eps[g]:
+                    pairs.append((odd[t], odd[g]))
+        return labels, pairs
+    rest = range(1, k)
+    pairs = [((1, 1, zero), (1, 0, zero))]
+    pairs += [((i, 0, zero), (0, j, zero)) for i in rest for j in rest]
+    pairs += [((i, j, zero), (j, j, t)) for i in range(k) for j in range(k)
+              for t in ts if i != j and t != zero]
+    pairs += [((0, 1, t), (1, 0, g)) for t in ts for g in gens]
+    for t in ts:
+        for j in range(k):
+            if t != zero and b(0, j, t):
+                pairs.append(((j, j, t), b(0, j, zero)))
+            if c(0, j, t):
+                pairs.append((b(0, 0, zero), c(0, j, t)))
+            pairs += [((i, 0, zero), b(0, j, t)) for i in rest
+                      if b(0, j, t) and b(i, j, t)]
+            pairs += [((0, i, zero), c(0, j, t)) for i in rest
+                      if c(0, j, t) and c(i, j, t)]
+    return labels, pairs
+
+
+def universal_P_group(spec: PSpec) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
+    """The group presented by the support of the P grading with [g] + [h] =
+    [g + h] for every pair of degrees whose components have a nonzero
+    bracket, read from the labels of the ambient even model: their
+    degrees are the support, and the pairs of `p_labels`, whose docstring
+    proves that they generate every such relation, present it.  No P(n)
+    basis is built and no bracket is formed; the Hermite form of the
+    relations is canonical, so it is that of all bracket pairs."""
+    _, ambient = _ambient_model(spec)
+    basis, index = ambient.basis, ambient.index
+    labels, pairs = p_labels(ambient)
+    deg = {key: basis[index[key]].degree for key in labels}
+    return presented_quotient(ambient.base_group, sorted(set(deg.values())),
+                              [(deg[x], deg[y]) for x, y in pairs])
 
 
 def P_restriction_condition(spec: EvenAssocSpec) -> Optional[Coords]:

@@ -18,7 +18,7 @@ from gradekit.abgroup import (
 from gradekit.bichar import Bicharacter, beta_isomorphism, standard_pair
 from gradekit import matgrade
 from gradekit.graddiv import product_table, realization_failures
-from gradekit.superlie import PSpec, ambient_even_spec
+from gradekit.superlie import PSpec, _bracket, _p_image, ambient_even_spec
 from gradekit.matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
@@ -322,6 +322,55 @@ def full_pair_universal_group(model):
     return matgrade.presented_quotient(model.base_group, model.support(), pairs)
 
 
+def is_isomorphic(a: FinGenAbGroup, b: FinGenAbGroup) -> bool:
+    """Same free rank and invariant factors."""
+    return (a.free_rank == b.free_rank
+            and a.invariant_factors() == b.invariant_factors())
+
+
+def all_pairs_universal_P_group(model):
+    """(group, labels) presented by the support of a P model with one
+    relation for each pair of degrees whose components have a nonzero
+    bracket, found by bracketing component bases for every unordered pair
+    of support degrees; the oracle for superlie.universal_P_group."""
+    supp = sorted(g for g, items in model.components.items() if items)
+    pairs = []
+    for a, g in enumerate(supp):
+        for h in supp[a:]:
+            if any(zx + zy not in (2, -2) and _bracket(x, zx, y, zy)
+                   for x, zx in model.components[g]
+                   for y, zy in model.components[h]):
+                pairs.append((g, h))
+    return matgrade.presented_quotient(model.ambient.base_group, supp, pairs)
+
+
+def p_label_vector(ambient, key):
+    """(rows, z) of the P(n) vector x + sigma(x) that the label key of
+    superlie.p_labels stands for, x the ambient element E_IJ X_t; for
+    a key (i, i, 0) with i >= 1, A(i, i, 0) - A(0, 0, 0)."""
+    half = ambient.sizes[0]
+    d = ambient.realization.size
+
+    def vector(i, j, t, sign=1):
+        mono = ambient.realization.matrix(t)
+        for col, (row, e) in enumerate(zip(mono.perm, mono.exps)):
+            value = sign * (-1) ** (2 * e // mono.m)
+            for r, c, s in ((i * d + row, j * d + col, 1),
+                            _p_image(i * d + row, j * d + col, half)):
+                entries[r, c] = entries.get((r, c), 0) + s * value
+
+    entries = {}
+    i, j, t = key
+    vector(i, j, t)
+    if i == j and not any(t):
+        vector(0, 0, t, -1)
+    rows = {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+    return rows, ambient.basis[ambient.index[key]].z_degree
+
+
 def solve_square(group, a):
     """One x with 2x = a, or None.  Deterministic per coordinate."""
     a = group.reduce(a)
@@ -562,6 +611,19 @@ def random_p_spec(rng):
     free = rng.choice((0, 1))
     extra = rng.choice(((), (2,), (3,)))
     group, tgens, beta = embedded_standard_torus(h, free, extra)
+    gamma = tuple(random_element(rng, group) for _ in range(k))
+    return PSpec(group, tgens, beta, gamma, random_element(rng, group))
+
+
+def wide_p_spec(rng):
+    """A random valid P spec of a wider shape than random_p_spec: H =
+    (2, 2) with k = 1 or 2, H = (2,) with k = 2 or 3, or trivial H with
+    k = 3, 4 or 5; free rank 0-2 and extra torsion (), (2,), (3,),
+    (2, 2) or (4,)."""
+    h, k = rng.choice((((2, 2), 1), ((2, 2), 2), ((2,), 2), ((2,), 3),
+                       ((), 3), ((), 4), ((), 5)))
+    extra = rng.choice(((), (2,), (3,), (2, 2), (4,)))
+    group, tgens, beta = embedded_standard_torus(h, rng.randint(0, 2), extra)
     gamma = tuple(random_element(rng, group) for _ in range(k))
     return PSpec(group, tgens, beta, gamma, random_element(rng, group))
 

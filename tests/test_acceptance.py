@@ -61,6 +61,7 @@ from helpers import (
     TRIVIAL_BETA,
     count_calls,
     embedded_standard_torus,
+    is_isomorphic,
     oracle_chi_and_a,
     random_even_spec,
     random_odd_g_spec,
@@ -162,19 +163,19 @@ def test_universal_groups_of_flagship_fine_gradings():
     start = time.perf_counter()
     division = next(d for d in enumerate_even_fine(2, 2) if d.h == (2,))
     quo, labels = universal_group(build_matrix_model(division.spec))
-    assert quo.is_isomorphic_to(FinGenAbGroup(1, (2, 2)))
-    assert division.universal.is_isomorphic_to(quo)
+    assert is_isomorphic(quo, FinGenAbGroup(1, (2, 2)))
+    assert is_isomorphic(division.universal, quo)
     assert quo.zero() in labels.values()
 
     p2 = enumerate_P_fine(2)[0]
-    quo2, _ = universal_P_group(build_P_model(p2.spec))
-    assert quo2.is_isomorphic_to(FinGenAbGroup(3, ()))
-    assert p2.universal.is_isomorphic_to(quo2)
+    quo2, _ = universal_P_group(p2.spec)
+    assert is_isomorphic(quo2, FinGenAbGroup(3, ()))
+    assert is_isomorphic(p2.universal, quo2)
 
     p3 = next(d for d in enumerate_P_fine(3) if d.h == (2,))
-    quo3, _ = universal_P_group(build_P_model(p3.spec))
-    assert quo3.is_isomorphic_to(FinGenAbGroup(2, (2, 2)))
-    assert p3.universal.is_isomorphic_to(quo3)
+    quo3, _ = universal_P_group(p3.spec)
+    assert is_isomorphic(quo3, FinGenAbGroup(2, (2, 2)))
+    assert is_isomorphic(p3.universal, quo3)
     _budget(start, 10.0)
 
 
@@ -551,10 +552,10 @@ def test_universal_groups_of_m66_and_p7_fine_gradings():
     for desc in descs:
         one = time.perf_counter()
         if desc.family == "p":
-            quo, _ = universal_P_group(build_P_model(desc.spec))
+            quo, _ = universal_P_group(desc.spec)
         else:
             quo, _ = universal_group(build_matrix_model(desc.spec))
-        assert quo.is_isomorphic_to(desc.universal), (desc.family, desc.h)
+        assert is_isomorphic(quo, desc.universal), (desc.family, desc.h)
         _budget(one, 2.0)
     assert [d.family for d in descs] == ["odd"] * 6 + ["even"] * 4 + ["p"] * 4
     _budget(start, 15.0)
@@ -823,7 +824,7 @@ def test_fine_grading_counts_and_pairwise_distinctness():
     for family in (p2, p3, p7, evens22, enumerate_odd_fine(1),
                    enumerate_odd_fine(2)):
         for d1, d2 in itertools.combinations(family, 2):
-            assert not d1.universal.is_isomorphic_to(d2.universal)
+            assert not is_isomorphic(d1.universal, d2.universal)
     _budget(start, 30.0)
 
 
@@ -1004,3 +1005,49 @@ def test_verify_of_fine_odd_16_and_p_15_is_pinned(tmp_path, monkeypatch):
                 order = check_spec(parse_spec(desc["spec"])).pairing.beta.domain.order()
                 assert order == 1024
                 assert len(products) < order ** 2 / 10
+
+
+# sha256 of json.dumps(payload, sort_keys=True) of `gradekit ugroup` on
+# every fine P(n) descriptor, n in {2, 3, 5, 7, 15}, recorded while
+# ugroup bracketed component bases for every pair of support degrees
+UGROUP_P_DIGESTS = {
+    2: [
+        "d02fb2d54d32c0754f8349e61c72ade8d9f89abb508250d2dfacf6825985123a"],
+    3: [
+        "0c09fb54b2c2bdf63fda9da1d8a26957501a6b1c11e0a6a236f92dd949554cc9",
+        "c20b8bc58b3f5c93f2a9eaa91c0b65726a583e77e187d455b671faa32b33bf57",
+        "81c736f4fee87cc21974e38f39e4511521963cb994eec10a2e1636f80fee4778"],
+    5: [
+        "e858b53e3fd09c308b117fb58a6929dfb03bb5d60b0e73a8dd8450352d9f32a4",
+        "57d5fdeebaf70c420dbe84d79fb5eb38379fa037f97cd106a40327d36a17a177"],
+    7: [
+        "764e0f887071665a7da31aae26c8d3b7cb353478027b8db71476ae0f0cf0014c",
+        "37b29795838c6aee2b96e2e81a8f85eba81e3ffce0a3b68765274b860098b226",
+        "8fab4e9f312d757d84be27e2280e564e8dd560743ef19cf14d011e6dc135117d",
+        "e140b09a743442a49627137ddbd0546feaf6ce55b9e71acb455ef14f742e1bf8"],
+    15: [
+        "e13665b7341243ad7719d4716a0933b52be19376df0471560dfe458cb01187e8",
+        "edee4e12f4a5af5f83454e9b69a6140807dd2a528e09f87e7f3da1599872e979",
+        "3344e35b4a531a2cb445793772da19e8f69e21e74cb4162a4f9b64d1ef307427",
+        "5987019972db1d7a107e58e446bd32b89cda616fa3a272221484e955733dbb75",
+        "6e9c6ac677df7a7501379860e907d45e99ebdea3495502349945ae4f4a914012"],
+}
+
+
+def test_universal_groups_of_fine_p_are_pinned(tmp_path):
+    """`gradekit ugroup` on every fine grading of P(2), P(3), P(5), P(7)
+    and P(15) gives the recorded payload; each P(15) one in under a
+    second, model build included."""
+    for n, digests in UGROUP_P_DIGESTS.items():
+        payload, code = run(["fine", "p", str(n)])
+        assert code == 0 and len(payload["descriptors"]) == len(digests)
+        for i, (desc, digest) in enumerate(zip(payload["descriptors"], digests)):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(desc["spec"]))
+            start = time.perf_counter()
+            out, code = run(["ugroup", "-f", str(path)])
+            if n == 15:
+                _budget(start, 1.0)
+            assert code == 0
+            text = json.dumps(out, sort_keys=True)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (n, i)

@@ -3,6 +3,7 @@ restriction and periplectic models."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -21,7 +22,9 @@ from gradekit.matgrade import (
     build_odd_from_G,
     validate_spec,
 )
+from gradekit import superlie
 from gradekit.classify import enumerate_P_fine
+from gradekit.cli import run, spec_to_json
 from gradekit.superlie import (
     BlockMatrix,
     PGradedModel,
@@ -32,6 +35,7 @@ from gradekit.superlie import (
     _bracket,
     _bracket_failures,
     _dense,
+    _echelon,
     _entries,
     _fixed_copy_closed,
     _in_fixed_copy,
@@ -44,23 +48,29 @@ from gradekit.superlie import (
     build_P_model,
     check_p_spec,
     p_intersection,
+    p_labels,
     realized_basis_matrix,
     restrict_type_I,
     superadjoint_spec,
     supercommutator,
     supertrace,
     supertranspose,
+    universal_P_group,
     verify_P_graded,
 )
 
 from helpers import (
     TRIVIAL_BETA,
+    all_pairs_universal_P_group,
+    count_calls,
     embedded_standard_torus,
+    p_label_vector,
     random_element,
     random_even_spec,
     random_odd_g_spec,
     random_p_candidate_spec,
     random_p_spec,
+    wide_p_spec,
 )
 
 Z = FinGenAbGroup(1, ())
@@ -667,3 +677,65 @@ def test_fixed_copy_membership_matches_the_p_constraints():
         for items in model.components.values():
             for rows, z in items:
                 assert _in_fixed_copy(_entries(rows), z, half)
+
+
+# ---------------------------------------------------------------------------
+# universal groups of P(n) from the labels of the ambient model
+
+
+def _oracle_p_specs():
+    """Every fine grading of P(n), n <= 7, and 300 seeded random specs."""
+    specs = [d.spec for n in range(2, 8) for d in enumerate_P_fine(n)]
+    rng = random.Random(61)
+    specs += [wide_p_spec(rng) for _ in range(200)]
+    specs += [random_p_spec(rng) for _ in range(100)]
+    return specs
+
+
+def test_universal_P_group_equals_the_all_pairs_oracle():
+    for spec in _oracle_p_specs():
+        assert universal_P_group(spec) == all_pairs_universal_P_group(build_P_model(spec))
+
+
+def test_p_labels_are_a_graded_basis_of_the_components():
+    """The label vectors lie in the component of their key's degree and
+    are a basis of it; so the label degrees are the support."""
+    rng = random.Random(67)
+    specs = [d.spec for n in (2, 3, 5) for d in enumerate_P_fine(n)]
+    specs += [wide_p_spec(rng) for _ in range(30)]
+    for spec in specs:
+        model = build_P_model(spec)
+        ambient = model.ambient
+        labels, _ = p_labels(ambient)
+        by_degree: dict = {}
+        for key in labels:
+            rows, z = p_label_vector(ambient, key)
+            degree = ambient.basis[ambient.index[key]].degree
+            assert rows and model.contains(degree, _entries(rows)), key
+            by_degree.setdefault(degree, []).append(_entries(rows))
+        assert model.dims() == {g: len(v) for g, v in by_degree.items()}
+        assert all(len(_echelon(v)) == len(v) for v in by_degree.values())
+
+
+def test_p_label_family_brackets_are_nonzero():
+    rng = random.Random(71)
+    specs = [d.spec for n in (2, 3, 5, 7) for d in enumerate_P_fine(n)]
+    specs += [wide_p_spec(rng) for _ in range(30)]
+    for spec in specs:
+        ambient = build_P_model(spec).ambient
+        labels, pairs = p_labels(ambient)
+        assert pairs
+        for x, y in pairs:
+            assert x in labels and y in labels
+            assert _bracket(*p_label_vector(ambient, x), *p_label_vector(ambient, y)), (x, y)
+
+
+def test_ugroup_on_p_forms_no_bracket_and_no_intersection(tmp_path, monkeypatch):
+    brackets = count_calls(monkeypatch, superlie, "_bracket")
+    intersections = count_calls(monkeypatch, superlie, "p_intersection")
+    for n, i in ((3, 0), (3, 2), (5, 0), (7, 3)):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(enumerate_P_fine(n)[i].spec)))
+        payload, code = run(["ugroup", "-f", str(path)])
+        assert code == 0 and payload["labels"]
+    assert brackets == [] and intersections == []
