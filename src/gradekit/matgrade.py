@@ -11,8 +11,8 @@ Validation happens once per spec, in `check_spec`.  It reduces
 coordinates, converts a G-description to explicit support, builds the
 spec's one `EmbeddedPairing` and checks it, and for odd specs finds the
 parity element t0.  `build_matrix_model` and the deciders in `classify`
-read the `CheckedSpec` it returns; `validate_spec` returns its reduced
-input.
+read the `CheckedSpec` it returns, whose `source` is the input with
+coordinates reduced.
 
 Coordinates: elements of G# carry the parity bit as the last
 coordinate.  Subgroup generators handed to a spec must be independent
@@ -224,11 +224,6 @@ def check_spec(spec: GradingSpec) -> CheckedSpec:
     if out is not source and t0 != source.t0:
         raise RuntimeError("constructed support has the wrong parity element")
     return CheckedSpec(source, out, pairing, t0)
-
-
-def validate_spec(spec: GradingSpec) -> GradingSpec:
-    """Check a spec and return it with all coordinates reduced."""
-    return check_spec(spec).source
 
 
 # ---------------------------------------------------------------------------

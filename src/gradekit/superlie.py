@@ -3,19 +3,21 @@
 Supertrace and supertranspose act on explicit block matrices over the
 rationals.  Gradings descend from M(m,n) to sl/psl by removing the lines
 cut out by the supertrace and, for equal block sizes, the identity.  The
-periplectic algebra P(n) is handled by intersecting each component of an
-ambient even model with the fixed standard copy
+periplectic algebra P(n) is the standard copy
 
     {(a b; c -a^T) : tr a = 0, b = b^T, c = -c^T}
 
-inside M(n+1,n+1).  The support of the division algebra must be an
-elementary 2-group, so every realized basis element is a signed
-permutation block and the P(n) layer is exact sparse integer linear
-algebra, with one bracket routine for closure.  Universal groups need
-no P(n) basis: each basis vector off the trace-free diagonal is
-x + sigma(x) for one ambient basis element x, of x's degree, and a
-family of pairs of them with closed-form nonzero brackets generates
-every relation (`p_labels`).
+inside M(n+1,n+1): the fixed points of an involution sigma (`_p_image`)
+with tr a = 0.  Its gradings restrict even gradings of M(n+1,n+1) whose
+division algebra has an elementary 2-group support, so every realized
+basis element is a signed permutation block and sigma permutes the
+ambient basis up to sign.  Each component P(n) cap A_g is spanned by
+the sums x + sigma(x) over the sigma-orbits inside A_g, made trace-free
+on the diagonal, with no linear solve (`p_intersection`); the components
+are sparse integer matrices, with one bracket routine for closure.
+Universal groups need no P(n) basis: a family of pairs of orbit sums
+with closed-form nonzero brackets generates every relation
+(`p_labels`).
 """
 
 from __future__ import annotations
@@ -234,6 +236,14 @@ def _sign(e: int, m: int) -> int:
     raise ValueError(f"root zeta_{m}^{e} is not rational")
 
 
+def _transpose_signs(model: GradedMatrixModel) -> dict[Coords, int]:
+    """eps(t) = +-1 with X_t^T = eps(t) X_t, for every t of an elementary
+    2-group torus (`transpose_partner` then keeps t)."""
+    real = model.realization
+    return {t: _sign(real.transpose_partner(t)[1], real.m)
+            for t, _ in model.pairing.elements}
+
+
 def _basis_entries(model: GradedMatrixModel, index: int) -> Entries:
     """Nonzero entries of the basis element E_ij (x) X_t (needs rational X_t)."""
     b = model.basis[index]
@@ -308,28 +318,6 @@ def _echelon(vectors) -> dict:
         if rest:
             pivots[min(rest)] = _primitive(rest)
     return pivots
-
-
-def _kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
-    """A basis of {x : sum_j x_j columns[j] = 0} as integer vectors.
-
-    Each column is tagged with its own unit vector and reduced against the
-    earlier ones; a column dependent on them leaves its relation in the
-    tags.  That relation only involves the column and earlier independent
-    ones, so up to scale it is the vector that reduced row echelon form
-    assigns to the free column.
-    """
-    tag = 1 + max((k for col in columns for k in col), default=-1)
-    pivots: dict = {}
-    basis = []
-    for j, col in enumerate(columns):
-        rest = _reduce({**col, tag + j: 1}, pivots)
-        lead = min(rest)
-        if lead < tag:
-            pivots[lead] = _primitive(rest)
-        else:
-            basis.append({k - tag: v for k, v in rest.items()})
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -425,36 +413,6 @@ def ambient_even_spec(spec: PSpec) -> EvenAssocSpec:
     return EvenAssocSpec(g, spec.tgens, spec.beta, spec.gamma, gamma1)
 
 
-def _p_constraints(entries: Entries, z: int, half: int) -> dict[int, int]:
-    """The constraint functionals cutting P(n) out of one z-block, applied
-    to a matrix given by its entries, keyed by constraint.
-
-    z = 0 asks d = -a^T and tr a = 0, z = -1 (the b corner) b = b^T, and
-    z = 1 (the c corner) c = -c^T.
-    """
-    out: dict[int, int] = {}
-
-    def add(key, v):
-        out[key] = out.get(key, 0) + v
-
-    for (r, c), v in entries.items():
-        if z == 0:
-            if r < half:
-                add(c * half + r, v)
-                if r == c:
-                    add(half * half, v)
-            else:
-                add((r - half) * half + c - half, v)
-        elif z == -1:
-            c -= half
-            if r != c:
-                add(min(r, c) * half + max(r, c), v if r < c else -v)
-        else:
-            r -= half
-            add(min(r, c) * half + max(r, c), 2 * v if r == c else v)
-    return {k: v for k, v in out.items() if v}
-
-
 class PGradedModel:
     """Integer bases for the components P(n) cap A_g of an even model.
 
@@ -462,9 +420,8 @@ class PGradedModel:
     grouped by rows, and its degree in the canonical Z-grading.
     """
 
-    def __init__(self, spec: Optional[PSpec], ambient: GradedMatrixModel,
+    def __init__(self, ambient: GradedMatrixModel,
                  components: dict[Coords, list[tuple[Rows, int]]]):
-        self.spec = spec
         self.ambient = ambient
         self.n = ambient.sizes[0] - 1
         self.components = components
@@ -498,11 +455,30 @@ class PGradedModel:
 
 
 def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, int]]]:
-    """Intersect every component of an even model with the standard P(n).
+    """Intersect every component of an even model with the standard P(n),
+    one sigma-orbit of the ambient basis at a time.
 
-    Components decompose along the canonical Z-grading of P (a/d corners,
-    symmetric b, antisymmetric c), so the kernels are computed per z-block
-    and every basis vector comes out z-homogeneous.
+    Write k for the number of blocks on each side, so the keys (I, J, t)
+    have I, J < 2k, and I' = I + k mod 2k.  By `_p_image`, sigma sends
+    x = E_IJ X_t to s E_J'I' X_t^T, with s = +1 in the b corner and -1
+    elsewhere, and X_t^T = eps(t) X_t as T is elementary 2
+    (`_transpose_signs`).  So sigma(x) = +-x' for the partner x' =
+    (J', I', t), in x's Z-corner: sigma permutes the basis up to sign.
+    P(n) cap A_g is the set of v in A_g with sigma(v) = v and tr a = 0.
+    The coefficient of x' in sigma(v) is +-that of x in v, so such a v
+    has coefficients of equal size on both members of an orbit inside
+    A_g, and none on an orbit that leaves A_g, as x' then has none in v.
+    The fixed points of A_g are therefore spanned by the sums x +
+    sigma(x) of its orbits, independent as the orbits are disjoint, and
+    zero only when x = x' and sigma(x) = -x.  The d x d matrices X_t are
+    orthogonal, so tr X_t = 0 for t != 0, and tr a vanishes on every
+    orbit sum except O_i = x + sigma(x) for x = (k + i, k + i, 0), all of
+    degree 0 and Z-degree 0, where it is -d for every i.  The trace-free
+    part of their span has the basis O_0 - O_i, i >= 1.
+
+    Each vector stands at the larger index of its orbit in the ambient
+    basis, O_0 - O_i at that of O_i, and every component lists its
+    vectors by Z-degree, then by that index.
     """
     if model.kind != "even":
         raise ValueError("P(n) sits inside an even grading")
@@ -510,36 +486,52 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, in
         raise ValueError("block sizes must agree")
     if any(t != 2 for t in model.pairing.beta.domain.torsion):
         raise ValueError("support must be an elementary 2-group")
-    half = model.sizes[0]
-    buckets: dict[tuple[Coords, int], list[int]] = {}
-    for i, b in enumerate(model.basis):
-        buckets.setdefault((b.degree, b.z_degree), []).append(i)
+    real, basis, index = model.realization, model.basis, model.index
+    k = model.sizes[0] // real.size
+    zero = model.pairing.beta.domain.zero()
+    eps = _transpose_signs(model)
+
+    def orbit_sum(n: int, partner: int) -> Entries:
+        b = basis[n]
+        vec = _basis_entries(model, n)
+        if partner != n:
+            sign = eps[b.t_abs] * (1 if b.i < k <= b.j else -1)
+            vec.update((key, sign * v) for key, v in _basis_entries(model, partner).items())
+        return vec
+
+    found = []
+    for n, b in enumerate(basis):
+        partner = index[(b.j + k) % (2 * k), (b.i + k) % (2 * k), b.t_abs]
+        if partner > n or basis[partner].degree != b.degree:
+            continue
+        if b.i == b.j and b.t_abs == zero:
+            if b.i == k:
+                continue
+            vec = orbit_sum(index[k, k, zero], index[0, 0, zero])
+            vec.update((key, -v) for key, v in orbit_sum(n, partner).items())
+        elif partner == n and (b.i < k) == (eps[b.t_abs] < 0):
+            continue
+        else:
+            vec = orbit_sum(n, partner)
+        found.append((b.degree, b.z_degree, n, vec))
     components: dict[Coords, list[tuple[Rows, int]]] = {}
-    for (degree, z), indices in sorted(buckets.items()):
-        selected = [_basis_entries(model, i) for i in indices]
-        constraints = [_p_constraints(e, z, half) for e in selected]
-        for coeffs in _kernel(constraints):
-            vec: Entries = {}
-            for j, x in coeffs.items():
-                for key, v in selected[j].items():
-                    vec[key] = vec.get(key, 0) + x * v
-            vec = _primitive({k: v for k, v in vec.items() if v})
-            components.setdefault(degree, []).append((_rows(vec), z))
-    return {g: items for g, items in sorted(components.items())}
+    for degree, z, _, vec in sorted(found, key=lambda item: item[:3]):
+        components.setdefault(degree, []).append((_rows(vec), z))
+    return components
 
 
-def _ambient_model(spec: PSpec) -> tuple[PSpec, GradedMatrixModel]:
-    """The checked spec and its ambient even model of M(n+1, n+1)."""
+def _ambient_model(spec: PSpec) -> GradedMatrixModel:
+    """The ambient even model of M(n+1, n+1) of a spec, checked once."""
     checked = check_p_spec(spec)
     spec = checked.spec
     # the ambient even spec has the same (T, beta), so its pairing is checked
-    return spec, build_matrix_model(CheckedSpec(spec, ambient_even_spec(spec),
-                                                checked.pairing))
+    return build_matrix_model(CheckedSpec(spec, ambient_even_spec(spec),
+                                          checked.pairing))
 
 
 def build_P_model(spec: PSpec) -> PGradedModel:
-    spec, ambient = _ambient_model(spec)
-    model = PGradedModel(spec, ambient, p_intersection(ambient))
+    ambient = _ambient_model(spec)
+    model = PGradedModel(ambient, p_intersection(ambient))
     expected = 2 * (model.n + 1) ** 2 - 1
     if model.total_dim() != expected:
         raise RuntimeError(f"P components span {model.total_dim()} dimensions, "
@@ -837,7 +829,7 @@ def p_labels(ambient: GradedMatrixModel) -> tuple[list[Key], list[tuple[Key, Key
     k = ambient.sizes[0] // real.size
     zero, ts = dom.zero(), [t for t, _ in ambient.pairing.elements]
     gens = [dom.unit(r) for r in range(dom.rank)]
-    eps = {t: _sign(real.transpose_partner(t)[1], real.m) for t in ts}
+    eps = _transpose_signs(ambient)
 
     def b(i, j, t):
         return (i, k + j, t) if i != j or eps[t] > 0 else None
@@ -886,7 +878,7 @@ def universal_P_group(spec: PSpec) -> tuple[FinGenAbGroup, dict[Coords, Coords]]
     proves that they generate every such relation, present it.  No P(n)
     basis is built and no bracket is formed; the Hermite form of the
     relations is canonical, so it is that of all bracket pairs."""
-    _, ambient = _ambient_model(spec)
+    ambient = _ambient_model(spec)
     basis, index = ambient.basis, ambient.index
     labels, pairs = p_labels(ambient)
     deg = {key: basis[index[key]].degree for key in labels}

@@ -18,7 +18,16 @@ from gradekit.abgroup import (
 from gradekit.bichar import Bicharacter, beta_isomorphism, standard_pair
 from gradekit import matgrade
 from gradekit.graddiv import product_table, realization_failures
-from gradekit.superlie import PSpec, _bracket, _p_image, ambient_even_spec
+from gradekit.superlie import (
+    PSpec,
+    _basis_entries,
+    _bracket,
+    _p_image,
+    _primitive,
+    _reduce,
+    _rows,
+    ambient_even_spec,
+)
 from gradekit.matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
@@ -369,6 +378,79 @@ def p_label_vector(ambient, key):
         if v:
             rows.setdefault(r, {})[c] = v
     return rows, ambient.basis[ambient.index[key]].z_degree
+
+
+def p_constraints(entries, z: int, half: int) -> dict[int, int]:
+    """The constraint functionals cutting P(n) out of one z-block, applied
+    to a matrix given by its entries, keyed by constraint.
+
+    z = 0 asks d = -a^T and tr a = 0, z = -1 (the b corner) b = b^T, and
+    z = 1 (the c corner) c = -c^T.
+    """
+    out: dict[int, int] = {}
+
+    def add(key, v):
+        out[key] = out.get(key, 0) + v
+
+    for (r, c), v in entries.items():
+        if z == 0:
+            if r < half:
+                add(c * half + r, v)
+                if r == c:
+                    add(half * half, v)
+            else:
+                add((r - half) * half + c - half, v)
+        elif z == -1:
+            c -= half
+            if r != c:
+                add(min(r, c) * half + max(r, c), v if r < c else -v)
+        else:
+            r -= half
+            add(min(r, c) * half + max(r, c), 2 * v if r == c else v)
+    return {k: v for k, v in out.items() if v}
+
+
+def kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
+    """A basis of {x : sum_j x_j columns[j] = 0} as integer vectors.
+
+    Each column is tagged with its own unit vector and reduced against the
+    earlier ones; a column dependent on them leaves its relation in the
+    tags.  That relation only involves the column and earlier independent
+    ones, so up to scale it is the vector that reduced row echelon form
+    assigns to the free column.
+    """
+    tag = 1 + max((k for col in columns for k in col), default=-1)
+    pivots: dict = {}
+    basis = []
+    for j, col in enumerate(columns):
+        rest = _reduce({**col, tag + j: 1}, pivots)
+        lead = min(rest)
+        if lead < tag:
+            pivots[lead] = _primitive(rest)
+        else:
+            basis.append({k - tag: v for k, v in rest.items()})
+    return basis
+
+
+def kernel_p_intersection(model):
+    """The components P(n) cap A_g of an even model solved as kernels of
+    the constraint functionals, one (degree, Z-degree) bucket of the
+    ambient basis at a time; the reference for superlie.p_intersection."""
+    half = model.sizes[0]
+    buckets: dict = {}
+    for i, b in enumerate(model.basis):
+        buckets.setdefault((b.degree, b.z_degree), []).append(i)
+    components: dict = {}
+    for (degree, z), indices in sorted(buckets.items()):
+        selected = [_basis_entries(model, i) for i in indices]
+        for coeffs in kernel([p_constraints(e, z, half) for e in selected]):
+            vec: dict = {}
+            for j, x in coeffs.items():
+                for key, v in selected[j].items():
+                    vec[key] = vec.get(key, 0) + x * v
+            vec = _primitive({k: v for k, v in vec.items() if v})
+            components.setdefault(degree, []).append((_rows(vec), z))
+    return components
 
 
 def solve_square(group, a):

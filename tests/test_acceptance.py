@@ -41,7 +41,6 @@ from gradekit.matgrade import (
     finest_even_coarsening,
     odd_existence_check,
     universal_group,
-    validate_spec,
     verify_grading,
 )
 from gradekit.superlie import (
@@ -427,8 +426,8 @@ def test_odd_extension_structure_and_negative_case():
         zero = group.zero()
         pairings = {}
         for u in roots:
-            spec = validate_spec(build_odd_from_G(
-                OddAssocGSpec(group, t0, lifts, beta_bar, u, (zero,))))
+            spec = check_spec(build_odd_from_G(
+                OddAssocGSpec(group, t0, lifts, beta_bar, u, (zero,)))).source
             pairing = EmbeddedPairing(ext.group, spec.tgens, spec.beta)
             pairings[u] = pairing
             telems = sorted(pairing.sub.elements())
@@ -481,7 +480,7 @@ def test_p_family_dimensions_and_strict_deficiency():
         assert model.total_dim() == 2 * (model.n + 1) ** 2 - 1
     checked = 0
     while checked < 20:
-        cand = validate_spec(random_p_candidate_spec(rng))
+        cand = check_spec(random_p_candidate_spec(rng)).source
         if P_restriction_condition(cand) is not None:
             continue
         model = build_matrix_model(cand)
@@ -574,7 +573,7 @@ def _component_spans(model):
 
 
 def _assert_superadjoint_maps_components(spec):
-    spec = validate_spec(spec)
+    spec = check_spec(spec).source
     source = _component_spans(build_matrix_model(spec))
     target = _component_spans(build_matrix_model(superadjoint_spec(spec)))
     assert {k: len(v) for k, v in source.items()} == \
@@ -643,8 +642,8 @@ def test_superadjoint_carries_components_onto_inverse_data():
             dual.matrix(t)) is not None
 
     group4, tgens4, b4e = embedded_standard_torus((4,))
-    spec4 = validate_spec(EvenAssocSpec(group4, tgens4, b4e,
-                                        ((0, 0),), ((1, 2),)))
+    spec4 = check_spec(EvenAssocSpec(group4, tgens4, b4e,
+                                     ((0, 0),), ((1, 2),))).source
     m1 = build_matrix_model(spec4)
     m2 = build_matrix_model(superadjoint_spec(spec4))
     assert m1.dimension_table() == m2.dimension_table()
@@ -755,7 +754,7 @@ def _brute_iso(fam1, fam2):
 def test_deciders_agree_with_conjugation_search_on_m11():
     start = time.perf_counter()
     evens, odd_gspecs = _m11_universe()
-    odds = [validate_spec(build_odd_from_G(s)) for s in odd_gspecs]
+    odds = [check_spec(build_odd_from_G(s)).source for s in odd_gspecs]
     assert len(evens) + len(odds) == 64
     even_fams = [_degree_family(build_matrix_model(s)) for s in evens]
     odd_fams = [_degree_family(build_matrix_model(s)) for s in odds]

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from gradekit import abgroup
 from gradekit.abgroup import FinGenAbGroup, Subgroup
 from gradekit.bichar import standard_pair
-from gradekit.cli import main, parse_spec, run, spec_to_json
+from gradekit.cli import KINDS, main, parse_spec, run, spec_to_json
 from gradekit.matgrade import EmbeddedPairing, EvenAssocSpec, OddAssocGSpec
 from gradekit.superlie import PSpec
 
@@ -479,6 +480,77 @@ def test_non_string_exponents_exit_2(tmp_path, capsys, q):
     path = example_path(tmp_path, "even", lambda d: d["beta"].update(q=q))
     assert run(["verify", "-f", path]) == (None, 2)
     assert capsys.readouterr().err.startswith("gradekit: bad bicharacter")
+
+
+FUZZ_JUNK = [None, True, -1, 0, 1.5, "x", [], [[]], {}, {"free": 0}]
+
+
+def _slots(node, out: list) -> list:
+    """Every (container, key) at or below a JSON node, depth first."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+def fuzz_mutant(rng, doc: dict) -> dict:
+    """A copy of doc with one seeded mutation: a value replaced by junk,
+    an integer moved by one, a key dropped, or a list item duplicated.
+    None of them makes a modulus large, so the work stays bounded."""
+    doc = json.loads(json.dumps(doc))
+    slots = _slots(doc, [])
+    op = rng.choice(("junk", "int", "drop", "dup"))
+    if op == "int":
+        slots = [(c, k) for c, k in slots if type(c[k]) is int]
+    elif op == "drop":
+        slots = [(c, k) for c, k in slots if isinstance(c, dict)]
+    elif op == "dup":
+        slots = [(c, k) for c, k in slots if isinstance(c[k], list) and c[k]]
+    container, key = rng.choice(slots)
+    if op == "drop":
+        del container[key]
+    elif op == "int":
+        container[key] += rng.choice((-1, 1))
+    elif op == "dup":
+        container[key].append(json.loads(json.dumps(rng.choice(container[key]))))
+    else:
+        container[key] = json.loads(json.dumps(rng.choice(FUZZ_JUNK)))
+    return doc
+
+
+def test_exit_contract_on_mutated_examples(tmp_path, capsys):
+    """Seeded mutants of the documented spec examples, each run through
+    verify, ugroup and iso: every outcome is exit 0 or 1 with a payload
+    that json.dumps accepts and a silent stderr, or exit 2 with no
+    payload and one `gradekit:` line, and no exception escapes."""
+    rng = random.Random(1)
+    examples = {kind: doc for kind, doc in documented_examples().items() if kind in KINDS}
+    original, mutated = tmp_path / "original.json", tmp_path / "mutant.json"
+    seen = set()
+    for _ in range(150):
+        for kind, doc in sorted(examples.items()):
+            mutant = fuzz_mutant(rng, doc)
+            original.write_text(json.dumps(doc))
+            mutated.write_text(json.dumps(mutant))
+            mode = "p" if kind == "p" else "assoc"
+            for argv in (["verify", "-f", str(mutated)], ["ugroup", "-f", str(mutated)],
+                         ["iso", "-a", str(original), "-b", str(mutated), "--mode", mode]):
+                try:
+                    payload, code = run(argv)
+                except Exception as exc:
+                    pytest.fail(f"{argv[0]} on {json.dumps(mutant)} raised {exc!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv[0], mutant, err)
+                if code == 2:
+                    assert payload is None, (argv[0], mutant)
+                    assert err.startswith("gradekit: ") and err.count("\n") == 1, \
+                        (argv[0], mutant, err)
+                else:
+                    json.dumps(payload)
+                    assert err == "", (argv[0], mutant, err)
+                seen.add(code)
+    assert seen == {0, 1, 2}
 
 
 # steps of the one validation pass per input spec: an odd_g spec has two

@@ -36,7 +36,6 @@ from gradekit.matgrade import (
     finest_even_coarsening,
     odd_existence_check,
     universal_group,
-    validate_spec,
     verify_grading,
 )
 
@@ -134,9 +133,9 @@ def test_embedded_pairing_rejects_degenerate():
 
 def test_validate_rejects_empty_gamma():
     with pytest.raises(ValueError):
-        validate_spec(EvenAssocSpec(Z, (), TRIVIAL_BETA, (), ((1,),)))
+        check_spec(EvenAssocSpec(Z, (), TRIVIAL_BETA, (), ((1,),))).source
     with pytest.raises(ValueError):
-        validate_spec(OddAssocGSpec(Z4, (2,), (), TRIVIAL_BETA, (0,), ()))
+        check_spec(OddAssocGSpec(Z4, (2,), (), TRIVIAL_BETA, (0,), ())).source
 
 
 def test_validate_rejects_even_only_support():
@@ -144,12 +143,12 @@ def test_validate_rejects_even_only_support():
     beta = standard_pair((2,))[1]
     spec = OddAssocTSpec(Z22, ((1, 0, 0), (0, 1, 0)), beta, ((0, 0),))
     with pytest.raises(ValueError):
-        validate_spec(spec)
+        check_spec(spec).source
 
 
 def test_validate_rejects_bad_t0_and_u():
     with pytest.raises(ValueError):
-        validate_spec(OddAssocGSpec(Z4, (1,), (), TRIVIAL_BETA, (0,), ((0,),)))
+        check_spec(OddAssocGSpec(Z4, (1,), (), TRIVIAL_BETA, (0,), ((0,),))).source
     with pytest.raises(ValueError):
         build_odd_from_G(minimal_odd_spec(u=(1,)))
     with pytest.raises(ValueError):
@@ -163,7 +162,7 @@ def test_validate_rejects_bad_t0_and_u():
      "the block-degree tuple must be nonempty"),
 ])
 def test_invalid_odd_g_messages(spec, message):
-    for use in (validate_spec, build_matrix_model):
+    for use in (check_spec, build_matrix_model):
         with pytest.raises(ValueError, match=f"^{message}$"):
             use(spec)
 
@@ -179,7 +178,7 @@ def test_odd_g_spec_converted_once_per_build(monkeypatch):
 
 def test_validate_rejects_wrong_type():
     with pytest.raises(TypeError):
-        validate_spec(object())
+        check_spec(object()).source
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +563,7 @@ def fine_odd_m11_spec():
 
 
 def test_fine_odd_m11():
-    spec = validate_spec(fine_odd_m11_spec())
+    spec = check_spec(fine_odd_m11_spec()).source
     assert check_spec(spec).t0 == (1, 0)
     model = build_matrix_model(spec)
     assert model.sizes == (1, 1)
@@ -708,7 +707,7 @@ def test_random_even_specs():
     rng = random.Random(29)
     for _ in range(8):
         spec = random_even_spec(rng)
-        spec = validate_spec(spec)
+        spec = check_spec(spec).source
         model = build_matrix_model(spec)
         assert sum(model.dimension_table().values()) == sum(model.sizes) ** 2
         assert verify_grading(model).ok

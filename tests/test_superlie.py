@@ -20,7 +20,7 @@ from gradekit.matgrade import (
     OddAssocTSpec,
     build_matrix_model,
     build_odd_from_G,
-    validate_spec,
+    check_spec,
 )
 from gradekit import superlie
 from gradekit.classify import enumerate_P_fine
@@ -30,6 +30,7 @@ from gradekit.superlie import (
     PGradedModel,
     PSpec,
     P_restriction_condition,
+    _ambient_model,
     _ambient_proof,
     _basis_entries,
     _bracket,
@@ -39,8 +40,6 @@ from gradekit.superlie import (
     _entries,
     _fixed_copy_closed,
     _in_fixed_copy,
-    _kernel,
-    _p_constraints,
     _p_image,
     _reduce_vector,
     _rref,
@@ -64,6 +63,9 @@ from helpers import (
     all_pairs_universal_P_group,
     count_calls,
     embedded_standard_torus,
+    kernel,
+    kernel_p_intersection,
+    p_constraints,
     p_label_vector,
     random_element,
     random_even_spec,
@@ -203,8 +205,8 @@ def test_superadjoint_odd_specs_and_involution():
     assert superadjoint_spec(out) == spec
     build_matrix_model(out)  # image of a valid spec is again valid
 
-    tspec = validate_spec(build_odd_from_G(
-        OddAssocGSpec(group, (2,), (), TRIVIAL_BETA, (2,), ((0,),))))
+    tspec = check_spec(build_odd_from_G(
+        OddAssocGSpec(group, (2,), (), TRIVIAL_BETA, (2,), ((0,),)))).source
     tout = superadjoint_spec(tspec)
     assert tout.gamma == tuple(group.neg(x) for x in tspec.gamma)
     assert superadjoint_spec(tout) == tspec
@@ -221,7 +223,7 @@ def component_spans(model):
 def check_superadjoint_mapping(spec):
     """-(L^{s-transpose}) must carry each component onto the image component
     of the same degree."""
-    spec = validate_spec(spec)
+    spec = check_spec(spec).source
     model = build_matrix_model(spec)
     image = build_matrix_model(superadjoint_spec(spec))
     source = component_spans(model)
@@ -276,7 +278,7 @@ def test_restrict_type_I_dimension_sums():
     rng = random.Random(17)
     for _ in range(6):
         spec = random_even_spec(rng)
-        model = build_matrix_model(validate_spec(spec))
+        model = build_matrix_model(check_spec(spec).source)
         m, n = model.sizes
         assert sum(restrict_type_I(spec).values()) == \
             (m + n) ** 2 - 1 - (1 if m == n else 0)
@@ -393,7 +395,7 @@ def test_restriction_condition_iff_full_intersection():
     rng = random.Random(23)
     seen_none = seen_some = 0
     for _ in range(10):
-        spec = validate_spec(random_p_candidate_spec(rng))
+        spec = check_spec(random_p_candidate_spec(rng)).source
         cond = P_restriction_condition(spec)
         if cond is None:
             seen_none += 1
@@ -462,7 +464,7 @@ def test_kernel_is_the_rref_kernel_up_to_scale():
                  for _ in range(nrows)]
         columns = [{r: dense[r][j] for r in range(nrows) if dense[r][j]}
                    for j in range(ncols)]
-        got = _kernel(columns)
+        got = kernel(columns)
         echelon, pivots = _rref([[F(x) for x in row] for row in dense])
         free = [c for c in range(ncols) if c not in pivots]
         assert len(got) == len(free)
@@ -474,6 +476,38 @@ def test_kernel_is_the_rref_kernel_up_to_scale():
                 expected[p] = -row[f]
             scale = vec[f]
             assert [F(vec.get(j, 0), scale) for j in range(ncols)] == expected
+
+
+def _p_intersection_models():
+    """The ambient models of every fine grading of P(n), n <= 7, of 120
+    seeded random_p_spec and wide_p_spec draws, and 80 seeded candidate
+    models, many of which admit no restriction to P(n)."""
+    models = [_ambient_model(d.spec) for n in range(2, 8) for d in enumerate_P_fine(n)]
+    rng = random.Random(73)
+    models += [_ambient_model(draw(rng)) for _ in range(60)
+               for draw in (random_p_spec, wide_p_spec)]
+    models += [build_matrix_model(random_p_candidate_spec(rng)) for _ in range(80)]
+    return models
+
+
+def test_p_intersection_equals_the_kernel_reference():
+    """The orbit sums are the vectors of the kernel solve, degree by
+    degree and in the same order with the same Z-degrees: equal when the
+    realization has size d = 1, and up to the sign of each vector when
+    d > 1."""
+    sizes, deficient = set(), 0
+    for model in _p_intersection_models():
+        got, want = p_intersection(model), kernel_p_intersection(model)
+        assert list(got) == list(want)
+        d = model.realization.size
+        sizes.add(d)
+        for g, items in want.items():
+            assert [z for _, z in got[g]] == [z for _, z in items]
+            for (x, _), (y, _) in zip(got[g], items):
+                negated = {r: {c: -v for c, v in row.items()} for r, row in y.items()}
+                assert x == y or (d > 1 and x == negated), g
+        deficient += sum(map(len, got.values())) < 2 * model.sizes[0] ** 2 - 1
+    assert sizes == {1, 2, 4, 8} and deficient
 
 
 def test_component_vectors_are_primitive_integer_matrices():
@@ -582,9 +616,8 @@ def _ambient_proof_mutants():
     basis = tuple(replace(b, degree=(4,)) if (b.i, b.j) in ((4, 2), (5, 1)) else b
                   for b in amb.basis)
     yield "moved with its ambient elements", PGradedModel(
-        model.spec, GradedMatrixModel(amb.kind, amb.base_group, amb.degree_group,
-                                      amb.sizes, basis, amb.pairing,
-                                      amb.realization, amb.parity_coords),
+        GradedMatrixModel(amb.kind, amb.base_group, amb.degree_group, amb.sizes,
+                          basis, amb.pairing, amb.realization, amb.parity_coords),
         model.components)
     model = _p2_model()
     rows, z = model.components[(-1,)][0]
@@ -672,7 +705,7 @@ def test_fixed_copy_membership_matches_the_p_constraints():
             key = corner(z)
             x[key] = x.get(key, 0) + rng.choice((1, -1))
         x = {k: v for k, v in x.items() if v}
-        assert _in_fixed_copy(x, z, half) == (_p_constraints(x, z, half) == {})
+        assert _in_fixed_copy(x, z, half) == (p_constraints(x, z, half) == {})
     for model in _fine_p3_models():
         for items in model.components.values():
             for rows, z in items:
