@@ -22,7 +22,6 @@ generate); every constructor here emits that form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import lcm
@@ -557,17 +556,24 @@ def _character_on(sub: Subgroup, vector: tuple[int, ...], mod: int):
 
 def _canonical_chi(t_plus: Subgroup, t0: Coords, mod: int):
     """Lexicographically least character of T+ taking -1 at t0, with
-    values residues modulo mod, a multiple of every order of T+."""
-    gens = t_plus.smith_gens
-    orders = [o for _, o in gens]
+    values residues modulo mod, a multiple of every order of T+.
+
+    A character is a dual vector c against the Smith generators, of
+    orders o_i: chi_c(x) = sum_i c_i x_i / o_i mod 1 on the coordinates
+    x_i of x.  t0 has order 2 (`_quotient_data` checks it), so each
+    coordinate d_i of t0 is 0 or o_i / 2, and chi_c(t0) is half the sum
+    of the c_i over the set S of i with d_i != 0, mod 1: chi_c takes -1
+    at t0 iff that sum is odd.  Let j be the last index in S.  Then e_j
+    sums to 1 over S, and every c less than e_j is 0 up to and including
+    j, so it sums to 0 over S: the least character is chi_{e_j}.
+    """
     t0_coords = t_plus.coords_of(t0)
     if t0_coords is None:
         raise ValueError("t0 does not lie in the support")
-    for vec in itertools.product(*(range(o) for o in orders)):
-        val = sum(c * d * (mod // o) for c, d, o in zip(vec, t0_coords, orders))
-        if 2 * (val % mod) == mod:
-            return _character_on(t_plus, vec, mod)
-    raise ValueError("no character separates t0; is it the identity?")
+    if not any(t0_coords):
+        raise ValueError("no character separates t0; is it the identity?")
+    j = max(i for i, d in enumerate(t0_coords) if d)
+    return _character_on(t_plus, tuple(int(i == j) for i in range(len(t0_coords))), mod)
 
 
 def _quotient_data(group: FinGenAbGroup, t0: Coords,

@@ -1,9 +1,8 @@
 """Lie superalgebra layer on top of the matrix models.
 
-Supertrace and supertranspose act on explicit block matrices over the
-rationals.  Gradings descend from M(m,n) to sl/psl by removing the lines
-cut out by the supertrace and, for equal block sizes, the identity.  The
-periplectic algebra P(n) is the standard copy
+Gradings descend from M(m,n) to sl/psl by removing the lines cut out by
+the supertrace and, for equal block sizes, the identity.  The periplectic
+algebra P(n) is the standard copy
 
     {(a b; c -a^T) : tr a = 0, b = b^T, c = -c^T}
 
@@ -13,11 +12,15 @@ division algebra has an elementary 2-group support, so every realized
 basis element is a signed permutation block and sigma permutes the
 ambient basis up to sign.  Each component P(n) cap A_g is spanned by
 the sums x + sigma(x) over the sigma-orbits inside A_g, made trace-free
-on the diagonal, with no linear solve (`p_intersection`); the components
-are sparse integer matrices, with one bracket routine for closure.
-Universal groups need no P(n) basis: a family of pairs of orbit sums
-with closed-form nonzero brackets generates every relation
-(`p_labels`).
+on the diagonal, with no linear solve (`p_intersection`); a basis vector
+is held as its coordinates in the ambient basis, and its sparse integer
+matrix is formed only for the membership, independence and bracket
+checks.  Universal groups need no P(n) basis: a family of pairs of orbit
+sums with closed-form nonzero brackets generates every relation
+(`p_labels`).  The dense rational `BlockMatrix`, with its supertrace,
+supertranspose and supercommutator, and `_rref` are the reference that
+tests check the sparse routines against; the traced benchmark counts
+their calls.
 """
 
 from __future__ import annotations
@@ -221,12 +224,14 @@ def _reduce_vector(echelon, pivots, vec):
 # sparse integer matrices
 #
 # Over an elementary 2-group every X_t is a signed permutation matrix, so
-# realized basis elements and P(n) components are integer matrices with
-# few nonzero entries.  Entries are kept as {(row, col): value}; a factor
-# of a product is kept grouped by rows, {row: {col: value}}.
+# realized basis elements are integer matrices with few nonzero entries,
+# kept as {(row, col): value}; a factor of a product is kept grouped by
+# rows, {row: {col: value}}.  A combination of a model's basis elements
+# is kept as its coordinates, {index: coefficient}.
 
 Entries = dict[tuple[int, int], int]
 Rows = dict[int, dict[int, int]]
+Coeffs = dict[int, int]
 
 
 def _sign(e: int, m: int) -> int:
@@ -270,10 +275,6 @@ def _rows(entries: Entries) -> Rows:
     for (r, c), v in entries.items():
         out.setdefault(r, {})[c] = v
     return out
-
-
-def _entries(rows: Rows) -> Entries:
-    return {(r, c): v for r, row in rows.items() for c, v in row.items()}
 
 
 def _bracket(x: Rows, zx: int, y: Rows, zy: int) -> Entries:
@@ -416,12 +417,14 @@ def ambient_even_spec(spec: PSpec) -> EvenAssocSpec:
 class PGradedModel:
     """Integer bases for the components P(n) cap A_g of an even model.
 
-    Each component is a list of (rows, z): a primitive integer matrix,
-    grouped by rows, and its degree in the canonical Z-grading.
+    Each component is a list of (coords, z): a basis vector as its
+    coordinates {index: coefficient} in the ambient basis E_IJ (x) X_t,
+    and its degree in the canonical Z-grading.  `matrix` forms the
+    vector's entries where a check needs them.
     """
 
     def __init__(self, ambient: GradedMatrixModel,
-                 components: dict[Coords, list[tuple[Rows, int]]]):
+                 components: dict[Coords, list[tuple[Coeffs, int]]]):
         self.ambient = ambient
         self.n = ambient.sizes[0] - 1
         self.components = components
@@ -440,11 +443,19 @@ class PGradedModel:
     def total_dim(self) -> int:
         return sum(len(items) for items in self.components.values())
 
+    def matrix(self, coords: Coeffs) -> Entries:
+        """The nonzero entries of sum_n coords[n] (basis element n)."""
+        out: Entries = {}
+        for n, v in coords.items():
+            for key, e in _basis_entries(self.ambient, n).items():
+                out[key] = out.get(key, 0) + v * e
+        return {key: v for key, v in out.items() if v}
+
     def echelon(self, degree: Coords) -> dict:
-        """The echelon rows of the component, computed once."""
+        """The echelon rows of the component's matrices, computed once."""
         if degree not in self._echelon:
             self._echelon[degree] = _echelon(
-                _entries(x) for x, _ in self.components.get(degree, ()))
+                self.matrix(x) for x, _ in self.components.get(degree, ()))
         return self._echelon[degree]
 
     def contains(self, degree: Coords, entries: Entries) -> bool:
@@ -454,7 +465,7 @@ class PGradedModel:
         return not _reduce(entries, self.echelon(degree))
 
 
-def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, int]]]:
+def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Coeffs, int]]]:
     """Intersect every component of an even model with the standard P(n),
     one sigma-orbit of the ambient basis at a time.
 
@@ -476,9 +487,11 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, in
     degree 0 and Z-degree 0, where it is -d for every i.  The trace-free
     part of their span has the basis O_0 - O_i, i >= 1.
 
-    Each vector stands at the larger index of its orbit in the ambient
-    basis, O_0 - O_i at that of O_i, and every component lists its
-    vectors by Z-degree, then by that index.
+    Each vector is returned as its ambient coordinates: {n: 1, n': +-1}
+    for the orbit sum of x = basis[n], {n: 1} when x = x', and four
+    terms for O_0 - O_i.  It stands at the larger index of its orbit,
+    O_0 - O_i at that of O_i, and every component lists its vectors by
+    Z-degree, then by that index.
     """
     if model.kind != "even":
         raise ValueError("P(n) sits inside an even grading")
@@ -491,13 +504,11 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, in
     zero = model.pairing.beta.domain.zero()
     eps = _transpose_signs(model)
 
-    def orbit_sum(n: int, partner: int) -> Entries:
+    def orbit_sum(n: int, partner: int) -> Coeffs:
+        if partner == n:
+            return {n: 1}
         b = basis[n]
-        vec = _basis_entries(model, n)
-        if partner != n:
-            sign = eps[b.t_abs] * (1 if b.i < k <= b.j else -1)
-            vec.update((key, sign * v) for key, v in _basis_entries(model, partner).items())
-        return vec
+        return {n: 1, partner: eps[b.t_abs] * (1 if b.i < k <= b.j else -1)}
 
     found = []
     for n, b in enumerate(basis):
@@ -508,15 +519,15 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Rows, in
             if b.i == k:
                 continue
             vec = orbit_sum(index[k, k, zero], index[0, 0, zero])
-            vec.update((key, -v) for key, v in orbit_sum(n, partner).items())
+            vec.update((m, -v) for m, v in orbit_sum(n, partner).items())
         elif partner == n and (b.i < k) == (eps[b.t_abs] < 0):
             continue
         else:
             vec = orbit_sum(n, partner)
         found.append((b.degree, b.z_degree, n, vec))
-    components: dict[Coords, list[tuple[Rows, int]]] = {}
+    components: dict[Coords, list[tuple[Coeffs, int]]] = {}
     for degree, z, _, vec in sorted(found, key=lambda item: item[:3]):
-        components.setdefault(degree, []).append((_rows(vec), z))
+        components.setdefault(degree, []).append((vec, z))
     return components
 
 
@@ -630,17 +641,12 @@ def _ambient_proof(model: PGradedModel) -> bool:
     `verify_P_graded`:
       (0) `verify_grading` passes on the ambient model, an even model of
           M(half, half) with an elementary 2-group torus;
-      (3) every basis vector (x, z) of component g lies in the z-corner
-          of P(n) (`_in_fixed_copy`), and its coordinates in the ambient
-          basis E_IJ X_t are nonzero only on elements of degree g and
-          z_degree z;
+      (3) every basis vector (coords, z) of component g has coordinates
+          only on ambient elements E_IJ X_t of degree g and z_degree z,
+          so it lies in A_g, and its matrix lies in the z-corner of P(n)
+          (`_in_fixed_copy`);
       (4) the vectors of each component are independent;
       (5) the standard copy is closed (`_fixed_copy_closed(half)`).
-    Each X_t is a signed permutation matrix, so X_t^T = X_t^-1 and
-    tr(X_t^T X_s) = d if s = t and 0 otherwise (X_t^-1 X_s is a root
-    multiple of X_{s-t}): the |T| = d^2 matrices X_t are an orthogonal
-    basis of the d x d matrices, and the coordinate of X_t in block
-    (I, J) of x is (1/d) sum_col x[perm col, col] sign(col).
     """
     ambient = model.ambient
     real = ambient.realization
@@ -650,29 +656,12 @@ def _ambient_proof(model: PGradedModel) -> bool:
             or any(t != 2 for t in real.group.torsion)
             or not verify_grading(ambient).ok or not _fixed_copy_closed(half)):
         return False
-    d = real.size
-    # (row, col) of a d x d block -> (t_abs, sign) of every X_t nonzero there
-    positions: dict[tuple[int, int], list[tuple[Coords, int]]] = {}
-    for t in sorted(real.group.elements()):
-        mono = real.matrix(t)
-        for col, (row, e) in enumerate(zip(mono.perm, mono.exps)):
-            positions.setdefault((row, col), []).append((t, _sign(e, mono.m)))
-    basis, index = ambient.basis, ambient.index
+    basis = ambient.basis
     for g, items in model.components.items():
-        for rows, z in items:
-            entries = _entries(rows)
-            if not _in_fixed_copy(entries, z, half):
+        for coords, z in items:
+            if (any(basis[n].degree != g or basis[n].z_degree != z for n in coords)
+                    or not _in_fixed_copy(model.matrix(coords), z, half)):
                 return False
-            coords: dict[tuple[int, int, Coords], int] = {}
-            for (r, c), v in entries.items():
-                block = (r // d, c // d)
-                for t, s in positions[r % d, c % d]:
-                    key = block + (t,)
-                    coords[key] = coords.get(key, 0) + s * v
-            for key, v in coords.items():
-                n = index.get(key)
-                if v and (n is None or basis[n].degree != g or basis[n].z_degree != z):
-                    return False
         if len(model.echelon(g)) != len(items):
             return False
     return True
@@ -685,12 +674,14 @@ def _bracket_failures(model: PGradedModel) -> list[str]:
     component of the sum of the degrees."""
     failures = []
     group = model.ambient.base_group
-    degrees = list(model.components)
+    rows = {g: [(_rows(model.matrix(x)), z) for x, z in items]
+            for g, items in model.components.items()}
+    degrees = list(rows)
     # [y,x] is proportional to [x,y], so unordered pairs suffice
     for gi, g in enumerate(degrees):
         for h in degrees[gi:]:
             target = group.add(g, h)
-            items_g, items_h = model.components[g], model.components[h]
+            items_g, items_h = rows[g], rows[h]
             for a, (x, zx) in enumerate(items_g):
                 start = a if g == h else 0
                 for y, zy in items_h[start:]:

@@ -343,14 +343,20 @@ def all_pairs_universal_P_group(model):
     bracket, found by bracketing component bases for every unordered pair
     of support degrees; the oracle for superlie.universal_P_group."""
     supp = sorted(g for g, items in model.components.items() if items)
+    rows = {g: [(_rows(model.matrix(x)), z) for x, z in model.components[g]]
+            for g in supp}
     pairs = []
     for a, g in enumerate(supp):
         for h in supp[a:]:
             if any(zx + zy not in (2, -2) and _bracket(x, zx, y, zy)
-                   for x, zx in model.components[g]
-                   for y, zy in model.components[h]):
+                   for x, zx in rows[g] for y, zy in rows[h]):
                 pairs.append((g, h))
     return matgrade.presented_quotient(model.ambient.base_group, supp, pairs)
+
+
+def entries_of(rows):
+    """{(row, col): value} of a matrix given grouped by rows."""
+    return {(r, c): v for r, row in rows.items() for c, v in row.items()}
 
 
 def p_label_vector(ambient, key):
@@ -435,7 +441,8 @@ def kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
 def kernel_p_intersection(model):
     """The components P(n) cap A_g of an even model solved as kernels of
     the constraint functionals, one (degree, Z-degree) bucket of the
-    ambient basis at a time; the reference for superlie.p_intersection."""
+    ambient basis at a time, each vector as its matrix entries; the
+    reference for superlie.p_intersection."""
     half = model.sizes[0]
     buckets: dict = {}
     for i, b in enumerate(model.basis):
@@ -449,7 +456,7 @@ def kernel_p_intersection(model):
                 for key, v in selected[j].items():
                     vec[key] = vec.get(key, 0) + x * v
             vec = _primitive({k: v for k, v in vec.items() if v})
-            components.setdefault(degree, []).append((_rows(vec), z))
+            components.setdefault(degree, []).append((vec, z))
     return components
 
 
@@ -610,6 +617,21 @@ def random_even_spec(rng):
     return EvenAssocSpec(group, tgens, beta, gamma0, gamma1)
 
 
+def searched_chi_vector(t_plus, t0):
+    """The lexicographically least dual vector, against the smith basis
+    of the finite subgroup t_plus, whose character takes -1 at t0, found
+    by searching every dual vector; None when no character does.  The
+    oracle for matgrade._canonical_chi."""
+    gens = t_plus.smith_gens
+    t0_coords = t_plus.coords_of(t0)
+    assert t0_coords is not None
+    for vec in itertools.product(*(range(o) for _, o in gens)):
+        val = sum(Fraction(c * d, o) for c, d, (_, o) in zip(vec, t0_coords, gens))
+        if val % 1 == Fraction(1, 2):
+            return vec
+    return None
+
+
 def oracle_chi_and_a(group, t0, tbar_lifts, beta_bar):
     """Independent derivation of the canonical character and its square class.
 
@@ -622,14 +644,7 @@ def oracle_chi_and_a(group, t0, tbar_lifts, beta_bar):
     bar = EmbeddedPairing(gbar, tuple(theta(t) for t in tbar_lifts), beta_bar)
     t_plus = bar.sub.preimage_under(theta)
     gens = t_plus.smith_gens
-    t0_coords = t_plus.coords_of(t0)
-    assert t0_coords is not None
-    chosen = None
-    for vec in itertools.product(*(range(o) for _, o in gens)):
-        val = sum(Fraction(c * d, o) for c, d, (_, o) in zip(vec, t0_coords, gens))
-        if val % 1 == Fraction(1, 2):
-            chosen = vec
-            break
+    chosen = searched_chi_vector(t_plus, t0)
     assert chosen is not None, "t0 is not separated by any character"
 
     def chi(x):

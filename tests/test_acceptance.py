@@ -1006,6 +1006,35 @@ def test_verify_of_fine_odd_16_and_p_15_is_pinned(tmp_path, monkeypatch):
                 assert len(products) < order ** 2 / 10
 
 
+# sha256 of json.dumps(payload, sort_keys=True) of `gradekit verify` on
+# every `fine p 31` descriptor, recorded while the ambient proof read
+# each basis vector's coordinates back from its matrix
+VERIFY_DIGESTS_P31 = [
+    "00908e8b5c56485f83ce78c21ca7123b0f64c11106b8e282b6efc4d8aa0c61de",
+    "1feb025f911091ab58b6faa87470325cb19388b519dd0bb0a7373a0988a8801e",
+    "cc2591d84b2ab5b300640fe73f4032ebb6a4e833a1b38dd8dc4f47de1dc76d42",
+    "b8a9158d63b976b7bf99e0286bb06f25058451b708842605d9ef763392e98ab2",
+    "5d9d4670123349267b5fed1b04ee69c3c4218ac75b3a44d9d411b5a5fd3451e5",
+    "891f3a09c562df0560eb2f3caeadc0add831ce520635a3a6e86306cd96a29ccc"]
+
+
+def test_verify_of_fine_p_31_is_pinned(tmp_path):
+    """`gradekit verify` on every fine grading of P(31) (M(32, 32),
+    2 047 basis vectors) gives the recorded payload, each in under a
+    second, model build included."""
+    payload, code = run(["fine", "p", "31"])
+    assert code == 0 and len(payload["descriptors"]) == len(VERIFY_DIGESTS_P31)
+    for i, (desc, digest) in enumerate(zip(payload["descriptors"], VERIFY_DIGESTS_P31)):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(desc["spec"]))
+        start = time.perf_counter()
+        out, code = run(["verify", "-f", str(path)])
+        _budget(start, 1.0)
+        assert code == 0
+        text = json.dumps(out, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, i
+
+
 # sha256 of json.dumps(payload, sort_keys=True) of `gradekit ugroup` on
 # every fine P(n) descriptor, n in {2, 3, 5, 7, 15}, recorded while
 # ugroup bracketed component bases for every pair of support degrees

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import lcm
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -53,6 +54,7 @@ from helpers import (
     random_even_spec,
     random_odd_g_spec,
     ref_pairing_value,
+    searched_chi_vector,
 )
 
 Z = FinGenAbGroup(1, ())
@@ -725,6 +727,37 @@ def test_random_odd_specs():
         assert not is_even_grading(model)
         _, _, theta = subgroup_and_quotient(spec.group, [spec.t0])
         assert is_even_grading(coarsen(model, theta))
+
+
+def test_canonical_chi_is_the_least_character_the_search_finds():
+    """The closed form of _canonical_chi, e_j for the last Smith
+    coordinate j where t0 is nonzero, is the character the search over
+    every dual vector finds, on seeded random finite T+ and elements t0
+    of order 2; t0 = 0 has no such character."""
+    rng = random.Random(43)
+    compared = 0
+    for _ in range(200):
+        group = FinGenAbGroup(0, tuple(rng.choice((2, 4, 6, 8, 12))
+                                       for _ in range(rng.randint(1, 3))))
+        t_plus = Subgroup(group, [random_element(rng, group)
+                                  for _ in range(rng.randint(1, 3))])
+        x = group.zero()
+        for s, o in t_plus.smith_gens:
+            x = group.add(x, group.scale(rng.randrange(o), s))
+        order = group.element_order(x)
+        if order % 2:
+            continue
+        t0 = group.scale(order // 2, x)
+        mod = lcm(*(o for _, o in t_plus.smith_gens)) * rng.choice((1, 2, 3))
+        chi = matgrade._canonical_chi(t_plus, t0, mod)
+        vec = searched_chi_vector(t_plus, t0)
+        assert [chi(s) for s, _ in t_plus.smith_gens] == \
+            [c * (mod // o) for c, (_, o) in zip(vec, t_plus.smith_gens)]
+        assert 2 * chi(t0) == mod
+        compared += 1
+    assert compared > 50
+    with pytest.raises(ValueError, match="identity"):
+        matgrade._canonical_chi(t_plus, group.zero(), mod)
 
 
 def test_odd_tau_pairing_values():

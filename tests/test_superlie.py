@@ -37,12 +37,12 @@ from gradekit.superlie import (
     _bracket_failures,
     _dense,
     _echelon,
-    _entries,
     _fixed_copy_closed,
     _in_fixed_copy,
     _p_image,
     _reduce_vector,
     _rref,
+    _rows,
     ambient_even_spec,
     build_P_model,
     check_p_spec,
@@ -63,6 +63,7 @@ from helpers import (
     all_pairs_universal_P_group,
     count_calls,
     embedded_standard_torus,
+    entries_of,
     kernel,
     kernel_p_intersection,
     p_constraints,
@@ -428,8 +429,8 @@ def _fine_p3_models():
     return [build_P_model(d.spec) for d in enumerate_P_fine(3)]
 
 
-def _dense_view(model, rows):
-    return _dense(model.n + 1, model.n + 1, _entries(rows))
+def _dense_view(model, coords):
+    return _dense(model.n + 1, model.n + 1, model.matrix(coords))
 
 
 def test_basis_entries_match_the_realization_and_reject_irrational_roots():
@@ -491,20 +492,22 @@ def _p_intersection_models():
 
 
 def test_p_intersection_equals_the_kernel_reference():
-    """The orbit sums are the vectors of the kernel solve, degree by
-    degree and in the same order with the same Z-degrees: equal when the
-    realization has size d = 1, and up to the sign of each vector when
-    d > 1."""
+    """The matrices of the orbit sums are the vectors of the kernel
+    solve, degree by degree and in the same order with the same
+    Z-degrees: equal when the realization has size d = 1, and up to the
+    sign of each vector when d > 1."""
     sizes, deficient = set(), 0
     for model in _p_intersection_models():
         got, want = p_intersection(model), kernel_p_intersection(model)
         assert list(got) == list(want)
+        matrix = PGradedModel(model, got).matrix
         d = model.realization.size
         sizes.add(d)
         for g, items in want.items():
             assert [z for _, z in got[g]] == [z for _, z in items]
             for (x, _), (y, _) in zip(got[g], items):
-                negated = {r: {c: -v for c, v in row.items()} for r, row in y.items()}
+                x = matrix(x)
+                negated = {key: -v for key, v in y.items()}
                 assert x == y or (d > 1 and x == negated), g
         deficient += sum(map(len, got.values())) < 2 * model.sizes[0] ** 2 - 1
     assert sizes == {1, 2, 4, 8} and deficient
@@ -516,8 +519,9 @@ def test_component_vectors_are_primitive_integer_matrices():
                for seed in (3, 4)]
     for model in models:
         for items in model.components.values():
-            for rows, z in items:
-                values = list(_entries(rows).values())
+            for coords, z in items:
+                assert set(coords.values()) <= {1, -1}
+                values = list(model.matrix(coords).values())
                 assert values and all(type(v) is int and v for v in values)
                 assert math.gcd(*values) == 1
                 assert z in (-1, 0, 1)
@@ -525,10 +529,10 @@ def test_component_vectors_are_primitive_integer_matrices():
 
 def test_bracket_equals_dense_supercommutator_on_fine_p3():
     for model in _fine_p3_models():
-        vectors = [(rows, z) for items in model.components.values()
-                   for rows, z in items]
-        assert len(vectors) == 31
-        dense = [_dense_view(model, rows) for rows, _ in vectors]
+        items = [item for items in model.components.values() for item in items]
+        assert len(items) == 31
+        vectors = [(_rows(model.matrix(x)), z) for x, z in items]
+        dense = [_dense_view(model, x) for x, _ in items]
         for a, (x, zx) in enumerate(vectors):
             for b in range(a, len(vectors)):
                 y, zy = vectors[b]
@@ -551,7 +555,7 @@ def _dense_closure_failures(model):
     matrices with supercommutator and row reduction."""
     failures = []
     group = model.ambient.base_group
-    dense = {g: [(_dense_view(model, rows), z) for rows, z in items]
+    dense = {g: [(_dense_view(model, x), z) for x, z in items]
              for g, items in model.components.items()}
     spans = {g: span_of([m for m, _ in items]) for g, items in dense.items()}
     degrees = list(dense)
@@ -587,7 +591,7 @@ def test_verify_P_rejects_a_component_vector_outside_P():
     index = next(i for i, (_, z) in enumerate(items) if z == 0)
     # E_00 has degree 0 and Z-degree 0 in the ambient grading, but it is
     # not supertraceless, so it is not in P(2)
-    items[index] = ({0: {0: 1}}, 0)
+    items[index] = ({model.ambient.index[0, 0, ()]: 1}, 0)
     report = verify_P_graded(model)
     assert not report.ok
     assert report.failures == PINNED_OUTSIDE_P_FAILURES
@@ -600,30 +604,38 @@ def _p2_model():
     return build_P_model(PSpec(Z, (), TRIVIAL_BETA, ((0,), (1,), (2,)), (0,)))
 
 
+def _relabelled(model, coords, **change):
+    """The model with the ambient elements under coords relabelled."""
+    amb = model.ambient
+    basis = tuple(replace(b, **change) if n in coords else b
+                  for n, b in enumerate(amb.basis))
+    return PGradedModel(
+        GradedMatrixModel(amb.kind, amb.base_group, amb.degree_group, amb.sizes,
+                          basis, amb.pairing, amb.realization, amb.parity_coords),
+        model.components)
+
+
 def _ambient_proof_mutants():
     """P(2) over Z with block degrees 0, 1, 2 (every ambient element is
     one matrix unit E_ij), and four mutants that keep every dimension:
     a vector moved to another degree, the same with the two ambient
-    elements it lies on relabelled to that degree, a vector with one
-    entry outside its Z-corner, and a vector replaced by a copy of
-    another in its component."""
+    elements it lies on relabelled to that degree, a vector with a
+    coordinate on an ambient element of another Z-degree, and a vector
+    replaced by a copy of another in its component."""
     model = _p2_model()
     moved = model.components[(-3,)].pop()
-    assert _entries(moved[0]) == {(4, 2): -1, (5, 1): 1}
+    assert model.matrix(moved[0]) == {(4, 2): -1, (5, 1): 1}
     model.components[(4,)].append(moved)
     yield "moved", model
-    amb = model.ambient
-    basis = tuple(replace(b, degree=(4,)) if (b.i, b.j) in ((4, 2), (5, 1)) else b
-                  for b in amb.basis)
-    yield "moved with its ambient elements", PGradedModel(
-        GradedMatrixModel(amb.kind, amb.base_group, amb.degree_group, amb.sizes,
-                          basis, amb.pairing, amb.realization, amb.parity_coords),
-        model.components)
+    yield "moved with its ambient elements", _relabelled(model, moved[0], degree=(4,))
     model = _p2_model()
-    rows, z = model.components[(-1,)][0]
+    coords, z = model.components[(-1,)][0]
     assert z == 0
-    model.components[(-1,)][0] = ({**rows, 0: {**rows[0], 4: 1}}, z)
-    yield "entry outside its corner", model
+    # E_31 has degree -1 and Z-degree 1
+    other = model.ambient.index[3, 1, ()]
+    assert model.ambient.basis[other].degree == (-1,)
+    model.components[(-1,)][0] = ({**coords, other: 1}, z)
+    yield "coordinate of another Z-degree", model
     model = _p2_model()
     items = model.components[(-1,)]
     assert items[0][1] == items[1][1] == 0
@@ -641,6 +653,20 @@ def test_ambient_proof_mutants_give_the_pair_loop_failures():
         assert report.z_dims == {-1: 6, 0: 8, 1: 3}
         assert report.stats == {"brackets_formed": 17 * 18 // 2,
                                 "membership_checks": 17 * 18 // 2 - 21 - 6}
+
+
+def test_ambient_proof_reads_the_z_degree_of_every_coordinate():
+    """Relabelling the Z-degree of the ambient elements under one vector
+    keeps the ambient grading and every matrix, so the proof is refused
+    only by the Z-degree half of check (3); the pair loop then finds the
+    model closed."""
+    model = _p2_model()
+    coords, z = model.components[(-1,)][0]
+    assert z == 0
+    mutant = _relabelled(model, coords, z_degree=1)
+    assert _ambient_proof(model) and not _ambient_proof(mutant)
+    report = verify_P_graded(mutant)
+    assert report.ok and _bracket_failures(mutant) == []
 
 
 def test_ambient_proof_agrees_with_the_pair_loop():
@@ -708,8 +734,8 @@ def test_fixed_copy_membership_matches_the_p_constraints():
         assert _in_fixed_copy(x, z, half) == (p_constraints(x, z, half) == {})
     for model in _fine_p3_models():
         for items in model.components.values():
-            for rows, z in items:
-                assert _in_fixed_copy(_entries(rows), z, half)
+            for coords, z in items:
+                assert _in_fixed_copy(model.matrix(coords), z, half)
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +770,8 @@ def test_p_labels_are_a_graded_basis_of_the_components():
         for key in labels:
             rows, z = p_label_vector(ambient, key)
             degree = ambient.basis[ambient.index[key]].degree
-            assert rows and model.contains(degree, _entries(rows)), key
-            by_degree.setdefault(degree, []).append(_entries(rows))
+            assert rows and model.contains(degree, entries_of(rows)), key
+            by_degree.setdefault(degree, []).append(entries_of(rows))
         assert model.dims() == {g: len(v) for g, v in by_degree.items()}
         assert all(len(_echelon(v)) == len(v) for v in by_degree.values())
 
