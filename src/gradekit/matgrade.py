@@ -408,13 +408,14 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
       (b) B(j, j) = 0 and B(i, j) = B(i, 0) + B(0, j) for all rows i, j;
       (c) tau(t) + tau(s) = tau(t + s) for every table entry (t, s).
     (b) gives B(i, j) + B(j, l) = B(i, 0) + B(0, l) = B(i, l), since
-    B(0, j) + B(j, 0) = B(j, j) = 0.  With table = `product_table`, (c)
-    holds for every pair; with table = `generator_products`, for every
-    t and unit generator g, and then tau is a homomorphism: tau(0) = 0,
-    and tau(t + s + g) = tau(t + s) + tau(g) = tau(t) + tau(s + g) by
-    induction on the length of s as a word in the generators.  Either
-    way v(x) + v(y) = v(target) for every pair `_pair_failures` visits,
-    whose product lands on E_il X_{t+s}.
+    B(0, j) + B(j, 0) = B(j, j) = 0.  `verify_grading` passes table =
+    `generator_products`, so (c) holds for every t and unit generator g,
+    and then tau is a homomorphism: tau(0) = 0, and tau(t + s + g) =
+    tau(t + s) + tau(g) = tau(t) + tau(s + g) by induction on the length
+    of s as a word in the generators.  (With table = `product_table`, (c)
+    holds for every pair directly.)  Either way v(x) + v(y) = v(target)
+    for every pair `_pair_failures` visits, whose product lands on
+    E_il X_{t+s}.
     """
     vg = ParityExtension(model.degree_group).group
     add = vg.add
@@ -481,11 +482,10 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     `element_failures` checks traces and transposes per element, and
     `_factorized_product_rule` on the generator entries proves the rule
     for every compatible basis pair.  When any of these fails, each
-    product X_t X_s is formed once, in a table over the domain, and the
-    realization identities are checked pair by pair; the product rule is
-    then proved through the factorization on the full table, and off the
-    block grid, or when that proof does not go through, every pair is
-    checked, so `failures` lists every failing pair.  Either way
+    product X_t X_s is formed once, in a table over the domain, the
+    realization identities are checked pair by pair, and every compatible
+    pair is checked (`_pair_failures`), so `failures` lists every failing
+    pair.  Either way
     `distinct_products` (|T|^2) and `pairs_checked` count the products
     and the compatible pairs that the verdict covers."""
     real = model.realization
@@ -495,9 +495,8 @@ def verify_grading(model: GradedMatrixModel) -> GradingReport:
     if (products is None or grid or element_failures(real)
             or not _factorized_product_rule(model, products)):
         table = product_table(real)
-        failures = realization_failures(real, table, beta) + grid
-        if grid or not _factorized_product_rule(model, table):
-            failures += _pair_failures(model, table)
+        failures = (realization_failures(real, table, beta) + grid
+                    + _pair_failures(model, table))
     else:
         failures = []
     row_size: dict[int, int] = {}

@@ -13,24 +13,25 @@ basis element is a signed permutation block and sigma permutes the
 ambient basis up to sign.  Each component P(n) cap A_g is spanned by
 the sums x + sigma(x) over the sigma-orbits inside A_g, made trace-free
 on the diagonal, with no linear solve (`p_intersection`); a basis vector
-is held as its coordinates in the ambient basis, and its sparse integer
-matrix is formed only for the membership, independence and bracket
-checks.  Universal groups need no P(n) basis: a family of pairs of orbit
-sums with closed-form nonzero brackets generates every relation
-(`p_labels`).  The dense rational `BlockMatrix`, with its supertrace,
-supertranspose and supercommutator, and `_rref` are the reference that
-tests check the sparse routines against; the traced benchmark counts
-their calls.
+is held as its coordinates in the ambient basis.  Its sparse integer
+matrix is formed only for the fixed-copy test and the fallback bracket
+loop: independence is read from the coordinates, and the fallback's
+membership test is a rank test on `hermite_normal_form`.  Universal
+groups need no P(n) basis: a family of pairs of orbit sums with
+closed-form nonzero brackets generates every relation (`p_labels`).
+The dense rational `BlockMatrix`, with its supertrace, supertranspose
+and supercommutator, and `_rref` are the reference that tests check
+the sparse routines against; the traced benchmark counts their calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Optional
 
-from .abgroup import Coords, FinGenAbGroup
+from .abgroup import Coords, FinGenAbGroup, hermite_normal_form
 from .bichar import Bicharacter
 from .matgrade import (
     CheckedSpec,
@@ -291,36 +292,6 @@ def _bracket(x: Rows, zx: int, y: Rows, zy: int) -> Entries:
     return {key: v for key, v in out.items() if v}
 
 
-def _primitive(vec: dict) -> dict:
-    content = gcd(*vec.values())
-    return {k: v // content for k, v in vec.items()}
-
-
-def _reduce(vec: dict, pivots: dict) -> dict:
-    """The integer vector vec after fraction-free elimination against the
-    echelon rows {leading key: row}; empty iff vec is in their rational
-    span."""
-    while vec:
-        lead = min(vec)
-        row = pivots.get(lead)
-        if row is None:
-            break
-        g = gcd(vec[lead], row[lead])
-        a, b = vec[lead] // g, row[lead] // g
-        vec = {k: v for k in vec.keys() | row.keys()
-               if (v := b * vec.get(k, 0) - a * row.get(k, 0))}
-    return vec
-
-
-def _echelon(vectors) -> dict:
-    pivots: dict = {}
-    for vec in vectors:
-        rest = _reduce(vec, pivots)
-        if rest:
-            pivots[min(rest)] = _primitive(rest)
-    return pivots
-
-
 # ---------------------------------------------------------------------------
 # superadjoint and Type I restriction
 
@@ -420,7 +391,8 @@ class PGradedModel:
     Each component is a list of (coords, z): a basis vector as its
     coordinates {index: coefficient} in the ambient basis E_IJ (x) X_t,
     and its degree in the canonical Z-grading.  `matrix` forms the
-    vector's entries where a check needs them.
+    vector's entries where a check needs them; independence is read
+    from the coordinates (`_ambient_proof`).
     """
 
     def __init__(self, ambient: GradedMatrixModel,
@@ -428,7 +400,6 @@ class PGradedModel:
         self.ambient = ambient
         self.n = ambient.sizes[0] - 1
         self.components = components
-        self._echelon: dict[Coords, dict] = {}
 
     def dims(self) -> dict[Coords, int]:
         return {g: len(items) for g, items in self.components.items() if items}
@@ -450,19 +421,6 @@ class PGradedModel:
             for key, e in _basis_entries(self.ambient, n).items():
                 out[key] = out.get(key, 0) + v * e
         return {key: v for key, v in out.items() if v}
-
-    def echelon(self, degree: Coords) -> dict:
-        """The echelon rows of the component's matrices, computed once."""
-        if degree not in self._echelon:
-            self._echelon[degree] = _echelon(
-                self.matrix(x) for x, _ in self.components.get(degree, ()))
-        return self._echelon[degree]
-
-    def contains(self, degree: Coords, entries: Entries) -> bool:
-        """Whether the matrix with these entries lies in the component."""
-        if not self.components.get(degree):
-            return not entries
-        return not _reduce(entries, self.echelon(degree))
 
 
 def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Coeffs, int]]]:
@@ -645,8 +603,15 @@ def _ambient_proof(model: PGradedModel) -> bool:
           only on ambient elements E_IJ X_t of degree g and z_degree z,
           so it lies in A_g, and its matrix lies in the z-corner of P(n)
           (`_in_fixed_copy`);
-      (4) the vectors of each component are independent;
+      (4) every vector of a component has a nonzero coordinate that no
+          other vector of the component uses, so the vectors are
+          independent: the E_IJ X_t are, as (0) proves X_t X_s a root
+          multiple of X_{t+s} and tr X_t = 0 for t != 0, so
+          tr(X_t X_s^-1) vanishes unless t = s;
       (5) the standard copy is closed (`_fixed_copy_closed(half)`).
+    `p_intersection` passes (4): its orbits are disjoint, and O_0 - O_i
+    has O_i's coordinates to itself.  Each vector's matrix is formed
+    once, for (3).
     """
     ambient = model.ambient
     real = ambient.realization
@@ -658,11 +623,16 @@ def _ambient_proof(model: PGradedModel) -> bool:
         return False
     basis = ambient.basis
     for g, items in model.components.items():
+        uses: dict[int, int] = {}
         for coords, z in items:
             if (any(basis[n].degree != g or basis[n].z_degree != z for n in coords)
                     or not _in_fixed_copy(model.matrix(coords), z, half)):
                 return False
-        if len(model.echelon(g)) != len(items):
+            for n, v in coords.items():
+                if v:
+                    uses[n] = uses.get(n, 0) + 1
+        if not all(any(v and uses[n] == 1 for n, v in coords.items())
+                   for coords, _ in items):
             return False
     return True
 
@@ -671,16 +641,22 @@ def _bracket_failures(model: PGradedModel) -> list[str]:
     """The bracket of every unordered pair of basis vectors, checked
     exactly: one failure per pair of Z-degrees summing to +-2 whose
     bracket does not vanish, and per other pair whose bracket leaves the
-    component of the sum of the degrees."""
+    component of the sum of the degrees.  A bracket v lies in the
+    rational span of a component R iff adding it keeps the rank of the
+    Hermite form of R (`hermite_normal_form`)."""
     failures = []
     group = model.ambient.base_group
-    rows = {g: [(_rows(model.matrix(x)), z) for x, z in items]
-            for g, items in model.components.items()}
+    rows, spans = {}, {}
+    for g, items in model.components.items():
+        entries = [(model.matrix(x), z) for x, z in items]
+        rows[g] = [(_rows(x), z) for x, z in entries]
+        spans[g] = hermite_normal_form(x for x, _ in entries)
     degrees = list(rows)
     # [y,x] is proportional to [x,y], so unordered pairs suffice
     for gi, g in enumerate(degrees):
         for h in degrees[gi:]:
             target = group.add(g, h)
+            span = spans.get(target, ())
             items_g, items_h = rows[g], rows[h]
             for a, (x, zx) in enumerate(items_g):
                 start = a if g == h else 0
@@ -690,7 +666,7 @@ def _bracket_failures(model: PGradedModel) -> list[str]:
                         if lie:
                             failures.append(f"bracket of z-degrees {zx},{zy} "
                                             "does not vanish")
-                    elif not model.contains(target, lie):
+                    elif lie and len(hermite_normal_form(span + (lie,))) != len(span):
                         failures.append(f"bracket of components {g} and {h} "
                                         f"leaves the component at {target}")
     return failures
@@ -701,13 +677,15 @@ def verify_P_graded(model: PGradedModel) -> PReport:
 
     The bracket rule is proved through the ambient grading when
     `_ambient_proof` holds and the dimension checks pass: the components
-    V_g lie in P and in A_g, are independent and sum to dim P, and the
-    A_g are independent, so P is their direct sum and V_g = P cap A_g.
+    V_g lie in P and in A_g, are independent (each vector has an ambient
+    coordinate of its own) and sum to dim P, and the A_g are
+    independent, so P is their direct sum and V_g = P cap A_g.
     For x in V_g and y in V_h, [x, y] lies in P (`_fixed_copy_closed`)
     and in A_{g+h} (the ambient product rule), hence in V_{g+h}; and
     two vectors of the b corner, or two of the c corner, multiply to 0
     both ways, so brackets of Z-degrees summing to +-2 vanish.  When any
-    check fails, every unordered pair of basis vectors is bracketed
+    check fails, every unordered pair of basis vectors is bracketed and
+    each bracket tested against the Hermite form of its target component
     (`_bracket_failures`).  Either way stats count the pairs the verdict
     covers: every unordered pair of basis vectors, and among them the
     pairs whose Z-degrees do not sum to +-2, whose bracket must lie in a

@@ -23,8 +23,6 @@ from gradekit.superlie import (
     _basis_entries,
     _bracket,
     _p_image,
-    _primitive,
-    _reduce,
     _rows,
     ambient_even_spec,
 )
@@ -416,6 +414,39 @@ def p_constraints(entries, z: int, half: int) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
+def primitive(vec: dict) -> dict:
+    """The integer vector divided by the gcd of its entries."""
+    content = gcd(*vec.values())
+    return {k: v // content for k, v in vec.items()}
+
+
+def reduce_sparse(vec: dict, pivots: dict) -> dict:
+    """The integer vector vec after fraction-free elimination against the
+    echelon rows {leading key: row}; empty iff vec is in their rational
+    span."""
+    while vec:
+        lead = min(vec)
+        row = pivots.get(lead)
+        if row is None:
+            break
+        g = gcd(vec[lead], row[lead])
+        a, b = vec[lead] // g, row[lead] // g
+        vec = {k: v for k in vec.keys() | row.keys()
+               if (v := b * vec.get(k, 0) - a * row.get(k, 0))}
+    return vec
+
+
+def sparse_echelon(vectors) -> dict:
+    """Echelon rows {leading key: primitive row} of the sparse integer
+    vectors' rational span, one row per independent vector."""
+    pivots: dict = {}
+    for vec in vectors:
+        rest = reduce_sparse(vec, pivots)
+        if rest:
+            pivots[min(rest)] = primitive(rest)
+    return pivots
+
+
 def kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
     """A basis of {x : sum_j x_j columns[j] = 0} as integer vectors.
 
@@ -429,10 +460,10 @@ def kernel(columns: list[dict[int, int]]) -> list[dict[int, int]]:
     pivots: dict = {}
     basis = []
     for j, col in enumerate(columns):
-        rest = _reduce({**col, tag + j: 1}, pivots)
+        rest = reduce_sparse({**col, tag + j: 1}, pivots)
         lead = min(rest)
         if lead < tag:
-            pivots[lead] = _primitive(rest)
+            pivots[lead] = primitive(rest)
         else:
             basis.append({k - tag: v for k, v in rest.items()})
     return basis
@@ -455,7 +486,7 @@ def kernel_p_intersection(model):
             for j, x in coeffs.items():
                 for key, v in selected[j].items():
                     vec[key] = vec.get(key, 0) + x * v
-            vec = _primitive({k: v for k, v in vec.items() if v})
+            vec = primitive({k: v for k, v in vec.items() if v})
             components.setdefault(degree, []).append((vec, z))
     return components
 

@@ -36,7 +36,6 @@ from gradekit.superlie import (
     _bracket,
     _bracket_failures,
     _dense,
-    _echelon,
     _fixed_copy_closed,
     _in_fixed_copy,
     _p_image,
@@ -73,6 +72,8 @@ from helpers import (
     random_odd_g_spec,
     random_p_candidate_spec,
     random_p_spec,
+    reduce_sparse,
+    sparse_echelon,
     wide_p_spec,
 )
 
@@ -550,6 +551,17 @@ def test_verify_P_stats_count_every_unordered_pair():
         assert report.stats["membership_checks"] == 496 - vanishing == 420
 
 
+def test_verify_P_forms_each_basis_matrix_once(monkeypatch):
+    """The ambient proof forms each basis vector's matrix once, for the
+    fixed-copy test; independence is read from the coordinates."""
+    models = [build_P_model(d.spec) for n in (3, 7) for d in enumerate_P_fine(n)]
+    calls = count_calls(monkeypatch, PGradedModel, "matrix")
+    for model in models:
+        del calls[:]
+        assert verify_P_graded(model).ok
+        assert len(calls) == model.total_dim()
+
+
 def _dense_closure_failures(model):
     """verify_P_graded's bracket closure, redone on dense rational
     matrices with supercommutator and row reduction."""
@@ -653,6 +665,29 @@ def test_ambient_proof_mutants_give_the_pair_loop_failures():
         assert report.z_dims == {-1: 6, 0: 8, 1: 3}
         assert report.stats == {"brackets_formed": 17 * 18 // 2,
                                 "membership_checks": 17 * 18 // 2 - 21 - 6}
+
+
+def test_ambient_proof_wants_a_private_coordinate_per_vector():
+    """Two vectors x, y of one component and Z-degree replaced by x + y
+    and x - y: still independent and with the same span, but neither
+    has a coordinate of its own, so the proof is refused and the pair
+    loop finds the model closed."""
+    model = _p2_model()
+    items = model.components[(-1,)]
+    (x, zx), (y, zy) = items[0], items[1]
+    assert zx == zy == 0 and not x.keys() & y.keys()
+    before = [model.matrix(v) for v, _ in items]
+    items[0] = ({**x, **y}, zx)
+    items[1] = ({**x, **{n: -v for n, v in y.items()}}, zx)
+    after = [model.matrix(v) for v, _ in items]
+    assert items[0][0].keys() == items[1][0].keys()
+    echelon = sparse_echelon(before)
+    assert len(sparse_echelon(after)) == len(after) == len(echelon)
+    assert all(not reduce_sparse(v, echelon) for v in after)
+    assert not _ambient_proof(model)
+    report = verify_P_graded(model)
+    assert report.ok
+    assert report.failures == _bracket_failures(model) == _dense_closure_failures(model) == []
 
 
 def test_ambient_proof_reads_the_z_degree_of_every_coordinate():
@@ -765,15 +800,18 @@ def test_p_labels_are_a_graded_basis_of_the_components():
     for spec in specs:
         model = build_P_model(spec)
         ambient = model.ambient
+        spans = {g: sparse_echelon(model.matrix(x) for x, _ in items)
+                 for g, items in model.components.items()}
         labels, _ = p_labels(ambient)
         by_degree: dict = {}
         for key in labels:
             rows, z = p_label_vector(ambient, key)
             degree = ambient.basis[ambient.index[key]].degree
-            assert rows and model.contains(degree, entries_of(rows)), key
+            assert rows and degree in spans, key
+            assert not reduce_sparse(entries_of(rows), spans[degree]), key
             by_degree.setdefault(degree, []).append(entries_of(rows))
         assert model.dims() == {g: len(v) for g, v in by_degree.items()}
-        assert all(len(_echelon(v)) == len(v) for v in by_degree.values())
+        assert all(len(sparse_echelon(v)) == len(v) for v in by_degree.values())
 
 
 def test_p_label_family_brackets_are_nonzero():
