@@ -15,12 +15,17 @@ the others call `FinGenAbGroup.reduce` and the arithmetic built on it,
 
 A subgroup is the Hermite normal form of its lattice of lifts.
 Kernels, intersections and preimages are read from one Hermite form of
-an augmented matrix (`lattice_tail`), and the coordinates of an element
-are solved by back-substitution on another (`GroupHom.preimage`); the
-Smith normal form only diagonalises quotients, and invariant factors of
-given moduli come from gcds and lcms.  Both normal forms work on sparse
-{col: value} rows, so a universal group's relations, whose pivots are
-almost all 1, cost little more than their number of entries.
+an augmented matrix (`lattice_tail`), and a subgroup built from such a
+tail keeps its rows as its lattice (`Subgroup.of_lattice`).  A
+homomorphism has one Hermite form (`GroupHom._preimage_form`), which
+gives the lattice of its image, the preimage of an element by
+back-substitution and its kernel (Cohen, GTM 138, 2.4.3).  The Smith
+normal form diagonalises quotients and returns V^-1 beside V, which
+give the Smith generators of a subgroup and the coordinates against
+them; invariant factors of given moduli come from gcds and lcms.  Both
+normal forms work on sparse {col: value} rows, so a universal group's
+relations, whose pivots are almost all 1, cost little more than their
+number of entries.
 """
 
 from __future__ import annotations
@@ -60,11 +65,13 @@ def _add_multiple(row: dict[int, int], q: int, other: dict[int, int]) -> None:
 
 
 def smith_normal_form(rows: Sequence[dict[int, int]], n: int
-                      ) -> tuple[list[int], list[dict[int, int]]]:
-    """Return (diag, V) for the matrix with n columns whose rows are the
-    sparse {col: value} dicts `rows`: V is unimodular and rows*V spans
-    the same row lattice as the rows diag[j] e_j, one for each column j.
-    V comes as its n columns, each a sparse {row: value} dict.
+                      ) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """Return (diag, V, W) for the matrix with n columns whose rows are
+    the sparse {col: value} dicts `rows`: V is unimodular, W is its
+    inverse, and rows*V spans the same row lattice as the rows diag[j]
+    e_j, one for each column j.  V comes as its n columns, each a sparse
+    {row: value} dict, and W as its n rows, each a sparse {col: value}
+    dict; a column operation on V is the inverse row operation on W.
 
     The entries of diag are nonnegative and form a divisibility chain
     d1 | d2 | ... ; zero entries come last.  Plain Python integers
@@ -86,6 +93,7 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
     col_at = list(range(n))         # the column at each position
     place = list(range(n))          # the position of each column
     V = [{j: 1} for j in range(n)]  # sparse columns, by column
+    W = [{j: 1} for j in range(n)]  # the rows of V^-1, by column
     t = 0
     while t < min(m, n):
         best = pi = None
@@ -123,6 +131,7 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
                 else:
                     del row[j]
             _add_multiple(V[j], -q, V[c])
+            _add_multiple(W[c], q, W[j])
             if j in piv:
                 dirty = True
         if dirty:
@@ -137,7 +146,7 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
         t += 1
 
     diag = [abs(S[j].get(col_at[j], 0)) if j < m else 0 for j in range(n)]
-    return diag, [V[c] for c in col_at]
+    return diag, [V[c] for c in col_at], [W[c] for c in col_at]
 
 
 def _combine(s: int, a: dict[int, int], t: int, b: dict[int, int]) -> dict[int, int]:
@@ -244,7 +253,9 @@ def lattice_coords(hnf_rows: tuple[Coords, ...], vec: Coords) -> Optional[Coords
     v = list(vec)
     x = []
     for row in hnf_rows:
-        pcol = next(j for j, a in enumerate(row) if a)
+        pcol = 0
+        while not row[pcol]:
+            pcol += 1
         q, r = divmod(v[pcol], row[pcol])
         if r:
             return None
@@ -252,6 +263,25 @@ def lattice_coords(hnf_rows: tuple[Coords, ...], vec: Coords) -> Optional[Coords
             v = [a - q * b for a, b in zip(v, row)]
         x.append(q)
     return None if any(v) else tuple(x)
+
+
+def in_rational_span(pivots: Iterable[tuple[object, dict]], vec: dict) -> bool:
+    """Whether the sparse row vec is a rational combination of the rows
+    of a Hermite normal form, given as (pivot column, sparse row) pairs
+    in ascending pivot order.  One fraction-free pass: each pivot row
+    clears its column of vec, scaling vec by a divisor of the pivot;
+    since every later row is zero in the columns cleared, vec lies in
+    the span exactly when nothing is left."""
+    v = dict(vec)
+    for col, row in pivots:
+        a = v.get(col)
+        if a:
+            p = row[col]
+            g = gcd(a, p)
+            if p != g:
+                v = {j: b * (p // g) for j, b in v.items()}
+            _add_multiple(v, -(a // g), row)
+    return not v
 
 
 def lattice_tail(rows: Iterable[Coords], n: int) -> tuple[Coords, ...]:
@@ -277,21 +307,6 @@ def lattice_intersect(rows_a: Iterable[Coords], rows_b: Iterable[Coords]) -> tup
         return ()
     zero = (0,) * len(a[0])
     return lattice_tail([r + r for r in a] + [r + zero for r in b], len(zero))
-
-
-def unimodular_inverse(mat: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix V, as an integer matrix.
-
-    The rows (e_i, row i of V^-1) generate the row lattice of [V | I] and
-    are in Hermite normal form, which is unique; so the Hermite normal
-    form of [V | I] is [I | V^-1] exactly when V is unimodular.
-    """
-    n = len(mat)
-    eye = _identity(n)
-    hnf = hermite_normal_form([list(row) + e for row, e in zip(mat, eye)])
-    if [list(r[:n]) for r in hnf] != eye:
-        raise ValueError("matrix is not unimodular")
-    return [list(r[n:]) for r in hnf]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -399,9 +414,10 @@ class FinGenAbGroup:
         return rows
 
     def unit(self, i: int) -> Coords:
+        # every modulus is 0 or at least 2, so e_i is reduced
         row = [0] * self.rank
         row[i] = 1
-        return self.reduce(row)
+        return tuple(row)
 
     def generators(self) -> list[Coords]:
         return [self.unit(i) for i in range(self.rank)]
@@ -496,25 +512,49 @@ class GroupHom:
         return self.apply(x)
 
     @cached_property
-    def _preimage_form(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
-        """The Hermite rows of [images | I; target relations | 0; 0 |
-        source relations] with a pivot among the target columns, split
-        into target and source parts.  The lattice holds (x, c) exactly
-        when hom(c) = x, so the target parts span the lifts of the image."""
-        n, k = self.target.rank, self.source.rank
-        eye = _identity(k)
-        rows = ([im + tuple(e) for im, e in zip(self.images, eye)]
-                + [tuple(r) + (0,) * k for r in self.target.relation_rows()]
-                + [(0,) * n + tuple(r) for r in self.source.relation_rows()])
-        top = [r for r in hermite_normal_form(rows) if any(r[:n])]
-        return tuple(r[:n] for r in top), tuple(r[n:] for r in top)
+    def _preimage_form(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...],
+                                      tuple[Coords, ...]]:
+        """(head, tail, kernel) from the one Hermite form of [images | I;
+        target relations | 0; 0 | source relations].  The lattice holds
+        (x, c) exactly when hom(c) = x.  Its rows with a pivot among the
+        target columns, split into target parts (head) and source parts
+        (tail), give the lifts of the image, in Hermite normal form, and
+        a lift of a preimage of each; the source parts of the other rows
+        are the lattice of the kernel, in Hermite normal form too
+        (`lattice_tail`)."""
+        tgt, src = self.target, self.source
+        n, k = tgt.rank, src.rank
+        rows = [_sparse(im) for im in self.images]
+        for i, row in enumerate(rows):
+            row[n + i] = 1
+        rows += [{tgt.free_rank + i: d} for i, d in enumerate(tgt.torsion)]
+        rows += [{n + src.free_rank + i: d} for i, d in enumerate(src.torsion)]
+        head, tail, kernel = [], [], []
+        for row in hermite_normal_form(rows):
+            dense = [0] * (n + k)
+            for j, a in row.items():
+                dense[j] = a
+            if min(row) < n:
+                head.append(tuple(dense[:n]))
+                tail.append(tuple(dense[n:]))
+            else:
+                kernel.append(tuple(dense[n:]))
+        return tuple(head), tuple(tail), tuple(kernel)
+
+    def image(self) -> "Subgroup":
+        """The image, its lattice read off `_preimage_form`."""
+        return Subgroup.of_lattice(self.target, self._preimage_form[0])
+
+    def kernel(self) -> "Subgroup":
+        """The kernel, its lattice read off `_preimage_form`."""
+        return Subgroup.of_lattice(self.source, self._preimage_form[2])
 
     def preimage(self, x: Coords) -> Optional[Coords]:
         """A c with hom(c) = x, the only one when hom is injective, or
         None when x is outside the image: back-substitution writes x as
         a combination of the target parts of `_preimage_form`, and the
         same combination of the source parts is c."""
-        head, tail = self._preimage_form
+        head, tail, _ = self._preimage_form
         coeffs = lattice_coords(head, self.target.reduce(x))
         if coeffs is None:
             return None
@@ -542,6 +582,24 @@ class Subgroup:
         self.parent = parent
         self.gens = tuple(parent.reduce(g) for g in gens)
 
+    @classmethod
+    def of_lattice(cls, parent: FinGenAbGroup, rows: Sequence[Coords]) -> "Subgroup":
+        """The subgroup whose lifts are the integer span of rows, which
+        must be in Hermite normal form and hold the parent's relation
+        rows: the rows are its lattice as they are, with no Hermite form
+        of their own, and its generators the rows reduced.  The tail of
+        an augmented matrix is such a set of rows once the relations are
+        among its source rows."""
+        sub = cls.__new__(cls)
+        sub.parent = parent
+        sub.lattice = tuple(rows)
+        return sub
+
+    @cached_property
+    def gens(self) -> tuple[Coords, ...]:
+        """The generators, reduced: those given, or else the lattice rows."""
+        return tuple(self.parent.reduce(r) for r in self.lattice)
+
     @cached_property
     def lattice(self) -> tuple[Coords, ...]:
         rows = [list(g) for g in self.gens] + self.parent.relation_rows()
@@ -561,45 +619,46 @@ class Subgroup:
         return f"Subgroup({self.parent}, {len(self.smith_gens)} generators, order {self.order()})"
 
     @cached_property
-    def smith_gens(self) -> tuple[tuple[Coords, int], ...]:
-        """Independent generators with orders (0 means infinite).
+    def _smith(self) -> tuple[tuple[tuple[Coords, int], ...], tuple[dict[int, int], ...]]:
+        """(smith_gens, the column of V for each of them).
 
-        Computed from the quotient lattice/relations; free generators
-        first, then finite orders in an ascending divisibility chain.
+        The relation rows, in coordinates against the lattice rows L,
+        have the Smith form (diag, V, W): the generators W L of orders
+        diag span the subgroup independently, and since L = V (W L), an
+        element c L has the coordinates c V against them.  Generators of
+        order 1 are zero and dropped; free ones go first, then the
+        finite orders in an ascending divisibility chain.
         """
-        basis = [list(r) for r in self.lattice]
+        basis = self.lattice
         if not basis:
-            return ()
-        rel = self.parent.relation_rows()
+            return (), ()
         coeffs = []
-        for row in rel:
-            c = lattice_coords(self.lattice, row)
+        for row in self.parent.relation_rows():
+            c = lattice_coords(basis, row)
             assert c is not None, "relation lattice escapes the subgroup lattice"
             coeffs.append(_sparse(c))
         k = len(basis)
-        if not coeffs:
-            orders = [0] * k
-            vinv = _identity(k)
-        else:
-            orders, v = smith_normal_form(coeffs, k)
-            vinv = unimodular_inverse([[col.get(i, 0) for col in v] for i in range(k)])
-        out = []
+        orders, v, w = smith_normal_form(coeffs, k)
+        keep = ([i for i in range(k) if orders[i] == 0]
+                + [i for i in range(k) if orders[i] > 1])
         n = self.parent.rank
-        for i in range(k):
-            if orders[i] == 1:
-                continue
-            vec = [sum(vinv[i][t] * basis[t][j] for t in range(k)) for j in range(n)]
-            out.append((self.parent.reduce(vec), orders[i]))
-        free = [g for g in out if g[1] == 0]
-        finite = [g for g in out if g[1] != 0]
-        return tuple(free + finite)
+        gens = tuple((self.parent.reduce([sum(a * basis[t][j] for t, a in w[i].items())
+                                          for j in range(n)]), orders[i]) for i in keep)
+        return gens, tuple(v[i] for i in keep)
 
     @property
+    def smith_gens(self) -> tuple[tuple[Coords, int], ...]:
+        """Independent generators with orders (0 means infinite): free
+        generators first, then finite orders in an ascending
+        divisibility chain."""
+        return self._smith[0]
+
+    @cached_property
     def is_finite(self) -> bool:
         # free coordinates come first, so a lattice row with a nonzero
         # free coordinate has its pivot there
         r = self.parent.free_rank
-        return not any(any(row[:r]) for row in self.lattice)
+        return not r or not any(any(row[:r]) for row in self.lattice)
 
     def order(self) -> Optional[int]:
         """The index of the relation lattice in the lattice: the product
@@ -621,18 +680,19 @@ class Subgroup:
         tors = tuple(o for _, o in self.smith_gens if o > 1)
         return FinGenAbGroup(free, tors)
 
-    @cached_property
-    def _inclusion(self) -> GroupHom:
-        return GroupHom(self.as_group(), self.parent, tuple(g for g, _ in self.smith_gens))
-
     def coords_of(self, x: Coords) -> Optional[Coords]:
         """Coordinates c of x in the smith_gens basis, 0 <= c_i < o_i, or
-        None if x is not in the subgroup: its preimage under the
-        inclusion of `as_group`.  Finite subgroups only; ValueError on
-        an infinite one."""
+        None if x is not in the subgroup: back-substitution on the
+        lattice, then the columns of V (`_smith`).  Finite subgroups
+        only; ValueError on an infinite one."""
         if not self.is_finite:
             raise ValueError("coordinates need a finite subgroup")
-        return self._inclusion.preimage(x)
+        c = lattice_coords(self.lattice, self.parent.reduce(x))
+        if c is None:
+            return None
+        gens, cols = self._smith
+        return tuple(sum(c[t] * a for t, a in col.items()) % o
+                     for col, (_, o) in zip(cols, gens))
 
     def image_under(self, hom: GroupHom) -> "Subgroup":
         if hom.source != self.parent:
@@ -644,16 +704,19 @@ class Subgroup:
             raise ValueError("homomorphism target does not match subgroup parent")
         # the tail of the rows (image_i, e_i) and (lattice row, 0) is
         # {x : x * images lies in the lattice}
+        # which holds the source's relation rows, as the lattice holds
+        # the target's
         n = self.parent.rank
         eye = _identity(hom.source.rank)
         rows = [im + tuple(e) for im, e in zip(hom.images, eye)]
         rows += [r + (0,) * len(eye) for r in self.lattice]
-        return Subgroup(hom.source, lattice_tail(rows, n))
+        return Subgroup.of_lattice(hom.source, lattice_tail(rows, n))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if self.parent != other.parent:
             raise ValueError("subgroups of different parents")
-        return Subgroup(self.parent, lattice_intersect(self.lattice, other.lattice))
+        return Subgroup.of_lattice(self.parent,
+                                   lattice_intersect(self.lattice, other.lattice))
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return all(other.contains(g) for g in self.gens)
@@ -676,7 +739,7 @@ def finitely_presented_quotient(num_gens: int, relations: Iterable[dict[int, int
     if not rel:
         q = FinGenAbGroup(n)
         return q, GroupHom.identity(q)
-    diag, v = smith_normal_form(rel, n)
+    diag, v, _ = smith_normal_form(rel, n)
     free_idx = [i for i in range(n) if diag[i] == 0]
     tors_idx = [i for i in range(n) if diag[i] > 1]
     quotient = FinGenAbGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
@@ -702,9 +765,17 @@ def subgroup_and_quotient(group: FinGenAbGroup, gens: Iterable[Coords]
 
 
 def squares_and_two_torsion(group: FinGenAbGroup) -> tuple[Subgroup, Subgroup]:
-    """(squares, two-torsion) of a group: the image and the kernel of doubling."""
-    doubling = GroupHom(group, group, tuple(group.scale(2, g) for g in group.generators()))
-    return Subgroup(group, doubling.images), Subgroup(group, []).preimage_under(doubling)
+    """(squares, two-torsion) of a group: the image and the kernel of
+    doubling, coordinate by coordinate.  On a free coordinate they are
+    2Z and 0; on Z/d, with g = gcd(2, d), they are gZ/dZ and (d/g)Z/dZ.
+    Both lattices are diagonal, so in Hermite normal form as they are."""
+    def diagonal(entries: Sequence[int]) -> list[Coords]:
+        return [tuple(a * int(i == j) for j in range(group.rank))
+                for i, a in enumerate(entries) if a]
+
+    moduli = group._moduli
+    return (Subgroup.of_lattice(group, diagonal([gcd(2, d) for d in moduli])),
+            Subgroup.of_lattice(group, diagonal([d // gcd(2, d) for d in moduli])))
 
 
 def coset_canonical_rep(group: FinGenAbGroup, sub: Subgroup, x: Coords) -> Coords:

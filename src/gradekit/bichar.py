@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .abgroup import (
     Coords,
     FinGenAbGroup,
+    GroupHom,
     Subgroup,
     factorize,
     lattice_tail,
@@ -147,12 +148,25 @@ class Bicharacter:
                 for x in self.domain.elements()}
 
     @cached_property
-    def _nondegenerate(self) -> bool:
-        return self.radical().order() == 1
+    def hom(self) -> GroupHom:
+        """x -> x N mod m, onto (Z/m)^k: x goes to the residues of
+        beta(x, e_j) at the unit generators.  Its kernel is the radical,
+        and the x with beta(x, -) a given character are its preimages;
+        one Hermite form (`GroupHom._preimage_form`) serves both.  Needs
+        a bicharacter that `validate` accepts."""
+        k = self.domain.rank
+        if self.m == 1:             # the zero pairing, into the trivial group
+            return GroupHom(self.domain, FinGenAbGroup(0), ((),) * k)
+        return GroupHom(self.domain, FinGenAbGroup(0, (self.m,) * k), self.N)
 
     def radical(self) -> Subgroup:
-        """Elements pairing trivially with the whole domain."""
-        return self.orthogonal_complement(Subgroup(self.domain, self.domain.generators()))
+        """Elements pairing trivially with the whole domain: the kernel of
+        `hom`."""
+        return self.hom.kernel()
+
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        return self.radical().order() == 1
 
     def is_nondegenerate(self) -> bool:
         return self._nondegenerate
@@ -160,14 +174,15 @@ class Bicharacter:
     def orthogonal_complement(self, sub: Subgroup) -> Subgroup:
         """Elements pairing trivially with every element of `sub`: the x
         with x N g = 0 modulo m for each generator g, the tail of the
-        rows (N g for every g, e_i) and (m e_j, 0)."""
+        rows (N g for every g, e_i), (m e_j, 0) and (0, d_i e_i)."""
         if sub.parent != self.domain:
             raise ValueError("subgroup lives in a different group")
         k, s, m = self.domain.rank, len(sub.gens), self.m
         rows = [tuple(sum(a * b for a, b in zip(row, g)) for g in sub.gens)
                 + tuple(int(i == j) for j in range(k)) for i, row in enumerate(self.N)]
         rows += [tuple(m * int(i == j) for j in range(s)) + (0,) * k for i in range(s)]
-        return Subgroup(self.domain, lattice_tail(rows, s))
+        rows += [(0,) * s + tuple(r) for r in self.domain.relation_rows()]
+        return Subgroup.of_lattice(self.domain, lattice_tail(rows, s))
 
     def inverse(self) -> "Bicharacter":
         return Bicharacter.from_residues(self.domain, self.m,

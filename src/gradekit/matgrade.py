@@ -8,9 +8,10 @@ the two descriptions of gradings with odd support, and computes
 universal grading groups.
 
 Validation happens once per spec, in `check_spec`.  It reduces
-coordinates, converts a G-description to explicit support, builds the
-spec's one `EmbeddedPairing` and checks it, and for odd specs finds the
-parity element t0.  `build_matrix_model` and the deciders in `classify`
+coordinates, converts a G-description to explicit support (inside G,
+with no quotient G/<t0>: `_lift_data`), builds the spec's one
+`EmbeddedPairing` and checks it, and for odd specs finds the parity
+element t0.  `build_matrix_model` and the deciders in `classify`
 read the `CheckedSpec` it returns, whose `source` is the input with
 coordinates reduced.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .abgroup import (
@@ -88,8 +89,9 @@ class EmbeddedPairing:
     `check` finds them independent exactly when T and the domain have
     the same order.  `elements` pairs every domain element with its
     image in T; it is built on first use, never by `check`.
-    `abstract_coords` solves for the domain element over T through
-    `GroupHom.preimage`, with no table.
+    T (`sub`) and `abstract_coords` come from one Hermite form, that of
+    the map from the domain onto T (`GroupHom._preimage_form`): T is its
+    image, and a domain element over x in T its preimage, with no table.
     """
 
     def __init__(self, ambient: FinGenAbGroup, gens: tuple[Coords, ...],
@@ -100,7 +102,11 @@ class EmbeddedPairing:
         self.gens = tuple(ambient.reduce(g) for g in gens)
         self.beta = beta
         self.hom = GroupHom(beta.domain, ambient, self.gens)
-        self.sub = Subgroup(ambient, self.gens)
+
+    @cached_property
+    def sub(self) -> Subgroup:
+        """T, the image of the domain."""
+        return self.hom.image()
 
     def check(self) -> None:
         """Validate the pairing: alternating, independent generators, nondegenerate."""
@@ -287,19 +293,29 @@ class BasisElement:
 
 class GradedMatrixModel:
     """Explicit homogeneous basis of M(m,n) with exact product structure;
-    `index` maps each key (i, j, t_abs) to its position in `basis`."""
+    `index` maps each key (i, j, t_abs) to its position in `basis`, and
+    k is the number of block rows, so the block grid is range(k)^2 x the
+    pairing's domain.  The realization of the pairing is built on first
+    use, unless one is given."""
 
     def __init__(self, kind, base_group, degree_group, sizes, basis, pairing,
-                 realization, parity_coords):
+                 k, parity_coords, realization=None):
         self.kind = kind                      # 'even' | 'odd'
         self.base_group = base_group          # G
         self.degree_group = degree_group      # G or G x Z/2
         self.sizes = sizes                    # (m, n)
         self.basis: tuple[BasisElement, ...] = basis
         self.pairing: EmbeddedPairing = pairing
-        self.realization: StandardRealization = realization
+        self.k = k                            # block rows: sum(sizes) // realization.size
         self.parity_coords = parity_coords    # u0 in G# for odd models, else None
+        self._realization: Optional[StandardRealization] = realization
         self.index = {(b.i, b.j, b.t_abs): n for n, b in enumerate(self.basis)}
+
+    @property
+    def realization(self) -> StandardRealization:
+        if self._realization is None:
+            self._realization = StandardRealization(self.pairing.beta)
+        return self._realization
 
     def base_degree(self, elem: BasisElement) -> Coords:
         if self.kind == "even":
@@ -325,8 +341,8 @@ def build_matrix_model(spec: Union[GradingSpec, CheckedSpec]) -> GradedMatrixMod
     checked = spec if isinstance(spec, CheckedSpec) else check_spec(spec)
     src = checked.spec
     g = src.group
-    real = StandardRealization(src.beta)
-    d = real.size
+    # the realization's size: the pairing is nondegenerate, so |T| is a square
+    d = isqrt(src.beta.domain.order())
     if checked.t0 is None:
         kind, gamma, k0 = "even", src.gamma0 + src.gamma1, len(src.gamma0)
         sizes = (k0 * d, len(src.gamma1) * d)
@@ -349,7 +365,7 @@ def build_matrix_model(spec: Union[GradingSpec, CheckedSpec]) -> GradedMatrixMod
                 basis.append(BasisElement(i, j, t_abs, degree_group.add(block, t),
                                           side_i ^ side_j ^ bit, side_i - side_j))
     return GradedMatrixModel(kind, g, degree_group, sizes, tuple(basis),
-                             checked.pairing, real, u0)
+                             checked.pairing, len(gamma), u0)
 
 
 def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
@@ -361,8 +377,8 @@ def coarsen(model: GradedMatrixModel, alpha: GroupHom) -> GradedMatrixModel:
     basis = tuple(replace(b, degree=hom.apply(b.degree)) for b in model.basis)
     u0 = model.parity_coords
     return GradedMatrixModel(model.kind, alpha.target, hom.target, model.sizes,
-                             basis, model.pairing, model.realization,
-                             None if u0 is None else hom.apply(u0))
+                             basis, model.pairing, model.k,
+                             None if u0 is None else hom.apply(u0), model._realization)
 
 
 @dataclass
@@ -377,10 +393,10 @@ class GradingReport:
 
 def grid_failures(model: GradedMatrixModel) -> list[str]:
     """The keys (i, j, t_abs) of the block grid range(k)^2 x the pairing's
-    domain, k = sum(sizes) // realization.size, that the basis lacks, then
-    in basis order each element outside that grid or with a key met
-    before; every element named (i, j, t) by t = push(t_abs)."""
-    k = sum(model.sizes) // model.realization.size
+    domain, k = model.k, that the basis lacks, then in basis order each
+    element outside that grid or with a key met before; every element
+    named (i, j, t) by t = push(t_abs)."""
+    k = model.k
     elements = model.pairing.elements
     failures = [f"basis element {(i, j, t)} is missing"
                 for i in range(k) for j in range(k) for t_abs, t in elements
@@ -427,7 +443,7 @@ def _factorized_product_rule(model: GradedMatrixModel, table) -> bool:
     block = {(b.i, b.j): v for b, v in zip(basis, vec) if b.t_abs == zero}
     origin = vg.neg(block[0, 0])
     tau = {b.t_abs: add(v, origin) for b, v in zip(basis, vec) if b.i == b.j == 0}
-    rows = range(sum(model.sizes) // model.realization.size)
+    rows = range(model.k)
     vzero = vg.zero()
     return (all(v == add(block[b.i, b.j], tau[b.t_abs]) for b, v in zip(basis, vec))
             and all(block[j, j] == vzero for j in rows)
@@ -525,13 +541,25 @@ def _bit_subgroup(pairing: EmbeddedPairing, ext: ParityExtension) -> Subgroup:
 
 def _parity_element(pairing: EmbeddedPairing, ext: ParityExtension) -> Coords:
     """The order-2 element t0 of G whose character separates the even
-    from the odd support a pairing inside G# lives on."""
-    plus = _bit_subgroup(pairing, ext)
-    comp = pairing.beta.orthogonal_complement(plus)
-    if comp.order() != 2:
+    from the odd support a pairing inside G# lives on.
+
+    In the domain it is the nonzero element of the orthogonal complement
+    of the bit-0 part.  The characters trivial on that part are 0 and,
+    when some generator is odd, the one taking -1 at the odd ones; so
+    the complement is the radical, together with z + radical when that
+    character is beta(z, -).  Both are read off the Hermite form of
+    `Bicharacter.hom`: the radical is its kernel and z a preimage of
+    m/2 times the bits."""
+    beta = pairing.beta
+    bits = [ext.bit(g) for g in pairing.gens]
+    rad = beta.radical()
+    z = (beta.hom.preimage([b * (beta.m // 2) for b in bits])
+         if any(bits) and beta.m % 2 == 0 else None)
+    order = rad.order() * (1 if z is None else 2)
+    if order != 2:
         raise ValueError("orthogonal complement of the even support "
-                         f"has order {comp.order()}, expected 2")
-    gen = next(g for g in comp.gens if any(g))
+                         f"has order {order}, expected 2")
+    gen = z if z is not None else next(g for g in rad.gens if any(g))
     u0 = pairing.push(gen)
     if ext.bit(u0) != 0:
         raise ValueError("parity element has odd parity; spec is corrupted")
@@ -559,7 +587,7 @@ def _canonical_chi(t_plus: Subgroup, t0: Coords, mod: int):
 
     A character is a dual vector c against the Smith generators, of
     orders o_i: chi_c(x) = sum_i c_i x_i / o_i mod 1 on the coordinates
-    x_i of x.  t0 has order 2 (`_quotient_data` checks it), so each
+    x_i of x.  t0 has order 2 (`_lift_data` checks it), so each
     coordinate d_i of t0 is 0 or o_i / 2, and chi_c(t0) is half the sum
     of the c_i over the set S of i with d_i != 0, mod 1: chi_c takes -1
     at t0 iff that sum is odd.  Let j be the last index in S.  Then e_j
@@ -575,27 +603,51 @@ def _canonical_chi(t_plus: Subgroup, t0: Coords, mod: int):
     return _character_on(t_plus, tuple(int(i == j) for i in range(len(t0_coords))), mod)
 
 
-def _quotient_data(group: FinGenAbGroup, t0: Coords,
-                   tbar_gens: tuple[Coords, ...], beta_bar: Bicharacter):
-    """t0 reduced, the projection theta onto G/<t0>, the checked pairing
-    beta_bar on the images of the lifts, T+ (its preimage in G), and the
-    verdict of odd_existence_check."""
+def _lift_data(group: FinGenAbGroup, t0: Coords, tbar_gens: Sequence[Coords],
+               beta_bar: Bicharacter) -> tuple[Coords, GroupHom, Subgroup, bool]:
+    """Check the data of a G-description inside G and return t0
+    reduced, phi: Z^(r+1) -> G sending e_i to the lift l_i and e_(r+1)
+    to t0, T+ = <lifts, t0> (the image of phi), and the verdict of
+    `odd_existence_check`.
+
+    theta: G -> G/<t0> is never formed.  T+ is its preimage of Tbar, and
+    a preimage c of s in T+ under phi gives theta(s) the coordinates
+    c_1..c_r in beta_bar's domain D.  The checks, in this order: t0 has
+    order 2; one lift per coordinate of D; d_i l_i is 0 or t0 for each
+    order d_i (theta(l_i) is killed by d_i); beta_bar validates;
+    |T+| = 2|D| (the theta(l_i) are independent); beta_bar is
+    nondegenerate.  Existence: with R the kernel of x -> 2 sum x_i l_i
+    on D, the x with sum x_i l_i in T+[2] + <t0> = T+[2], every
+    generator x of the orthogonal complement of R must have sum x_i l_i
+    in theta^-1(2 (G/<t0>)) = 2G + <t0>.
+    """
     t0 = group.reduce(t0)
     if group.element_order(t0) != 2:
         raise ValueError("t0 must have order 2")
-    _, gbar, theta = subgroup_and_quotient(group, [t0])
-    bar_pairing = EmbeddedPairing(gbar, tuple(theta(t) for t in tbar_gens), beta_bar)
-    bar_pairing.check()
-    t_plus = bar_pairing.sub.preimage_under(theta)
-    _, g_two = squares_and_two_torsion(group)
-    # the image of the two-torsion of T+, read in beta_bar's domain: the
-    # pairing's map is injective, so that is the image's preimage under
-    # it, found without tabulating the support
-    r_abstract = t_plus.intersect(g_two).image_under(theta).preimage_under(bar_pairing.hom)
-    comp = beta_bar.orthogonal_complement(r_abstract)
-    r_comp = Subgroup(gbar, [bar_pairing.push(x) for x, _ in comp.smith_gens])
-    gbar_squares, _ = squares_and_two_torsion(gbar)
-    return t0, theta, bar_pairing, t_plus, r_comp.is_subset_of(gbar_squares)
+    lifts = tuple(group.reduce(x) for x in tbar_gens)
+    dom = beta_bar.domain
+    if dom.rank != len(lifts):
+        raise ValueError("one generator per bicharacter coordinate required")
+    for d, lift in zip(dom.torsion, lifts):
+        if group.scale(d, lift) not in (group.zero(), t0):
+            raise ValueError(f"generator of order {d} maps to an element not killed by {d}")
+    beta_bar.validate()
+    phi = GroupHom(FinGenAbGroup(len(lifts) + 1), group, lifts + (t0,))
+    t_plus = phi.image()
+    if t_plus.order() != 2 * dom.order():
+        raise ValueError("subgroup generators are not independent")
+    if not beta_bar.is_nondegenerate():
+        raise ValueError("bicharacter is degenerate")
+    doubled = GroupHom(dom, group, tuple(group.scale(2, x) for x in lifts))
+    squares, _ = squares_and_two_torsion(group)
+
+    def square_mod_t0(x: Coords) -> bool:
+        y = group.reduce([sum(c * lift[j] for c, lift in zip(x, lifts))
+                          for j in range(group.rank)])
+        return squares.contains(y) or squares.contains(group.sub(y, t0))
+
+    comp = beta_bar.orthogonal_complement(doubled.kernel())
+    return t0, phi, t_plus, all(square_mod_t0(x) for x in comp.gens)
 
 
 def odd_existence_check(group: FinGenAbGroup, t0: Coords,
@@ -604,38 +656,44 @@ def odd_existence_check(group: FinGenAbGroup, t0: Coords,
     """Whether the given quotient data extends to an odd grading support.
 
     tbar_gens are lifts in G; the test compares the complement of the
-    pushed-down two-torsion with the squares of the quotient group.
+    two-torsion of Tbar with the squares of G/<t0>, read inside G
+    (`_lift_data`).
     """
-    return _quotient_data(group, t0, tbar_gens, beta_bar)[-1]
+    return _lift_data(group, t0, tbar_gens, beta_bar)[-1]
 
 
 def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
     """Convert the G-description of an odd grading to explicit support in G#.
 
-    No subgroup is listed.  abar, the element of Tbar pairing as chi
-    squared, is one `GroupHom.preimage`; a is its lift through the
-    tbar_gens, moved by t0 where chi is 1/2; beta is read from one (bit,
-    coordinates of theta(s), chi(s)) triple per generator (s + bit u,
-    bit) of T_u.  `check_spec` checks the pairing of the result and that
-    its parity element is the given t0.
+    Everything is read inside G (`_lift_data`): the coordinates of
+    theta(s) in beta_bar's domain are a preimage of s under phi.  No
+    subgroup is listed.  abar, the element of Tbar pairing as chi
+    squared, is one preimage under `Bicharacter.hom`; a is its lift
+    through the tbar_gens, moved by t0 where chi is 1/2; beta is read
+    from one (bit, coordinates of theta(s), chi(s)) triple per generator
+    (s + bit u, bit) of T_u.  `check_spec` checks the pairing of the
+    result and that its parity element is the given t0.
     """
     g = spec.group
-    t0, theta, bar_pairing, t_plus, extends = _quotient_data(
-        g, spec.t0, spec.tbar_gens, spec.beta_bar)
+    t0, phi, t_plus, extends = _lift_data(g, spec.t0, spec.tbar_gens, spec.beta_bar)
     if not extends:
         raise ValueError("no odd grading exists for this quotient data")
-    beta_bar = bar_pairing.beta
+    beta_bar = spec.beta_bar
+    dom = beta_bar.domain
+
+    def bar(s: Coords) -> Coords:
+        """The coordinates of theta(s) in dom, for s in T+."""
+        return dom.reduce(phi.preimage(s)[:dom.rank])
+
     # chi and beta_bar in residues modulo one common modulus
     mod, f_bar, _ = common_modulus(beta_bar.m, lcm(*(o for _, o in t_plus.smith_gens)))
     chi = _canonical_chi(t_plus, t0, mod)
-    # abar is the preimage of (2 chi(s))_s under x -> (beta_bar(x, theta(s)))_s
-    # over the generators s of T+; beta_bar is nondegenerate and the
-    # theta(s) span Tbar, so that map is injective
-    plus = [(bar_pairing.abstract_coords(theta(s)), chi(s)) for s, _ in t_plus.smith_gens]
-    pair_with = GroupHom(beta_bar.domain, FinGenAbGroup(0, (mod,) * len(plus)),
-                         tuple(tuple(beta_bar.value(e, y) * f_bar for y, _ in plus)
-                               for e in beta_bar.domain.generators()))
-    a_bar = pair_with.preimage([2 * c for _, c in plus])
+    # 2 chi is trivial at t0, so a character of Tbar, and beta_bar is
+    # nondegenerate: abar is the one x with beta_bar(x, e_j) = 2 chi(l_j)
+    # at each unit generator e_j of dom, whose lift l_j lies in T+
+    twice = [2 * chi(lift) % mod for lift in spec.tbar_gens]
+    assert all(v % f_bar == 0 for v in twice), "2 chi must be a character of Tbar"
+    a_bar = beta_bar.hom.preimage([v // f_bar for v in twice])
     assert a_bar is not None, "chi^2 must be represented by the nondegenerate pairing"
     # the two lifts of abar in T+ differ by t0, and chi(t0) = 1/2
     a = g.zero()
@@ -653,7 +711,7 @@ def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
     for x, _ in tu.smith_gens:
         i = ext.bit(x)
         s = g.sub(ext.base_part(x), g.scale(i, u))
-        parts.append((i, bar_pairing.abstract_coords(theta(s)), chi(s)))
+        parts.append((i, bar(s), chi(s)))
     beta = Bicharacter.from_residues(
         FinGenAbGroup(0, tuple(o for _, o in tu.smith_gens)), mod,
         [[beta_bar.value(cs, ct) * f_bar - j * chi_s + i * chi_t for j, ct, chi_t in parts]
@@ -717,7 +775,9 @@ def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
             raise ValueError(f"the product of {g} and {h} leaves the support")
         sums[i, j] = k
     rows = []
-    for (i, j), k in sorted(sums.items()):
+    # last rows first: the form is canonical, and the later pivots are
+    # then in place before the earlier rows arrive, which cuts fill-in
+    for (i, j), k in sorted(sums.items(), reverse=True):
         row = {i: 1}
         row[j] = row.get(j, 0) + 1
         row[k] = row.get(k, 0) - 1
@@ -742,11 +802,12 @@ def universal_group(model: GradedMatrixModel
     bad = grid_failures(model)
     if bad:
         raise ValueError(f"not a block grid model: {bad[0]}")
-    k, dom = sum(model.sizes) // model.realization.size, model.pairing.beta.domain
+    k, dom = model.k, model.pairing.beta.domain
     zero, ts = dom.zero(), [t_abs for t_abs, _ in model.pairing.elements]
     deg = {key: model.base_degree(model.basis[n]) for key, n in model.index.items()}
     pairs = [(deg[i, 0, zero], deg[0, l, zero]) for i in range(k) for l in range(k)]
     pairs += [(deg[i, j, zero], deg[j, j, t])
               for i in range(k) for j in range(k) for t in ts]
-    pairs += [(deg[0, 0, t], deg[0, 0, dom.unit(r)]) for t in ts for r in range(dom.rank)]
+    units = [deg[0, 0, g] for g in dom.generators()]
+    pairs += [(deg[0, 0, t], g) for t in ts for g in units]
     return presented_quotient(model.base_group, tuple(sorted(set(deg.values()))), pairs)

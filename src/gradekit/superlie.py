@@ -15,8 +15,9 @@ the sums x + sigma(x) over the sigma-orbits inside A_g, made trace-free
 on the diagonal, with no linear solve (`p_intersection`); a basis vector
 is held as its coordinates in the ambient basis.  Its sparse integer
 matrix is formed only for the fixed-copy test and the fallback bracket
-loop: independence is read from the coordinates, and the fallback's
-membership test is a rank test on `hermite_normal_form`.  Universal
+loop: independence is read from the coordinates, and the fallback
+tests membership against each component's Hermite rows, formed once
+(`in_rational_span`).  Universal
 groups need no P(n) basis: a family of pairs of orbit sums with
 closed-form nonzero brackets generates every relation (`p_labels`).
 The dense rational `BlockMatrix`, with its supertrace, supertranspose
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .abgroup import Coords, FinGenAbGroup, hermite_normal_form
+from .abgroup import Coords, FinGenAbGroup, hermite_normal_form, in_rational_span
 from .bichar import Bicharacter
 from .matgrade import (
     CheckedSpec,
@@ -641,22 +642,22 @@ def _bracket_failures(model: PGradedModel) -> list[str]:
     """The bracket of every unordered pair of basis vectors, checked
     exactly: one failure per pair of Z-degrees summing to +-2 whose
     bracket does not vanish, and per other pair whose bracket leaves the
-    component of the sum of the degrees.  A bracket v lies in the
-    rational span of a component R iff adding it keeps the rank of the
-    Hermite form of R (`hermite_normal_form`)."""
+    component of the sum of the degrees.  Each component's Hermite rows
+    are formed once (`hermite_normal_form`), and a bracket is tested
+    against their pivots in one fraction-free pass (`in_rational_span`)."""
     failures = []
     group = model.ambient.base_group
     rows, spans = {}, {}
     for g, items in model.components.items():
         entries = [(model.matrix(x), z) for x, z in items]
         rows[g] = [(_rows(x), z) for x, z in entries]
-        spans[g] = hermite_normal_form(x for x, _ in entries)
+        spans[g] = [(min(r), r) for r in hermite_normal_form(x for x, _ in entries)]
     degrees = list(rows)
     # [y,x] is proportional to [x,y], so unordered pairs suffice
     for gi, g in enumerate(degrees):
         for h in degrees[gi:]:
             target = group.add(g, h)
-            span = spans.get(target, ())
+            span = spans.get(target, [])
             items_g, items_h = rows[g], rows[h]
             for a, (x, zx) in enumerate(items_g):
                 start = a if g == h else 0
@@ -666,7 +667,7 @@ def _bracket_failures(model: PGradedModel) -> list[str]:
                         if lie:
                             failures.append(f"bracket of z-degrees {zx},{zy} "
                                             "does not vanish")
-                    elif lie and len(hermite_normal_form(span + (lie,))) != len(span):
+                    elif lie and not in_rational_span(span, lie):
                         failures.append(f"bracket of components {g} and {h} "
                                         f"leaves the component at {target}")
     return failures
@@ -685,7 +686,7 @@ def verify_P_graded(model: PGradedModel) -> PReport:
     two vectors of the b corner, or two of the c corner, multiply to 0
     both ways, so brackets of Z-degrees summing to +-2 vanish.  When any
     check fails, every unordered pair of basis vectors is bracketed and
-    each bracket tested against the Hermite form of its target component
+    each bracket tested against the Hermite rows of its target component
     (`_bracket_failures`).  Either way stats count the pairs the verdict
     covers: every unordered pair of basis vectors, and among them the
     pairs whose Z-degrees do not sum to +-2, whose bracket must lie in a

@@ -12,11 +12,13 @@ from gradekit.abgroup import (
     FinGenAbGroup,
     GroupHom,
     Subgroup,
+    hermite_normal_form,
     squares_and_two_torsion,
     subgroup_and_quotient,
 )
-from gradekit.bichar import Bicharacter, beta_isomorphism, standard_pair
+from gradekit.bichar import Bicharacter, beta_isomorphism, common_modulus, standard_pair
 from gradekit import matgrade
+from gradekit.cli import spec_to_json
 from gradekit.graddiv import product_table, realization_failures
 from gradekit.superlie import (
     PSpec,
@@ -30,10 +32,27 @@ from gradekit.matgrade import (
     EmbeddedPairing,
     EvenAssocSpec,
     OddAssocGSpec,
+    OddAssocTSpec,
+    ParityExtension,
     odd_existence_check,
 )
 
 TRIVIAL_BETA = Bicharacter(FinGenAbGroup(0, ()), ())
+
+
+def unimodular_inverse(mat):
+    """Inverse of a unimodular integer matrix V, as an integer matrix.
+
+    The rows (e_i, row i of V^-1) generate the row lattice of [V | I] and
+    are in Hermite normal form, which is unique; so the Hermite normal
+    form of [V | I] is [I | V^-1] exactly when V is unimodular.
+    """
+    n = len(mat)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    hnf = hermite_normal_form([list(row) + e for row, e in zip(mat, eye)])
+    if [list(r[:n]) for r in hnf] != eye:
+        raise ValueError("matrix is not unimodular")
+    return [list(r[n:]) for r in hnf]
 
 
 def fraction_inverse(mat):
@@ -694,6 +713,158 @@ def oracle_chi_and_a(group, t0, tbar_lifts, beta_bar):
     a = next(x for x in t_plus.elements()
              if theta(x) == a_bar and chi(x) == 0)
     return chi, a
+
+
+def reference_quotient_data(group: FinGenAbGroup, t0: Coords,
+                            tbar_gens: tuple[Coords, ...], beta_bar: Bicharacter):
+    """t0 reduced, the projection theta onto G/<t0>, the checked pairing
+    beta_bar on the images of the lifts, T+ (its preimage in G), and
+    whether the data extends to an odd grading: the quotient-based
+    reading of a G-description that matgrade replaced by one inside G.
+    The reference for matgrade._lift_data."""
+    t0 = group.reduce(t0)
+    if group.element_order(t0) != 2:
+        raise ValueError("t0 must have order 2")
+    _, gbar, theta = subgroup_and_quotient(group, [t0])
+    bar_pairing = EmbeddedPairing(gbar, tuple(theta(t) for t in tbar_gens), beta_bar)
+    bar_pairing.check()
+    t_plus = bar_pairing.sub.preimage_under(theta)
+    _, g_two = squares_and_two_torsion(group)
+    # the image of the two-torsion of T+, read in beta_bar's domain
+    r_abstract = t_plus.intersect(g_two).image_under(theta).preimage_under(bar_pairing.hom)
+    comp = beta_bar.orthogonal_complement(r_abstract)
+    r_comp = Subgroup(gbar, [bar_pairing.push(x) for x, _ in comp.smith_gens])
+    gbar_squares, _ = squares_and_two_torsion(gbar)
+    return t0, theta, bar_pairing, t_plus, r_comp.is_subset_of(gbar_squares)
+
+
+def reference_square_class(g: FinGenAbGroup, t0: Coords, tbar_gens: tuple[Coords, ...],
+                           beta_bar: Bicharacter):
+    """(t0, theta, the pairing on G/<t0>, T+, chi, mod, a): the data of
+    `reference_quotient_data` and the element a that u must square to,
+    with abar a preimage under x -> (beta_bar(x, theta(s)))_s over the
+    Smith generators s of T+; ValueError where matgrade.build_odd_from_G
+    raises one before it reads u."""
+    t0, theta, bar_pairing, t_plus, extends = reference_quotient_data(
+        g, t0, tbar_gens, beta_bar)
+    if not extends:
+        raise ValueError("no odd grading exists for this quotient data")
+    mod, f_bar, _ = common_modulus(beta_bar.m, lcm(*(o for _, o in t_plus.smith_gens)))
+    chi = matgrade._canonical_chi(t_plus, t0, mod)
+    plus = [(bar_pairing.abstract_coords(theta(s)), chi(s)) for s, _ in t_plus.smith_gens]
+    pair_with = GroupHom(beta_bar.domain, FinGenAbGroup(0, (mod,) * len(plus)),
+                         tuple(tuple(beta_bar.value(e, y) * f_bar for y, _ in plus)
+                               for e in beta_bar.domain.generators()))
+    a_bar = pair_with.preimage([2 * c for _, c in plus])
+    assert a_bar is not None
+    a = g.zero()
+    for c, lift in zip(a_bar, tbar_gens):
+        a = g.add(a, g.scale(c, lift))
+    if chi(a):
+        a = g.add(a, t0)
+    return t0, theta, bar_pairing, t_plus, chi, mod, a
+
+
+def reference_build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
+    """matgrade.build_odd_from_G through G/<t0>: the coordinates of
+    theta(s) are read through the pairing on G/<t0>
+    (`reference_square_class`).  The reference for
+    matgrade.build_odd_from_G."""
+    g = spec.group
+    t0, theta, bar_pairing, t_plus, chi, mod, a = reference_square_class(
+        g, spec.t0, spec.tbar_gens, spec.beta_bar)
+    beta_bar, f_bar = bar_pairing.beta, mod // bar_pairing.beta.m
+    u = g.reduce(spec.u)
+    if g.scale(2, u) != a:
+        raise ValueError(f"u squared is {g.scale(2, u)}, expected {a}")
+    ext = ParityExtension(g)
+    tu = Subgroup(ext.group, [ext.embed(x) for x, _ in t_plus.smith_gens] + [ext.lift(u, 1)])
+    parts = []
+    for x, _ in tu.smith_gens:
+        i = ext.bit(x)
+        s = g.sub(ext.base_part(x), g.scale(i, u))
+        parts.append((i, bar_pairing.abstract_coords(theta(s)), chi(s)))
+    beta = Bicharacter.from_residues(
+        FinGenAbGroup(0, tuple(o for _, o in tu.smith_gens)), mod,
+        [[beta_bar.value(cs, ct) * f_bar - j * chi_s + i * chi_t for j, ct, chi_t in parts]
+         for i, cs, chi_s in parts])
+    return OddAssocTSpec(g, tuple(x for x, _ in tu.smith_gens), beta, spec.gamma)
+
+
+def reference_parity_element(pairing: EmbeddedPairing, ext: ParityExtension) -> Coords:
+    """matgrade._parity_element by the orthogonal complement of the
+    bit-0 part of the domain, its nonzero element pushed into G."""
+    dom = pairing.beta.domain
+    z2 = FinGenAbGroup(0, (2,))
+    to_bit = GroupHom(dom, z2, tuple((ext.bit(g),) for g in pairing.gens))
+    comp = pairing.beta.orthogonal_complement(Subgroup(z2, []).preimage_under(to_bit))
+    if comp.order() != 2:
+        raise ValueError("orthogonal complement of the even support "
+                         f"has order {comp.order()}, expected 2")
+    u0 = pairing.push(next(g for g in comp.gens if any(g)))
+    if ext.bit(u0) != 0:
+        raise ValueError("parity element has odd parity; spec is corrupted")
+    return ext.base_part(u0)
+
+
+def random_odd_g_document(rng) -> dict:
+    """A seeded odd_g document for the conversion oracle: G = Z/2c x
+    (each modulus of H x H^, some doubled) x extra, t0 of order 2 in the
+    first factor, one lift per coordinate of H x H^, and u a square root
+    of the element a that the reference conversion asks for where the
+    data extend (`reference_square_class`).  About
+    one document in two is then spoilt in one of the ways that reach an
+    error of the conversion: t0 of another order, a lift missing, added,
+    repeated or moved off its coset, a pairing that is degenerate or not
+    alternating, or u moved off a square root."""
+    h = rng.choice([(), (), (2,), (2,), (3,), (4,), (2, 2)])
+    mods = h + h
+    c = rng.choice([1, 1, 2, 3])
+    scale = [rng.choice([1, 1, 2]) for _ in mods]
+    extra = rng.choice([(), (), (2,), (4,), (3,), (6,)])
+    free = rng.choice([0, 0, 0, 1])
+    group = FinGenAbGroup(free, (2 * c,) + tuple(d * s for d, s in zip(mods, scale)) + extra)
+    t0 = group.scale(c, group.unit(free))
+    lifts = [group.scale(s, group.unit(free + 1 + i)) for i, s in enumerate(scale)]
+    # a lift moved by t0 stays on its coset; one moved by the generator of
+    # Z/2c may leave no odd grading (Z/4 x Z/2 over H = Z/2 is the least)
+    for step in (t0, group.unit(free)):
+        if rng.random() < 0.5:
+            lifts = [group.add(x, step) if rng.random() < 0.4 else x for x in lifts]
+    if h and rng.random() < 0.15:
+        beta_bar = random_alternating_form(rng, mods)
+    else:
+        beta_bar = random_alternating(rng, h) if h else TRIVIAL_BETA
+    fault = rng.choice(["none"] * 8 + ["t0", "count", "repeat", "coset", "twist", "diagonal", "u"])
+    if fault == "t0":
+        t0 = random_element(rng, group)
+    elif fault == "count":
+        lifts = lifts[1:] if lifts and rng.random() < 0.5 else lifts + [random_element(rng, group)]
+    elif fault == "repeat" and len(lifts) > 1:
+        lifts[1] = lifts[0]
+    elif fault == "coset" and lifts:
+        i = rng.randrange(len(lifts))
+        lifts[i] = group.add(lifts[i], random_element(rng, group))
+    elif fault == "twist" and lifts:
+        # an element of order 2 in the doubled copy, or a generator there
+        i = rng.randrange(len(lifts))
+        lifts[i] = group.unit(free + 1 + i)
+    elif fault == "diagonal" and h:
+        k = len(mods)
+        q = [[beta_bar.q[i][j] + (Fraction(1, 2) if i == j == 0 else 0) for j in range(k)]
+             for i in range(k)]
+        beta_bar = Bicharacter(beta_bar.domain, q)
+    u = random_element(rng, group)
+    try:
+        a = reference_square_class(group, t0, tuple(lifts), beta_bar)[-1]
+    except ValueError:
+        a = None
+    root = None if a is None or fault == "u" else solve_square(group, a)
+    if root is not None:
+        _, two_torsion = squares_and_two_torsion(group)
+        u = group.add(root, rng.choice(sorted(two_torsion.elements())))
+    gamma = tuple(random_element(rng, group) for _ in range(rng.randint(1, 2)))
+    return spec_to_json(OddAssocGSpec(group, t0, tuple(lifts), beta_bar, u, gamma))
 
 
 def random_odd_g_spec(rng, max_tries=200):

@@ -21,7 +21,6 @@ from gradekit.abgroup import (
     span,
     squares_and_two_torsion,
     subgroup_and_quotient,
-    unimodular_inverse,
 )
 
 from gradekit import abgroup, matgrade
@@ -44,6 +43,7 @@ from helpers import (
     random_unimodular,
     solve_square,
     sparse_rows,
+    unimodular_inverse,
 )
 
 
@@ -54,9 +54,11 @@ def mat_mul(a, b):
 
 def check_snf(mat):
     n = len(mat[0])
-    diag, cols = smith_normal_form(sparse_rows(mat), n)
+    diag, cols, rows = smith_normal_form(sparse_rows(mat), n)
     v = dense_columns(cols)
     assert len(diag) == n
+    # W is V^-1, row by row
+    assert dense_rows(rows, n) == unimodular_inverse(v)
     # mat * V and the diagonal span one row lattice
     rows = [[d * int(i == j) for j in range(n)] for i, d in enumerate(diag)]
     assert hermite_normal_form(mat_mul(mat, v)) == hermite_normal_form(rows)
@@ -130,8 +132,9 @@ def test_snf_matches_dense_oracle():
     for mat in cases:
         n = len(mat[0])
         diag, v = dense_smith_normal_form(mat)
-        got_diag, got_v = smith_normal_form(sparse_rows(mat), n)
+        got_diag, got_v, got_w = smith_normal_form(sparse_rows(mat), n)
         assert got_diag == diag and dense_columns(got_v) == v, mat
+        assert dense_rows(got_w, n) == fraction_inverse(v), mat
         seen["zero row"] += not all(map(any, mat))
         seen["negative entry"] += any(min(r) < 0 for r in mat)
         seen["non-unit"] += any(d > 1 for d in diag)
@@ -155,9 +158,10 @@ def test_snf_matches_dense_oracle_on_relation_matrices(monkeypatch):
     assert len(calls) == len(matrix_descs) + len(p_descs)
     assert max(n for _, n in calls) > 100
     for rows, n in calls:
-        diag, v = smith_normal_form(rows, n)
+        diag, v, w = smith_normal_form(rows, n)
         want_diag, want_v = dense_smith_normal_form(dense_rows(rows, n))
         assert diag == want_diag and dense_columns(v) == want_v
+        assert dense_rows(w, n) == fraction_inverse(want_v)
 
 
 def test_unimodular_inverse():

@@ -940,6 +940,68 @@ def test_universal_groups_of_fine_odd_8_and_12(tmp_path):
     _budget(start, 20.0)
 
 
+# sha256 of json.dumps(payload, sort_keys=True) of `gradekit ugroup` on
+# every fine odd 16 descriptor and on fine odd 32 #14 and #22, recorded
+# while presented_quotient handed its relation rows to the Hermite form
+# in ascending order
+UGROUP_DIGESTS_16_32 = {
+    16: {
+        0: "53f3e5b327cc2e50a1d21a4716b8daa71b9dc0be11fddb935034ae6944c96171",
+        1: "d3b3f7242acd7d8e84956da27ab7c5b09772153af059a2fbf410c4c2850754a3",
+        2: "d1c73c8134134cb819731b686b7bf81e8b2189f02dbd6745fd8a0434f15ac839",
+        3: "661fa0f7a6716ea3d9fa0bc585f5a8c8fe580d27034b5124c2c3314f4a1e7c31",
+        4: "79739c2925cb6ff7903c312cb8e1f4a040fcd2d1c5e17ba4ad9ae3472cb0e5ea",
+        5: "79739c2925cb6ff7903c312cb8e1f4a040fcd2d1c5e17ba4ad9ae3472cb0e5ea",
+        6: "7cc49f1ecc3e92b0cb22b0529440a00d53ec0dd11e3d4021df8dd1f9a7fa367b",
+        7: "4c83ae56ecb1fe419f6fc2f881ab74dca5748b8ee9ebf535c5bc684e8b921f40",
+        8: "4407dfb32ef8ef6de6c5fc465c1dca9cabc25593a77de53e9a2b054b9cb30d2d",
+        9: "4407dfb32ef8ef6de6c5fc465c1dca9cabc25593a77de53e9a2b054b9cb30d2d",
+        10: "2ccf6e2eaeb8e28bcc6c098f5c56b8c6ed59a7616dbaac4a3cdbfe075c8871d0",
+        11: "2ccf6e2eaeb8e28bcc6c098f5c56b8c6ed59a7616dbaac4a3cdbfe075c8871d0",
+        12: "c88a4104a0c3ba8c7086b17119288269e7823e3acc6e38cb25003d560066fa3b",
+        13: "849aa0f7d860c60c64006c641c65f9383cc32e669e448555e5beedada47a3956",
+        14: "50a5bd63cab88c66ebfa3eb6258c1d8e9e542b3b98f4786a210b0403a75da2a6",
+        15: "a5461cbbea5eabe7d86bbde4a333fa6720c06f0a4ef91dec321e5e2b38868ed2",
+        16: "a5461cbbea5eabe7d86bbde4a333fa6720c06f0a4ef91dec321e5e2b38868ed2",
+        17: "71e3733e695b299f0b5ae20d8af76efc701ca8ac8076dcd40a97d6680d381ba0",
+        18: "71e3733e695b299f0b5ae20d8af76efc701ca8ac8076dcd40a97d6680d381ba0",
+        19: "0d90c68cd7e1233d7db1c5eff52d336181c35f78a4e6fa0c7506e8bfacdd9bb5",
+        20: "0d90c68cd7e1233d7db1c5eff52d336181c35f78a4e6fa0c7506e8bfacdd9bb5",
+        21: "14cccf9694a759355f49373922411ccdeb322631643a1c471ddcf0f8fd5e6c10",
+        22: "14cccf9694a759355f49373922411ccdeb322631643a1c471ddcf0f8fd5e6c10",
+        23: "48186eab478825fb2fb4bdf3099d1f12d6c8cbe2e6124493681ec8e0c358185c",
+        24: "48186eab478825fb2fb4bdf3099d1f12d6c8cbe2e6124493681ec8e0c358185c",
+        25: "8663993cda46fd4595b20be3b2f4bb21f4dfd8a310a32ca218707b484069e0c6"},
+    32: {14: "60fd684f070418c82d77a327ee0f9afb81a63afbf598ad1c7a977781e28d5285",
+         22: "c3df264b9d707a39f6f221b02ea3f899e8b633575338ce5d5d9c20a2a367df82"},
+}
+
+
+def test_universal_groups_of_fine_odd_16_and_32(tmp_path):
+    """`gradekit ugroup` on every fine odd 16 descriptor and on fine odd
+    32 #14 and #22 (M(32,32)) gives the recorded payload: the 26 of
+    fine odd 16 in under 6 s together, model builds included, and each
+    of fine odd 32 in under 3 s (9.4 s, 6.6 s and 5.5 s while the
+    relation rows went in ascending order)."""
+    for n, digests in UGROUP_DIGESTS_16_32.items():
+        payload, code = run(["fine", "odd", str(n)])
+        assert code == 0
+        start = time.perf_counter()
+        for i, digest in digests.items():
+            path = tmp_path / f"odd-{n}-{i}.json"
+            path.write_text(json.dumps(payload["descriptors"][i]["spec"]))
+            one = time.perf_counter()
+            got, code = run(["ugroup", "-f", str(path)])
+            assert code == 0
+            text = json.dumps(got, sort_keys=True)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (n, i)
+            if n == 32:
+                _budget(one, 3.0)
+        if n == 16:
+            assert len(digests) == len(payload["descriptors"]) == 26
+            _budget(start, 6.0)
+
+
 # sha256 of json.dumps(payload, sort_keys=True) of `gradekit verify` on
 # every `fine odd 16` and `fine p 15` descriptor, recorded while verify
 # formed every product X_t X_s and bracketed every pair of P(n) basis

@@ -18,7 +18,7 @@ from gradekit import abgroup
 from gradekit.abgroup import FinGenAbGroup, Subgroup
 from gradekit.bichar import standard_pair
 from gradekit.cli import KINDS, main, parse_spec, run, spec_to_json
-from gradekit.matgrade import EmbeddedPairing, EvenAssocSpec, OddAssocGSpec
+from gradekit.matgrade import EmbeddedPairing, EvenAssocSpec, OddAssocGSpec, check_spec
 from gradekit.superlie import PSpec
 
 from helpers import TRIVIAL_BETA, count_calls, count_one_pass
@@ -553,11 +553,12 @@ def test_exit_contract_on_mutated_examples(tmp_path, capsys):
     assert seen == {0, 1, 2}
 
 
-# steps of the one validation pass per input spec: an odd_g spec has two
-# pairings, beta_bar on G/<t0> and the converted pairing on G x Z/2
+# steps of the one validation pass per input spec: an odd_g spec is
+# checked inside G, with no quotient G/<t0> and no pairing on it, so its
+# one pairing is the converted one on G x Z/2
 PER_SPEC = {"even": {"pairings": 1, "checks": 1, "parities": 0, "quotients": 0},
             "odd_t": {"pairings": 1, "checks": 1, "parities": 1, "quotients": 0},
-            "odd_g": {"pairings": 2, "checks": 2, "parities": 1, "quotients": 1},
+            "odd_g": {"pairings": 1, "checks": 1, "parities": 1, "quotients": 0},
             "p": {"pairings": 1, "checks": 1, "parities": 0, "quotients": 0}}
 
 
@@ -567,9 +568,12 @@ def test_model_commands_validate_once(tmp_path, monkeypatch, command, kind):
     path = example_path(tmp_path, kind)
     counts = count_one_pass(monkeypatch)
     assert run([command, "-f", path])[1] == 0
-    # one symplectic decomposition, for the model's realization
+    # verify builds the model's realization, one symplectic decomposition;
+    # ugroup reads only the block grid, except on P(n), whose labels use
+    # the transpose signs of the realization
+    decompositions = int(command == "verify" or kind == "p")
     assert {step: len(calls) for step, calls in counts.items()} == \
-        dict(PER_SPEC[kind], decompositions=1)
+        dict(PER_SPEC[kind], decompositions=decompositions)
 
 
 @pytest.mark.parametrize("kind, mode", [
@@ -600,6 +604,18 @@ def test_odd_t_verify_runs_no_smith_normal_form(tmp_path, monkeypatch):
     smith = count_calls(monkeypatch, abgroup, "smith_normal_form")
     assert run(["verify", "-f", example_path(tmp_path, "odd_t")])[1] == 0
     assert smith == []
+
+
+def test_odd_g_check_runs_few_normal_forms(monkeypatch):
+    # inside G: T+ and the coordinates of theta(s) from one Hermite form,
+    # the radical and abar of beta_bar from another, the kernel of
+    # doubling and its complement, T_u, the converted pairing's map and
+    # its bicharacter's map (the parity element reuses the last); Smith
+    # forms for T+ and T_u.  The quotient-based check ran 28 and 3.
+    hermite = count_calls(monkeypatch, abgroup, "hermite_normal_form")
+    smith = count_calls(monkeypatch, abgroup, "smith_normal_form")
+    check_spec(parse_spec(documented_examples()["odd_g"]))
+    assert len(hermite) <= 8 and len(smith) <= 2
 
 
 @pytest.mark.parametrize("mode", ["assoc", "lie"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from math import lcm
 from dataclasses import replace
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from gradekit import matgrade
 from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quotient
 from gradekit.bichar import Bicharacter, standard_pair
 from gradekit.classify import enumerate_even_fine, enumerate_odd_fine
+from gradekit.cli import parse_spec
 from gradekit.graddiv import (
     MonomialMatrix,
     StandardRealization,
@@ -52,8 +54,11 @@ from helpers import (
     per_pair_failures,
     random_element,
     random_even_spec,
+    random_odd_g_document,
     random_odd_g_spec,
     ref_pairing_value,
+    reference_build_odd_from_G,
+    reference_parity_element,
     searched_chi_vector,
 )
 
@@ -169,6 +174,55 @@ def test_invalid_odd_g_messages(spec, message):
             use(spec)
 
 
+# the errors a G-description can meet while it is converted, in the
+# order they are checked, each by a piece of its text
+CONVERSION_ERRORS = ["t0 must have order 2",
+                     "one generator per bicharacter coordinate required",
+                     "maps to an element not killed by",
+                     "not killed by generator order|is nonzero|are not opposite",
+                     "subgroup generators are not independent",
+                     "bicharacter is degenerate",
+                     "no odd grading exists for this quotient data",
+                     "u squared is"]
+
+
+def _conversion_outcome(spec):
+    """(tgens, m, N, t0) of the checked spec, or (type, text) of the error."""
+    try:
+        checked = check_spec(spec)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    beta = checked.spec.beta
+    return checked.spec.tgens, beta.m, beta.N, checked.t0
+
+
+def test_conversion_inside_G_matches_the_quotient_reference(monkeypatch):
+    """3 000 seeded odd_g documents, valid and spoilt: check_spec, which
+    reads the G-description inside G, gives the support, pairing and t0
+    of the quotient-based reference (helpers.reference_build_odd_from_G
+    and the old parity element), or the same exception and text.  The
+    documents reach every error the conversion checks for, and both
+    verdicts of the existence test."""
+    rng = random.Random(29)
+    docs = [random_odd_g_document(rng) for _ in range(3000)]
+    specs = [parse_spec(doc) for doc in docs]
+    got = [_conversion_outcome(spec) for spec in specs]
+    monkeypatch.setattr(matgrade, "build_odd_from_G", reference_build_odd_from_G)
+    monkeypatch.setattr(matgrade, "_parity_element", reference_parity_element)
+    want = [_conversion_outcome(spec) for spec in specs]
+    for doc, a, b in zip(docs, got, want):
+        assert a == b, doc
+    texts = [out[1] for out in got if isinstance(out[0], str)]
+    hit = [sum(bool(re.search(pattern, text)) for text in texts) for pattern in CONVERSION_ERRORS]
+    assert all(count >= 10 for count in hit), dict(zip(CONVERSION_ERRORS, hit))
+    converted = sum(not isinstance(out[0], str) for out in got)
+    refused = hit[CONVERSION_ERRORS.index("no odd grading exists for this quotient data")]
+    assert converted >= 300 and refused >= 10, (converted, refused)
+    # existence says yes on every converted spec, many with nontrivial Tbar
+    assert sum(len(spec.tbar_gens) > 0 for spec, out in zip(specs, got)
+               if not isinstance(out[0], str)) >= 100
+
+
 def test_odd_g_spec_converted_once_per_build(monkeypatch):
     calls = count_odd_conversions(monkeypatch)
     for spec in (minimal_odd_spec(), midsize_odd_spec()):
@@ -243,7 +297,7 @@ def with_parts(model, **parts):
     """A copy of the model with some constructor arguments replaced."""
     args = dict(kind=model.kind, base_group=model.base_group,
                 degree_group=model.degree_group, sizes=model.sizes,
-                basis=model.basis, pairing=model.pairing,
+                basis=model.basis, pairing=model.pairing, k=model.k,
                 realization=model.realization, parity_coords=model.parity_coords)
     args.update(parts)
     return GradedMatrixModel(**args)

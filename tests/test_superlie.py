@@ -623,7 +623,7 @@ def _relabelled(model, coords, **change):
                   for n, b in enumerate(amb.basis))
     return PGradedModel(
         GradedMatrixModel(amb.kind, amb.base_group, amb.degree_group, amb.sizes,
-                          basis, amb.pairing, amb.realization, amb.parity_coords),
+                          basis, amb.pairing, amb.k, amb.parity_coords, amb.realization),
         model.components)
 
 
