@@ -168,18 +168,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
-def _reduce_into(row: dict[int, int], cols: Iterable[int],
-                 pivots: dict[int, dict[int, int]]) -> None:
-    """Reduce the entries of row in the pivot columns cols, taken in
-    ascending order, into [0, pivot)."""
-    for c in cols:
-        v = row.get(c)
-        if v is not None:
-            q = v // pivots[c][c]
-            if q:
-                _add_multiple(row, -q, pivots[c])
-
-
 def hermite_normal_form(rows: Iterable[Coords | dict[int, int]]) -> tuple:
     """Canonical basis of the integer row span of `rows`.
 
@@ -193,10 +181,10 @@ def hermite_normal_form(rows: Iterable[Coords | dict[int, int]]) -> tuple:
     keyed by their leading column.  Each incoming row is reduced against
     the pivots; where it meets a pivot whose entry does not divide its
     own, one extended-Euclid step makes the gcd row the pivot and carries
-    the other combination on.  A row that becomes a pivot is reduced
-    against the later pivots, and the earlier pivot rows against it, so
-    the pivot rows stay short and their entries small whatever the order
-    of the input.
+    the other combination on.  A final pass, last pivot row first,
+    reduces the entries of each row against the rows already in final
+    form, visiting in ascending order only the pivot columns the row
+    holds.
     """
     pivots: dict[int, dict[int, int]] = {}
     width = None                    # stays None on sparse rows
@@ -210,28 +198,24 @@ def hermite_normal_form(rows: Iterable[Coords | dict[int, int]]) -> tuple:
             col = min(row)
             piv = pivots.get(col)
             if piv is None:
-                new = row if row[col] > 0 else {j: -a for j, a in row.items()}
-                row = {}
+                pivots[col] = row if row[col] > 0 else {j: -a for j, a in row.items()}
+                break
+            p, a = piv[col], row[col]
+            if a % p == 0:
+                _add_multiple(row, -(a // p), piv)
             else:
-                p, a = piv[col], row[col]
-                if a % p == 0:
-                    _add_multiple(row, -(a // p), piv)
-                    continue
                 g, s, t = _xgcd(p, a)
-                new, row = _combine(s, piv, t, row), _combine(a // g, piv, -(p // g), row)
-            later = [c for c in pivots if c > col]
-            if later:
-                later.sort()
-                _reduce_into(new, later, pivots)
-            pivots[col] = new
-            for c, other in pivots.items():
-                if c < col and col in other:
-                    _reduce_into(other, (col,), pivots)
-    # reduce entries above each pivot, last pivot row first, so that each
-    # row is reduced against rows already in final form
+                pivots[col], row = _combine(s, piv, t, row), _combine(a // g, piv, -(p // g), row)
+    # a pivot row only touches columns from its own on, so each row meets
+    # the later pivot rows in final form and keeps the columns it has
+    # already reduced
     cols = sorted(pivots)
-    for i in range(len(cols) - 2, -1, -1):
-        _reduce_into(pivots[cols[i]], cols[i + 1:], pivots)
+    for c in reversed(cols):
+        row = pivots[c]
+        while (c := min((j for j in row if j > c and j in pivots), default=None)) is not None:
+            q = row[c] // pivots[c][c]
+            if q:
+                _add_multiple(row, -q, pivots[c])
     if width is None:
         return tuple(pivots[c] for c in cols)
     out = []
@@ -284,9 +268,10 @@ def in_rational_span(pivots: Iterable[tuple[object, dict]], vec: dict) -> bool:
     return not v
 
 
-def lattice_tail(rows: Iterable[Coords], n: int) -> tuple[Coords, ...]:
+def lattice_tail(rows: Iterable[Coords | dict[int, int]], n: int) -> tuple:
     """{v[n:] : v in the row lattice of rows, v[:n] = 0}, in Hermite
-    normal form.
+    normal form: dense rows if the rows are dense, and sparse
+    {col - n: value} dicts if they are sparse {col: value} dicts.
 
     A lattice vector that vanishes in the first n columns has zero
     coordinates on every Hermite row with its pivot there, so the rows
@@ -295,7 +280,10 @@ def lattice_tail(rows: Iterable[Coords], n: int) -> tuple[Coords, ...]:
     and intersections are tails of augmented matrices (Cohen, GTM 138,
     2.4.3): the tail of the rows (a_i, e_i) is {x : x*A = 0}.
     """
-    return tuple(r[n:] for r in hermite_normal_form(rows) if not any(r[:n]))
+    hnf = hermite_normal_form(rows)
+    if hnf and isinstance(hnf[0], dict):
+        return tuple({j - n: a for j, a in r.items()} for r in hnf if min(r) >= n)
+    return tuple(r[n:] for r in hnf if not any(r[:n]))
 
 
 def lattice_intersect(rows_a: Iterable[Coords], rows_b: Iterable[Coords]) -> tuple[Coords, ...]:

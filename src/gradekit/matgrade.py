@@ -35,7 +35,7 @@ from .abgroup import (
     Subgroup,
     coset_canonical_rep,
     finitely_presented_quotient,
-    hermite_normal_form,
+    lattice_tail,
     span,
     squares_and_two_torsion,
     subgroup_and_quotient,
@@ -752,62 +752,71 @@ def finest_even_coarsening(spec: OddAssocTSpec) -> EvenAssocSpec:
 # universal grading groups
 
 
-def presented_quotient(group: FinGenAbGroup, supp: Sequence[Coords],
-                       pairs: Iterable[tuple[Coords, Coords]]
-                       ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
-    """The abelian group generated by the support with the relation
-    [g] + [h] = [g + h] for every given pair (g, h), and the image of each
-    support element in it.  The pairs are those of nonzero products (or
-    brackets), so g + h must lie in the support too.
+def formal_quotient(domain: FinGenAbGroup, keys: Sequence[tuple[Coords, Coords]]
+                    ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
+    """The universal group U of a grading, from the (degree, formal
+    degree) pair of every basis key, and the image of each support
+    degree in it.
 
-    Each relation is the sparse row e_i + e_j - e_k on support indices,
-    found once per unordered pair {i, j}."""
-    index = {s: n for n, s in enumerate(supp)}
-    sums: dict[tuple[int, int], int] = {}     # {(i, j): k} with i <= j
-    for g, h in pairs:
-        i, j = index[g], index[h]
-        if i > j:
-            i, j = j, i
-        if (i, j) in sums:
-            continue
-        k = index.get(group.add(g, h))
-        if k is None:
-            raise ValueError(f"the product of {g} and {h} leaves the support")
-        sums[i, j] = k
-    rows = []
-    # last rows first: the form is canonical, and the later pivots are
-    # then in place before the earlier rows arrive, which cuts fill-in
-    for (i, j), k in sorted(sums.items(), reverse=True):
-        row = {i: 1}
-        row[j] = row.get(j, 0) + 1
-        row[k] = row.get(k, 0) - 1
+    A formal degree f(x) lies in F/R, F = Z^w and R the relation rows of
+    `domain` on the last domain.rank columns, the others free.  Each
+    caller proves two facts: f is additive on nonzero products (or
+    brackets), so x y != 0 has a key z of degree deg x + deg y in its
+    expansion with f(z) = f(x) + f(y) in F/R; and a homomorphism N: F/R
+    -> U has N(f(x)) = [deg x] for every key x.  Let x_s be the first key
+    of degree s and R' hold R and f(x) - f(x_s) for every further key x
+    of degree s, which N kills.  The relations of U are then the kernel
+    L of Z^supp -> F/R', e_s -> f(x_s): [g] + [h] = [g + h] lies in L by
+    the first fact, and v in L has sum v_s [s] = N(f(v)) = 0 by the
+    second.  L is the tail of one Hermite form (`lattice_tail`, Cohen,
+    GTM 138, 2.4.3) of R' and the rows (f(x_s), e_s), these last support
+    index first: what a row keeps past the F columns then leads with its
+    own e_s, a fresh pivot.  The Hermite form of L is canonical, so it is
+    that of every generating family of relations.
+    """
+    width = len(keys[0][1])
+    shift = width - domain.rank
+    rows = [{shift + j: a for j, a in enumerate(r) if a} for r in domain.relation_rows()]
+    first: dict[Coords, Coords] = {}
+    for degree, formal in keys:
+        x = first.setdefault(degree, formal)
+        if formal != x:
+            rows.append({j: a - b for j, (a, b) in enumerate(zip(formal, x)) if a != b})
+    supp = sorted(first)
+    for n in range(len(supp) - 1, -1, -1):
+        row = {j: a for j, a in enumerate(first[supp[n]]) if a}
+        row[width + n] = 1
         rows.append(row)
-    quotient, proj = finitely_presented_quotient(len(supp), hermite_normal_form(rows))
-    return quotient, {s: proj.images[n] for s, n in index.items()}
+    quotient, proj = finitely_presented_quotient(len(supp), lattice_tail(rows, width))
+    return quotient, {s: proj.images[n] for n, s in enumerate(supp)}
 
 
 def universal_group(model: GradedMatrixModel
                     ) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
     """The group presented by the support with [x] + [y] = [xy] for every
-    nonzero product (i, j, t)(j, l, s) = (i, l, t + s) of basis elements.
-    Three families of products, with 0 the first row and the domain's
-    zero and g each unit generator of the domain, generate them all:
-      B: (i, 0, 0)(0, l, 0); D: (i, j, 0)(j, j, t); T: (0, 0, t)(0, 0, g),
-    k^2 + k^2 |T| + |T| r pairs.  D gives [j, j, 0] = 0 and [i, j, t] =
-    [i, j, 0] + tau(t), as E_jj X_t and E_00 X_t share the degree tau(t);
-    B then gives [i, l, 0] = b(i) - b(l); T gives tau(t + s) = tau(t) +
-    tau(s) by induction on s as a word in the g.  The Hermite form of the
-    rows is canonical, so it is that of all product pairs.  The model must
-    be a grading; ValueError when `grid_failures` is not empty."""
+    nonzero product (i, j, t)(j, l, s) = (i, l, t + s) of basis elements
+    (`formal_quotient`), with the formal degree b_i - b_j + t of key
+    (i, j, t) in Z^(k-1) + Z^r, b_0 = 0 and b_i the i-th unit vector, and
+    T = Z^r / R; it is additive on every nonzero product.  With 0 the
+    first row, b(i) = [i, 0, 0], tau(t) = [0, 0, t] and g each unit
+    generator of the domain, these nonzero products give N: b_i -> b(i),
+    t -> tau(t):
+      (j, j, 0)(j, j, t): [j, j, 0] = 0, so tau(0) = 0;
+      (i, j, 0)(j, j, t): [i, j, t] = [i, j, 0] + tau(t), as E_jj X_t
+        and E_00 X_t share the degree tau(t);
+      (i, 0, 0)(0, l, 0): [i, l, 0] = b(i) - b(l), as l = i gives
+        [0, i, 0] = -b(i);
+      (0, 0, t)(0, 0, g): tau(t + g) = tau(t) + tau(g), so tau(t) is
+        sum t_c tau(g_c), and d_c tau(g_c) = tau(0) = 0 on a generator
+        of order d_c: tau kills R.
+    So N(f(i, j, t)) = [i, j, t].  The model must be a grading;
+    ValueError when `grid_failures` is not empty."""
     bad = grid_failures(model)
     if bad:
         raise ValueError(f"not a block grid model: {bad[0]}")
-    k, dom = model.k, model.pairing.beta.domain
-    zero, ts = dom.zero(), [t_abs for t_abs, _ in model.pairing.elements]
-    deg = {key: model.base_degree(model.basis[n]) for key, n in model.index.items()}
-    pairs = [(deg[i, 0, zero], deg[0, l, zero]) for i in range(k) for l in range(k)]
-    pairs += [(deg[i, j, zero], deg[j, j, t])
-              for i in range(k) for j in range(k) for t in ts]
-    units = [deg[0, 0, g] for g in dom.generators()]
-    pairs += [(deg[0, 0, t], g) for t in ts for g in units]
-    return presented_quotient(model.base_group, tuple(sorted(set(deg.values()))), pairs)
+    k = model.k
+    b = [tuple(int(c == i - 1) for c in range(k - 1)) for i in range(k)]
+    block = [[tuple(x - y for x, y in zip(b[i], b[j])) for j in range(k)] for i in range(k)]
+    return formal_quotient(model.pairing.beta.domain,
+                           [(model.base_degree(model.basis[n]), block[i][j] + t)
+                            for (i, j, t), n in model.index.items()])

@@ -18,8 +18,8 @@ matrix is formed only for the fixed-copy test and the fallback bracket
 loop: independence is read from the coordinates, and the fallback
 tests membership against each component's Hermite rows, formed once
 (`in_rational_span`).  Universal
-groups need no P(n) basis: a family of pairs of orbit sums with
-closed-form nonzero brackets generates every relation (`p_labels`).
+groups need no P(n) basis: the relations are the kernel of the formal
+degree of the ambient labels (`p_labels`, `matgrade.formal_quotient`).
 The dense rational `BlockMatrix`, with its supertrace, supertranspose
 and supercommutator, and `_rref` are the reference that tests check
 the sparse routines against; the traced benchmark counts their calls.
@@ -46,7 +46,7 @@ from .matgrade import (
     build_matrix_model,
     check_spec,
     coset_shifts,
-    presented_quotient,
+    formal_quotient,
     verify_grading,
 )
 
@@ -712,10 +712,9 @@ def verify_P_graded(model: PGradedModel) -> PReport:
 Key = tuple[int, int, Coords]
 
 
-def p_labels(ambient: GradedMatrixModel) -> tuple[list[Key], list[tuple[Key, Key]]]:
-    """The labels of P(n) in its ambient even model and a family of
-    label pairs whose brackets generate every relation of the universal
-    group.
+def p_labels(ambient: GradedMatrixModel) -> list[Key]:
+    """The labels of P(n) in its ambient even model: the keys of ambient
+    basis elements whose orbit sums form a basis of P(n).
 
     Labels.  Write k for the number of block degrees, so the ambient
     keys (I, J, t) have I, J < 2k, and eps(t) = +-1 for X_t^T = eps(t) X_t
@@ -736,43 +735,54 @@ def p_labels(ambient: GradedMatrixModel) -> tuple[list[Key], list[tuple[Key, Key
     degrees, and [P_g, P_h] != 0 iff two labels of degrees g and h have
     a nonzero bracket.
 
+    Formal degrees (`universal_P_group`).  Give E_IJ X_t the formal
+    degree E_I - E_J + t in Z^(k-1) + Zf + Z^r, with E_0 = 0, E_i the
+    i-th unit vector for 1 <= i < k and E_(k+i) = f - E_i: e_i - e_j + t
+    on A(i, j, t) (0 on the trace-free diagonal), e_i + e_j - f + t on
+    B and f - e_i - e_j + t on C, with e_0 = 0.  It grades M(half, half)
+    and sigma keeps it, so P is graded by it, the labels of one formal
+    degree share their degree, and a nonzero bracket of labels of formal
+    degrees a and b has a label of formal degree a + b in its expansion.
+
     Brackets.  A(x) = (x 0; 0 -x^T), B(S) = (0 S; 0 0), C(K) = (0 0;
     K 0) give [A(x), A(y)] = A([x, y]), [A(x), B(S)] = B(x S + S x^T),
     [A(x), C(K)] = C(-(x^T K + K x)) and [B(S), C(K)] = A(S K).  Each
-    pair below is kept only when its labels and the label it is said to
-    land on exist, and then its bracket is a nonzero multiple of that
-    label, or of a nonzero trace-free diagonal (landing on "0"), by
-    these rules and X_t X_s = +-X_{t+s}.  Write [l] for the class of a
-    label's degree in the group the pairs present, g for the unit
-    generators of T, and t for any element.
+    bracket below, of labels that exist landing on a label that exists,
+    is a nonzero multiple of that label, or of a nonzero trace-free
+    diagonal (landing on "0"), by these rules and X_t X_s = +-X_{t+s}.
+    Write [l] for the class of a label's degree in the universal group, g
+    for the unit generators of T, and t for any element; the brackets
+    give u_i, w and a homomorphism tau with [l] = N(f(l)) for every label
+    l, N: e_i -> u_i, f -> -w, t -> tau(t).  `tests/helpers.py` keeps
+    them as a witness family of pairs.
 
     k >= 2, with u_i = [A(i, 0, 0)], u_0 = 0, w = [B(0, 0, 0)] and
     tau(t) = [A(j, j, t)] for t != 0 (one degree for all j), tau(0) = 0:
-      (A(1, 1, 0), A(1, 0, 0)) lands on 2 A(1, 0, 0): [0] = 0;
-      (A(i, 0, 0), A(0, j, 0)), i, j >= 1, lands on A(i, j, 0), on the
+      [A(1, 1, 0), A(1, 0, 0)] lands on 2 A(1, 0, 0): [0] = 0;
+      [A(i, 0, 0), A(0, j, 0)], i, j >= 1, lands on A(i, j, 0), on the
         diagonal if i = j: [A(0, i, 0)] = -u_i, [A(i, j, 0)] = u_i - u_j;
-      (A(i, j, 0), A(j, j, t)), i != j, t != 0, lands on A(i, j, t):
+      [A(i, j, 0), A(j, j, t)], i != j, t != 0, lands on A(i, j, t):
         [A(i, j, t)] = u_i - u_j + tau(t);
-      (A(0, 1, t), A(1, 0, g)) lands on E_00 X_{t+g} -+ E_11 X_{t+g}, the
+      [A(0, 1, t), A(1, 0, g)] lands on E_00 X_{t+g} -+ E_11 X_{t+g}, the
         diagonal if t = g: tau(t) + tau(g) = tau(t + g), so tau is a
         homomorphism;
-      (A(i, 0, 0), B(0, j, t)), i >= 1, lands on B(i, j, t) and
-        (A(j, j, t), B(0, j, 0)), t != 0, on B(0, j, t): [B(0, i, 0)] =
+      [A(i, 0, 0), B(0, j, t)], i >= 1, lands on B(i, j, t) and
+        [A(j, j, t), B(0, j, 0)], t != 0, on B(0, j, t): [B(0, i, 0)] =
         [B(i, 0, 0)] = u_i + w, then [B(0, j, t)] = u_j + w + tau(t) and
         [B(i, j, t)] = u_i + u_j + w + tau(t) (B(i, 0, t) with eps(t) =
         -1 is +-B(0, i, t));
-      (B(0, 0, 0), C(0, j, t)) lands on A(0, j, t): [C(0, j, t)] = -u_j -
-        w + tau(t); (A(0, i, 0), C(0, j, t)), i >= 1, lands on C(i, j,
+      [B(0, 0, 0), C(0, j, t)] lands on A(0, j, t): [C(0, j, t)] = -u_j -
+        w + tau(t); [A(0, i, 0), C(0, j, t)], i >= 1, lands on C(i, j,
         t): [C(i, j, t)] = -u_i - u_j - w + tau(t).
     k = 1, with A(t), B(t), C(t) for A(0, 0, t) and so on, L(t) the one
     of B(t), C(t) that exists, w = [B(0)] and phi(t) = [L(t)] - eps(t) w:
-    for every t and every g in {0} and the unit generators, (A(t), L(g))
-    if t != 0 and eps(t+g) = eps(g), landing on L(t+g), and (L(t), L(g))
+    for every t and every g in {0} and the unit generators, [A(t), L(g)]
+    if t != 0 and eps(t+g) = eps(g), landing on L(t+g), and [L(t), L(g)]
     if eps(t) != eps(g), landing on A(t+g).  By the rules [A(t), L(g)]
     is +-2 X_t X_g (1 + eps(g) eps(t+g)) in L's corner, as (X_t X_g)^T =
     eps(t) eps(g) X_g X_t and X_t X_g = +-X_{t+g}, and [B(t), C(g)] =
     A(4 X_t X_g).  g = 0 gives [A(t)] = phi(t) for t != 0.  For a unit
-    generator g, the pair of (t, g) gives phi(t+g) = phi(t) + phi(g)
+    generator g, the bracket of (t, g) gives phi(t+g) = phi(t) + phi(g)
     unless eps(t) = eps(g) != eps(t+g).  (g, g) gives 2 phi(g) = 0 when
     eps(g) = +1, and so do (t, g) and (t+g, g) when eps(g) = -1, for a t
     with eps(t) = eps(t+g) = -1.  Such a t exists: eps(t+g) = eps(t)
@@ -781,79 +791,41 @@ def p_labels(ambient: GradedMatrixModel) -> tuple[list[Key], list[tuple[Key, Key
     beta(t0, s) on S and beta(s, s') = eps(s+s') eps(s) eps(s') = 1, but
     |S| = |T|/2 > sqrt|T| = d, as d >= 4 when k = 1, and beta is
     nondegenerate.  In the remaining case (t+g, g) gives phi(t) = phi(t+g)
-    + phi(g).  So phi is a homomorphism; set u_0 = 0 and tau = phi.
-
-    Why that suffices.  Give each label the formal degree e_i - e_j + t
-    (A; 0 on the diagonal), e_i + e_j - f + t (B) or f - e_i - e_j + t
-    (C), a degree of the grading of M(half, half) in which E_IJ X_t has
-    e_I - e_J + t, e_{k+i} = f - e_i; sigma keeps it, so P is graded by
-    it, the labels of one formal degree share their degree, and a
-    nonzero bracket of labels of formal degrees a and b has a label of
-    formal degree a + b in its expansion.  Every relation of the
-    universal group is therefore [a] + [b] = [a + b] for such a, b.  The
-    pairs force [l] = N(a) for every label l of formal degree a, with N
-    the homomorphism e_i -> u_i, f -> -w, t -> tau(t), which is additive,
-    so they imply every relation; each pair is itself a relation.
+    + phi(g).  So phi is a homomorphism; set tau = phi, and [B(t)] =
+    w + tau(t), [C(t)] = -w + tau(t).
     """
-    real, dom = ambient.realization, ambient.pairing.beta.domain
-    k = ambient.sizes[0] // real.size
+    dom = ambient.pairing.beta.domain
+    k = ambient.k // 2
     zero, ts = dom.zero(), [t for t, _ in ambient.pairing.elements]
-    gens = [dom.unit(r) for r in range(dom.rank)]
     eps = _transpose_signs(ambient)
-
-    def b(i, j, t):
-        return (i, k + j, t) if i != j or eps[t] > 0 else None
-
-    def c(i, j, t):
-        return (k + i, j, t) if i != j or eps[t] < 0 else None
-
     labels = [(i, j, t) for i in range(k) for j in range(k) for t in ts
               if (i, j, t) != (0, 0, zero)]
-    labels += [key for i in range(k) for j in range(i, k) for t in ts
-               for key in (b(i, j, t), c(i, j, t)) if key]
-    if k == 1:
-        odd = {t: b(0, 0, t) or c(0, 0, t) for t in ts}
-        pairs = []
-        for t in ts:
-            for g in [zero] + gens:
-                if t != zero and eps[dom.add(t, g)] == eps[g]:
-                    pairs.append(((0, 0, t), odd[g]))
-                if eps[t] != eps[g]:
-                    pairs.append((odd[t], odd[g]))
-        return labels, pairs
-    rest = range(1, k)
-    pairs = [((1, 1, zero), (1, 0, zero))]
-    pairs += [((i, 0, zero), (0, j, zero)) for i in rest for j in rest]
-    pairs += [((i, j, zero), (j, j, t)) for i in range(k) for j in range(k)
-              for t in ts if i != j and t != zero]
-    pairs += [((0, 1, t), (1, 0, g)) for t in ts for g in gens]
-    for t in ts:
-        for j in range(k):
-            if t != zero and b(0, j, t):
-                pairs.append(((j, j, t), b(0, j, zero)))
-            if c(0, j, t):
-                pairs.append((b(0, 0, zero), c(0, j, t)))
-            pairs += [((i, 0, zero), b(0, j, t)) for i in rest
-                      if b(0, j, t) and b(i, j, t)]
-            pairs += [((0, i, zero), c(0, j, t)) for i in rest
-                      if c(0, j, t) and c(i, j, t)]
-    return labels, pairs
+    for i in range(k):
+        for j in range(i, k):
+            for t in ts:
+                if i != j or eps[t] > 0:
+                    labels.append((i, k + j, t))
+                if i != j or eps[t] < 0:
+                    labels.append((k + i, j, t))
+    return labels
 
 
 def universal_P_group(spec: PSpec) -> tuple[FinGenAbGroup, dict[Coords, Coords]]:
     """The group presented by the support of the P grading with [g] + [h] =
     [g + h] for every pair of degrees whose components have a nonzero
-    bracket, read from the labels of the ambient even model: their
-    degrees are the support, and the pairs of `p_labels`, whose docstring
-    proves that they generate every such relation, present it.  No P(n)
-    basis is built and no bracket is formed; the Hermite form of the
-    relations is canonical, so it is that of all bracket pairs."""
+    bracket (`formal_quotient`), read from the labels of the ambient even
+    model: their degrees are the support, and the docstring of `p_labels`
+    defines their formal degrees and proves both facts that
+    `formal_quotient` needs.  No P(n) basis is built and no bracket is
+    formed."""
     ambient = _ambient_model(spec)
-    basis, index = ambient.basis, ambient.index
-    labels, pairs = p_labels(ambient)
-    deg = {key: basis[index[key]].degree for key in labels}
-    return presented_quotient(ambient.base_group, sorted(set(deg.values())),
-                              [(deg[x], deg[y]) for x, y in pairs])
+    basis, index, k = ambient.basis, ambient.index, ambient.k // 2
+    e = [tuple(int(c == i - 1) for c in range(k - 1)) + (0,) for i in range(k)]
+    e += [tuple(-a for a in x[:-1]) + (1,) for x in e]
+    return formal_quotient(ambient.pairing.beta.domain,
+                           [(basis[index[key]].degree,
+                             tuple(a - b for a, b in zip(e[key[0]], e[key[1]])) + key[2])
+                            for key in p_labels(ambient)])
 
 
 def P_restriction_condition(spec: EvenAssocSpec) -> Optional[Coords]:

@@ -12,6 +12,7 @@ from gradekit.abgroup import (
     FinGenAbGroup,
     GroupHom,
     Subgroup,
+    finitely_presented_quotient,
     hermite_normal_form,
     squares_and_two_torsion,
     subgroup_and_quotient,
@@ -26,7 +27,9 @@ from gradekit.superlie import (
     _bracket,
     _p_image,
     _rows,
+    _transpose_signs,
     ambient_even_spec,
+    p_labels,
 )
 from gradekit.matgrade import (
     EmbeddedPairing,
@@ -333,19 +336,123 @@ def per_pair_failures(model):
     return failures
 
 
+def relation_rows(group, supp, pairs):
+    """The sparse rows e_i + e_j - e_k on support indices, one per
+    unordered pair {i, j} of the given degree pairs (g, h), k the index
+    of g + h; ValueError when g + h is not in the support."""
+    index = {s: n for n, s in enumerate(supp)}
+    sums = {}                       # {(i, j): k} with i <= j
+    for g, h in pairs:
+        i, j = sorted((index[g], index[h]))
+        if (i, j) in sums:
+            continue
+        k = index.get(group.add(g, h))
+        if k is None:
+            raise ValueError(f"the product of {g} and {h} leaves the support")
+        sums[i, j] = k
+    rows = []
+    # last rows first: the later pivots are then in place before the
+    # earlier rows arrive, which cuts fill-in
+    for (i, j), k in sorted(sums.items(), reverse=True):
+        row = {i: 1}
+        row[j] = row.get(j, 0) + 1
+        row[k] = row.get(k, 0) - 1
+        rows.append(row)
+    return rows
+
+
+def presented_quotient(group, supp, pairs):
+    """(group, labels): the abelian group generated by the support with
+    the relation [g] + [h] = [g + h] for every given pair of degrees, and
+    the image of each support element in it; the reference that
+    matgrade.formal_quotient's kernel is checked against."""
+    rows = hermite_normal_form(relation_rows(group, supp, pairs))
+    quotient, proj = finitely_presented_quotient(len(supp), rows)
+    return quotient, {s: proj.images[n] for n, s in enumerate(supp)}
+
+
+def witness_pairs(model):
+    """The degree pairs of the products that matgrade.universal_group's
+    docstring reads its map N from, with 0 the first row and the domain's
+    zero and g each unit generator of the domain:
+      (i, 0, 0)(0, l, 0); (i, j, 0)(j, j, t); (0, 0, t)(0, 0, g),
+    k^2 + k^2 |T| + |T| r pairs."""
+    k, dom = model.k, model.pairing.beta.domain
+    zero, ts = dom.zero(), [t_abs for t_abs, _ in model.pairing.elements]
+    deg = {key: model.base_degree(model.basis[n]) for key, n in model.index.items()}
+    pairs = [(deg[i, 0, zero], deg[0, l, zero]) for i in range(k) for l in range(k)]
+    pairs += [(deg[i, j, zero], deg[j, j, t])
+              for i in range(k) for j in range(k) for t in ts]
+    units = [deg[0, 0, g] for g in dom.generators()]
+    pairs += [(deg[0, 0, t], g) for t in ts for g in units]
+    return pairs
+
+
 def full_pair_universal_group(model):
     """(group, labels) presented by the support with one relation for
     the pair of degrees (deg x, deg y) of every nonzero product x y of
     basis elements: each distinct (degree, column) of a left factor meets
-    every degree in that row.  Up to k^3 |T|^2 pairs; the oracle for the
-    generating pairs of matgrade.universal_group."""
+    every degree in that row.  Up to k^3 |T|^2 pairs; the oracle for
+    matgrade.universal_group."""
     degree = [model.base_degree(b) for b in model.basis]
     row_degrees: dict = {}
     for b, d in zip(model.basis, degree):
         row_degrees.setdefault(b.i, set()).add(d)
     lefts = {(d, b.j) for b, d in zip(model.basis, degree)}
     pairs = {(d, e) for d, j in lefts for e in row_degrees.get(j, ())}
-    return matgrade.presented_quotient(model.base_group, model.support(), pairs)
+    return presented_quotient(model.base_group, model.support(), pairs)
+
+
+def p_label_pairs(ambient):
+    """The pairs of labels (superlie.p_labels) whose brackets
+    superlie.p_labels's docstring reads u_i, w and tau from, each with a
+    nonzero bracket."""
+    dom = ambient.pairing.beta.domain
+    k = ambient.k // 2
+    zero, ts = dom.zero(), [t for t, _ in ambient.pairing.elements]
+    gens = [dom.unit(r) for r in range(dom.rank)]
+    eps = _transpose_signs(ambient)
+
+    def b(i, j, t):
+        return (i, k + j, t) if i != j or eps[t] > 0 else None
+
+    def c(i, j, t):
+        return (k + i, j, t) if i != j or eps[t] < 0 else None
+
+    if k == 1:
+        odd = {t: b(0, 0, t) or c(0, 0, t) for t in ts}
+        pairs = []
+        for t in ts:
+            for g in [zero] + gens:
+                if t != zero and eps[dom.add(t, g)] == eps[g]:
+                    pairs.append(((0, 0, t), odd[g]))
+                if eps[t] != eps[g]:
+                    pairs.append((odd[t], odd[g]))
+        return pairs
+    rest = range(1, k)
+    pairs = [((1, 1, zero), (1, 0, zero))]
+    pairs += [((i, 0, zero), (0, j, zero)) for i in rest for j in rest]
+    pairs += [((i, j, zero), (j, j, t)) for i in range(k) for j in range(k)
+              for t in ts if i != j and t != zero]
+    pairs += [((0, 1, t), (1, 0, g)) for t in ts for g in gens]
+    for t in ts:
+        for j in range(k):
+            if t != zero and b(0, j, t):
+                pairs.append(((j, j, t), b(0, j, zero)))
+            if c(0, j, t):
+                pairs.append((b(0, 0, zero), c(0, j, t)))
+            pairs += [((i, 0, zero), b(0, j, t)) for i in rest
+                      if b(0, j, t) and b(i, j, t)]
+            pairs += [((0, i, zero), c(0, j, t)) for i in rest
+                      if c(0, j, t) and c(i, j, t)]
+    return pairs
+
+
+def p_witness(ambient):
+    """(support, degree pairs) of the labels and of `p_label_pairs`."""
+    deg = {key: ambient.basis[ambient.index[key]].degree for key in p_labels(ambient)}
+    pairs = [(deg[x], deg[y]) for x, y in p_label_pairs(ambient)]
+    return sorted(set(deg.values())), pairs
 
 
 def is_isomorphic(a: FinGenAbGroup, b: FinGenAbGroup) -> bool:
@@ -368,7 +475,7 @@ def all_pairs_universal_P_group(model):
             if any(zx + zy not in (2, -2) and _bracket(x, zx, y, zy)
                    for x, zx in rows[g] for y, zy in rows[h]):
                 pairs.append((g, h))
-    return matgrade.presented_quotient(model.ambient.base_group, supp, pairs)
+    return presented_quotient(model.ambient.base_group, supp, pairs)
 
 
 def entries_of(rows):

@@ -28,6 +28,7 @@ from gradekit.classify import enumerate_P_fine, enumerate_even_fine, enumerate_o
 from gradekit.matgrade import build_matrix_model, universal_group
 from gradekit.superlie import universal_P_group
 
+import helpers
 from helpers import (
     brute_closure,
     brute_coset_canonical_rep,
@@ -241,10 +242,11 @@ def test_hnf_matches_dense_oracle():
 
 
 def test_hnf_matches_dense_oracle_on_relation_matrices(monkeypatch):
-    """The relation rows universal groups hand to hermite_normal_form,
-    captured on fine gradings of M(4,4), M(3,3) and P(3), and the rows
-    of every product pair of the matrix gradings."""
-    calls = count_calls(monkeypatch, matgrade, "hermite_normal_form")
+    """The rows universal groups hand to the Hermite form, captured on
+    fine gradings of M(4,4), M(3,3) and P(3): the formal-degree rows of
+    matgrade.lattice_tail, and the rows of every product pair of the
+    matrix gradings."""
+    calls = count_calls(monkeypatch, matgrade, "lattice_tail")
     matrix_descs = enumerate_even_fine(4, 4) + enumerate_odd_fine(3)
     p_descs = enumerate_P_fine(3)
     models = [build_matrix_model(desc.spec) for desc in matrix_descs]
@@ -254,11 +256,14 @@ def test_hnf_matches_dense_oracle_on_relation_matrices(monkeypatch):
         universal_P_group(desc.spec)
     # one relation matrix per grading
     assert len(calls) == len(matrix_descs) + len(p_descs)
+    captured = [rows for rows, _ in calls]
+    pair_calls = count_calls(monkeypatch, helpers, "hermite_normal_form")
     for model in models:
         full_pair_universal_group(model)
-    assert len(calls) == 2 * len(matrix_descs) + len(p_descs)
-    assert max(len(rows) for (rows,) in calls) > 500
-    for (rows,) in calls:
+    assert len(pair_calls) == len(matrix_descs)
+    captured += [rows for (rows,) in pair_calls]
+    assert max(len(rows) for rows in captured) > 500
+    for rows in captured:
         # the rows are sparse; both forms must give the dense oracle's rows
         width = 1 + max(j for row in rows for j in row)
         dense = dense_rows(rows, width)

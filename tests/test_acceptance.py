@@ -942,8 +942,9 @@ def test_universal_groups_of_fine_odd_8_and_12(tmp_path):
 
 # sha256 of json.dumps(payload, sort_keys=True) of `gradekit ugroup` on
 # every fine odd 16 descriptor and on fine odd 32 #14 and #22, recorded
-# while presented_quotient handed its relation rows to the Hermite form
-# in ascending order
+# while the relation rows of product pairs went to the Hermite form in
+# ascending order, and on fine odd 32 #0 and #1, recorded while they went
+# in descending order
 UGROUP_DIGESTS_16_32 = {
     16: {
         0: "53f3e5b327cc2e50a1d21a4716b8daa71b9dc0be11fddb935034ae6944c96171",
@@ -972,17 +973,20 @@ UGROUP_DIGESTS_16_32 = {
         23: "48186eab478825fb2fb4bdf3099d1f12d6c8cbe2e6124493681ec8e0c358185c",
         24: "48186eab478825fb2fb4bdf3099d1f12d6c8cbe2e6124493681ec8e0c358185c",
         25: "8663993cda46fd4595b20be3b2f4bb21f4dfd8a310a32ca218707b484069e0c6"},
-    32: {14: "60fd684f070418c82d77a327ee0f9afb81a63afbf598ad1c7a977781e28d5285",
+    32: {0: "3a5d759b683b29bb31d927d61091e064846957c5c843bbde206b7929a129b76a",
+         1: "449fb1bea7c13382da51ebf80e151124f8c21579ded659c1f820b47b25eb93d3",
+         14: "60fd684f070418c82d77a327ee0f9afb81a63afbf598ad1c7a977781e28d5285",
          22: "c3df264b9d707a39f6f221b02ea3f899e8b633575338ce5d5d9c20a2a367df82"},
 }
 
 
 def test_universal_groups_of_fine_odd_16_and_32(tmp_path):
     """`gradekit ugroup` on every fine odd 16 descriptor and on fine odd
-    32 #14 and #22 (M(32,32)) gives the recorded payload: the 26 of
-    fine odd 16 in under 6 s together, model builds included, and each
-    of fine odd 32 in under 3 s (9.4 s, 6.6 s and 5.5 s while the
-    relation rows went in ascending order)."""
+    32 #0, #1, #14 and #22 (M(32,32)) gives the recorded payload: the 26
+    of fine odd 16 in under 6 s together, model builds included, and
+    each of fine odd 32 in under 1 s (#0 and #1 took 1.4 s each while
+    the relations were product pairs, whose Hermite form took most of
+    it)."""
     for n, digests in UGROUP_DIGESTS_16_32.items():
         payload, code = run(["fine", "odd", str(n)])
         assert code == 0
@@ -996,7 +1000,7 @@ def test_universal_groups_of_fine_odd_16_and_32(tmp_path):
             text = json.dumps(got, sort_keys=True)
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (n, i)
             if n == 32:
-                _budget(one, 3.0)
+                _budget(one, 1.0)
         if n == 16:
             assert len(digests) == len(payload["descriptors"]) == 26
             _budget(start, 6.0)

@@ -19,7 +19,7 @@ from gradekit.abgroup import FinGenAbGroup, Subgroup
 from gradekit.bichar import standard_pair
 from gradekit.cli import KINDS, main, parse_spec, run, spec_to_json
 from gradekit.matgrade import EmbeddedPairing, EvenAssocSpec, OddAssocGSpec, check_spec
-from gradekit.superlie import PSpec
+from gradekit.superlie import PSpec, check_p_spec
 
 from helpers import TRIVIAL_BETA, count_calls, count_one_pass
 
@@ -574,6 +574,21 @@ def test_model_commands_validate_once(tmp_path, monkeypatch, command, kind):
     decompositions = int(command == "verify" or kind == "p")
     assert {step: len(calls) for step, calls in counts.items()} == \
         dict(PER_SPEC[kind], decompositions=decompositions)
+
+
+@pytest.mark.parametrize("kind", sorted(PER_SPEC))
+def test_ugroup_runs_one_hermite_and_one_smith_form(tmp_path, monkeypatch, kind):
+    # past the spec's check, the kernel of the formal degree is one
+    # Hermite form and the universal group one Smith form
+    path = example_path(tmp_path, kind)
+    hermite = count_calls(monkeypatch, abgroup, "hermite_normal_form")
+    smith = count_calls(monkeypatch, abgroup, "smith_normal_form")
+    spec = parse_spec(documented_examples()[kind])
+    (check_p_spec if kind == "p" else check_spec)(spec)
+    checked = len(hermite), len(smith)
+    del hermite[:], smith[:]
+    assert run(["ugroup", "-f", path])[1] == 0
+    assert (len(hermite), len(smith)) == (checked[0] + 1, checked[1] + 1)
 
 
 @pytest.mark.parametrize("kind, mode", [

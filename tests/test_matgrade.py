@@ -11,7 +11,13 @@ from fractions import Fraction as F
 import pytest
 
 from gradekit import matgrade
-from gradekit.abgroup import FinGenAbGroup, GroupHom, Subgroup, subgroup_and_quotient
+from gradekit.abgroup import (
+    FinGenAbGroup,
+    GroupHom,
+    Subgroup,
+    hermite_normal_form,
+    subgroup_and_quotient,
+)
 from gradekit.bichar import Bicharacter, standard_pair
 from gradekit.classify import enumerate_even_fine, enumerate_odd_fine
 from gradekit.cli import parse_spec
@@ -59,7 +65,9 @@ from helpers import (
     ref_pairing_value,
     reference_build_odd_from_G,
     reference_parity_element,
+    relation_rows,
     searched_chi_vector,
+    witness_pairs,
 )
 
 Z = FinGenAbGroup(1, ())
@@ -737,6 +745,37 @@ def test_universal_group_matches_the_full_pair_oracle():
         coarser += want[0] != got[0]
     assert len(descs) == 35
     assert coarser > 10
+
+
+def test_formal_kernel_is_the_hermite_form_of_the_witness_relations(monkeypatch):
+    """universal_group hands its Smith step the Hermite rows of the
+    relations of the products its docstring reads N from, on every fine
+    grading of fine odd 1 to 16 and of M(m, n), 2 <= m <= n <= 8, on a
+    seeded coarsening of those of fine odd 1 to 8 and of the M(m, n),
+    where keys of distinct formal degrees share a degree, and on seeded
+    random even and odd specs."""
+    calls = count_calls(monkeypatch, matgrade, "finitely_presented_quotient")
+    rng = random.Random(30)
+    descs = [d for m in range(2, 9) for n in range(m, 9) for d in enumerate_even_fine(m, n)]
+    descs += [d for n in range(1, 9) for d in enumerate_odd_fine(n)]
+    models, coarser = [], 0
+    for desc in descs:
+        model = build_matrix_model(desc.spec)
+        group = model.base_group
+        kernel = [random_element(rng, group) for _ in range(rng.randint(1, 2))]
+        coarse = coarsen(model, subgroup_and_quotient(group, kernel)[2])
+        coarser += len(coarse.support()) < len(model.support())
+        models += [model, coarse]
+    models += [build_matrix_model(d.spec) for n in range(9, 17) for d in enumerate_odd_fine(n)]
+    models += [build_matrix_model(random_even_spec(rng)) for _ in range(40)]
+    models += [build_matrix_model(random_odd_g_spec(rng)) for _ in range(40)]
+    for model in models:
+        supp = model.support()
+        del calls[:]
+        universal_group(model)
+        want = hermite_normal_form(relation_rows(model.base_group, supp, witness_pairs(model)))
+        assert calls == [(len(supp), want)]
+    assert coarser > 40
 
 
 def test_universal_group_needs_the_block_grid():

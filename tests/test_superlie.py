@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gradekit.abgroup import FinGenAbGroup
+from gradekit.abgroup import FinGenAbGroup, hermite_normal_form
 from gradekit.bichar import standard_pair
 from gradekit.matgrade import (
     EvenAssocSpec,
@@ -22,7 +22,7 @@ from gradekit.matgrade import (
     build_odd_from_G,
     check_spec,
 )
-from gradekit import superlie
+from gradekit import matgrade, superlie
 from gradekit.classify import enumerate_P_fine
 from gradekit.cli import run, spec_to_json
 from gradekit.superlie import (
@@ -66,13 +66,16 @@ from helpers import (
     kernel,
     kernel_p_intersection,
     p_constraints,
+    p_label_pairs,
     p_label_vector,
+    p_witness,
     random_element,
     random_even_spec,
     random_odd_g_spec,
     random_p_candidate_spec,
     random_p_spec,
     reduce_sparse,
+    relation_rows,
     sparse_echelon,
     wide_p_spec,
 )
@@ -791,6 +794,19 @@ def test_universal_P_group_equals_the_all_pairs_oracle():
         assert universal_P_group(spec) == all_pairs_universal_P_group(build_P_model(spec))
 
 
+def test_p_formal_kernel_is_the_hermite_form_of_the_witness_relations(monkeypatch):
+    """universal_P_group hands its Smith step the Hermite rows of the
+    relations of the label pairs its docstring reads N from."""
+    calls = count_calls(monkeypatch, matgrade, "finitely_presented_quotient")
+    for spec in _oracle_p_specs():
+        ambient = _ambient_model(spec)
+        supp, pairs = p_witness(ambient)
+        del calls[:]
+        universal_P_group(spec)
+        want = hermite_normal_form(relation_rows(ambient.base_group, supp, pairs))
+        assert calls == [(len(supp), want)], spec
+
+
 def test_p_labels_are_a_graded_basis_of_the_components():
     """The label vectors lie in the component of their key's degree and
     are a basis of it; so the label degrees are the support."""
@@ -802,7 +818,7 @@ def test_p_labels_are_a_graded_basis_of_the_components():
         ambient = model.ambient
         spans = {g: sparse_echelon(model.matrix(x) for x, _ in items)
                  for g, items in model.components.items()}
-        labels, _ = p_labels(ambient)
+        labels = p_labels(ambient)
         by_degree: dict = {}
         for key in labels:
             rows, z = p_label_vector(ambient, key)
@@ -820,7 +836,7 @@ def test_p_label_family_brackets_are_nonzero():
     specs += [wide_p_spec(rng) for _ in range(30)]
     for spec in specs:
         ambient = build_P_model(spec).ambient
-        labels, pairs = p_labels(ambient)
+        labels, pairs = p_labels(ambient), p_label_pairs(ambient)
         assert pairs
         for x, y in pairs:
             assert x in labels and y in labels
