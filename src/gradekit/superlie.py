@@ -10,16 +10,18 @@ inside M(n+1,n+1): the fixed points of an involution sigma (`_p_image`)
 with tr a = 0.  Its gradings restrict even gradings of M(n+1,n+1) whose
 division algebra has an elementary 2-group support, so every realized
 basis element is a signed permutation block and sigma permutes the
-ambient basis up to sign.  Each component P(n) cap A_g is spanned by
-the sums x + sigma(x) over the sigma-orbits inside A_g, made trace-free
-on the diagonal, with no linear solve (`p_intersection`); a basis vector
-is held as its coordinates in the ambient basis.  Its sparse integer
-matrix is formed only for the fixed-copy test and the fallback bracket
-loop: independence is read from the coordinates, and the fallback
-tests membership against each component's Hermite rows, formed once
-(`in_rational_span`).  Universal
+ambient basis up to sign.  The labels of the ambient basis (`p_labels`)
+name one sigma-orbit each, and its sum x + sigma(x), made trace-free on
+the diagonal, is one basis vector of P(n) of the label's degree: the
+components P(n) cap A_g are built from the labels, with no walk of the
+ambient basis, no second orbit argument and no linear solve
+(`p_intersection`).  A basis vector is held as its coordinates in the
+ambient basis.  Its sparse integer matrix is formed only for the
+fixed-copy test and the fallback bracket loop: independence is read
+from the coordinates, and the fallback tests membership against each
+component's Hermite rows, formed once (`in_rational_span`).  Universal
 groups need no P(n) basis: the relations are the kernel of the formal
-degree of the ambient labels (`p_labels`, `matgrade.formal_quotient`).
+degree of the same labels (`matgrade.formal_quotient`).
 The dense rational `BlockMatrix`, with its supertrace, supertranspose
 and supercommutator, and `_rref` are the reference that tests check
 the sparse routines against; the traced benchmark counts their calls.
@@ -425,65 +427,37 @@ class PGradedModel:
 
 
 def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Coeffs, int]]]:
-    """Intersect every component of an even model with the standard P(n),
-    one sigma-orbit of the ambient basis at a time.
+    """The components P(n) cap A_g of the ambient model of a checked
+    `PSpec` (`_ambient_model`): one vector per label of `p_labels`, whose
+    docstring proves that these form a basis of P(n) in which each keeps
+    the degree of its label.
 
-    Write k for the number of blocks on each side, so the keys (I, J, t)
-    have I, J < 2k, and I' = I + k mod 2k.  By `_p_image`, sigma sends
-    x = E_IJ X_t to s E_J'I' X_t^T, with s = +1 in the b corner and -1
-    elsewhere, and X_t^T = eps(t) X_t as T is elementary 2
-    (`_transpose_signs`).  So sigma(x) = +-x' for the partner x' =
-    (J', I', t), in x's Z-corner: sigma permutes the basis up to sign.
-    P(n) cap A_g is the set of v in A_g with sigma(v) = v and tr a = 0.
-    The coefficient of x' in sigma(v) is +-that of x in v, so such a v
-    has coefficients of equal size on both members of an orbit inside
-    A_g, and none on an orbit that leaves A_g, as x' then has none in v.
-    The fixed points of A_g are therefore spanned by the sums x +
-    sigma(x) of its orbits, independent as the orbits are disjoint, and
-    zero only when x = x' and sigma(x) = -x.  The d x d matrices X_t are
-    orthogonal, so tr X_t = 0 for t != 0, and tr a vanishes on every
-    orbit sum except O_i = x + sigma(x) for x = (k + i, k + i, 0), all of
-    degree 0 and Z-degree 0, where it is -d for every i.  The trace-free
-    part of their span has the basis O_0 - O_i, i >= 1.
-
-    Each vector is returned as its ambient coordinates: {n: 1, n': +-1}
-    for the orbit sum of x = basis[n], {n: 1} when x = x', and four
-    terms for O_0 - O_i.  It stands at the larger index of its orbit,
-    O_0 - O_i at that of O_i, and every component lists its vectors by
-    Z-degree, then by that index.
+    Label x = (I, J, t) stands for x + sigma(x) = x + s eps(t) x' with
+    x' = (J', I', t), I' = I + k mod 2k, s = +1 in the b corner and -1
+    elsewhere (`_p_image`, `_transpose_signs`), held as its ambient
+    coordinates: {n: 1, n': +-1} at the larger index n of the orbit, or
+    {n: 1} when x = x'.  A diagonal label (i, i, 0) becomes O_0 - O_i,
+    O_i the orbit sum of (k + i, k + i, 0), at that larger index.  Every
+    component lists its vectors by Z-degree, then by that index.
     """
-    if model.kind != "even":
-        raise ValueError("P(n) sits inside an even grading")
-    if model.sizes[0] != model.sizes[1]:
-        raise ValueError("block sizes must agree")
-    if any(t != 2 for t in model.pairing.beta.domain.torsion):
-        raise ValueError("support must be an elementary 2-group")
-    real, basis, index = model.realization, model.basis, model.index
-    k = model.sizes[0] // real.size
+    basis, index, k = model.basis, model.index, model.k // 2
     zero = model.pairing.beta.domain.zero()
     eps = _transpose_signs(model)
 
-    def orbit_sum(n: int, partner: int) -> Coeffs:
+    def orbit_sum(i: int, j: int, t: Coords) -> tuple[int, Coeffs]:
+        n, partner = index[i, j, t], index[(j + k) % (2 * k), (i + k) % (2 * k), t]
         if partner == n:
-            return {n: 1}
-        b = basis[n]
-        return {n: 1, partner: eps[b.t_abs] * (1 if b.i < k <= b.j else -1)}
+            return n, {n: 1}
+        n, partner = max(n, partner), min(n, partner)
+        return n, {n: 1, partner: eps[t] * (1 if i < k <= j else -1)}
 
+    o_0 = orbit_sum(k, k, zero)[1]
     found = []
-    for n, b in enumerate(basis):
-        partner = index[(b.j + k) % (2 * k), (b.i + k) % (2 * k), b.t_abs]
-        if partner > n or basis[partner].degree != b.degree:
-            continue
-        if b.i == b.j and b.t_abs == zero:
-            if b.i == k:
-                continue
-            vec = orbit_sum(index[k, k, zero], index[0, 0, zero])
-            vec.update((m, -v) for m, v in orbit_sum(n, partner).items())
-        elif partner == n and (b.i < k) == (eps[b.t_abs] < 0):
-            continue
-        else:
-            vec = orbit_sum(n, partner)
-        found.append((b.degree, b.z_degree, n, vec))
+    for i, j, t in p_labels(model):
+        n, vec = orbit_sum(i, j, t)
+        if i == j and t == zero:
+            vec = {**o_0, **{m: -v for m, v in vec.items()}}
+        found.append((basis[n].degree, basis[n].z_degree, n, vec))
     components: dict[Coords, list[tuple[Coeffs, int]]] = {}
     for degree, z, _, vec in sorted(found, key=lambda item: item[:3]):
         components.setdefault(degree, []).append((vec, z))
@@ -501,12 +475,7 @@ def _ambient_model(spec: PSpec) -> GradedMatrixModel:
 
 def build_P_model(spec: PSpec) -> PGradedModel:
     ambient = _ambient_model(spec)
-    model = PGradedModel(ambient, p_intersection(ambient))
-    expected = 2 * (model.n + 1) ** 2 - 1
-    if model.total_dim() != expected:
-        raise RuntimeError(f"P components span {model.total_dim()} dimensions, "
-                           f"expected {expected}")
-    return model
+    return PGradedModel(ambient, p_intersection(ambient))
 
 
 @dataclass
@@ -610,9 +579,11 @@ def _ambient_proof(model: PGradedModel) -> bool:
           multiple of X_{t+s} and tr X_t = 0 for t != 0, so
           tr(X_t X_s^-1) vanishes unless t = s;
       (5) the standard copy is closed (`_fixed_copy_closed(half)`).
-    `p_intersection` passes (4): its orbits are disjoint, and O_0 - O_i
-    has O_i's coordinates to itself.  Each vector's matrix is formed
-    once, for (3).
+    `p_intersection` passes (4): it builds one orbit sum per label of
+    `p_labels`, the labels name disjoint orbits, and O_0 - O_i has O_i's
+    coordinates to itself.  These checks do not trust that
+    construction, so a vector built wrong fails here.  Each vector's
+    matrix is formed once, for (3).
     """
     ambient = model.ambient
     real = ambient.realization
@@ -828,16 +799,17 @@ def universal_P_group(spec: PSpec) -> tuple[FinGenAbGroup, dict[Coords, Coords]]
                             for key in p_labels(ambient)])
 
 
-def P_restriction_condition(spec: EvenAssocSpec) -> Optional[Coords]:
-    """A degree shift g0 witnessing that the even grading restricts to P(n).
+def P_restriction_condition(spec: GradingSpec) -> Optional[Coords]:
+    """A degree shift g0 witnessing that the grading restricts to P(n).
 
-    Returns None when the support is not an elementary 2-group or no shift
-    matches the two block-degree multisets.
+    Returns None when the spec is not even, the block counts differ, the
+    support is not an elementary 2-group or no shift matches the two
+    block-degree multisets.
     """
     checked = check_spec(spec)
     spec = checked.spec
-    if len(spec.gamma0) != len(spec.gamma1) or \
-            any(t != 2 for t in spec.beta.domain.torsion):
+    if (not isinstance(spec, EvenAssocSpec) or len(spec.gamma0) != len(spec.gamma1)
+            or any(t != 2 for t in spec.beta.domain.torsion)):
         return None
     group, tsub = spec.group, checked.pairing.sub
     xi0_inv = CosetMultiset.from_tuple(group, tsub, [group.neg(x) for x in spec.gamma0])

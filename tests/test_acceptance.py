@@ -48,7 +48,6 @@ from gradekit.superlie import (
     _reduce_vector,
     _rref,
     build_P_model,
-    p_intersection,
     realized_basis_matrix,
     superadjoint_spec,
     supertranspose,
@@ -61,6 +60,7 @@ from helpers import (
     count_calls,
     embedded_standard_torus,
     is_isomorphic,
+    kernel_p_intersection,
     oracle_chi_and_a,
     random_even_spec,
     random_odd_g_spec,
@@ -484,7 +484,7 @@ def test_p_family_dimensions_and_strict_deficiency():
         if P_restriction_condition(cand) is not None:
             continue
         model = build_matrix_model(cand)
-        comp = p_intersection(model)
+        comp = kernel_p_intersection(model)
         assert sum(len(v) for v in comp.values()) < 2 * model.sizes[0] ** 2 - 1
         checked += 1
     _budget(start, 60.0)

@@ -339,23 +339,34 @@ def test_build_P_division_support():
     assert report.ok, report.failures
 
 
+def _full_kernel(model) -> bool:
+    """Whether the kernel reference finds all of P(n) in an even model."""
+    found = sum(map(len, kernel_p_intersection(model).values()))
+    return found == 2 * model.sizes[0] ** 2 - 1
+
+
 def test_p_intersection_deficient_without_matching_blocks():
+    """The kernel reference comes up short on models that admit no P(n):
+    second block degrees that no shift of the first matches, and some of
+    80 seeded candidate models."""
     bad = EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,), (0,), (0,)),
                         ((0,), (0,), (1,)))
-    comp = p_intersection(build_matrix_model(bad))
+    assert P_restriction_condition(bad) is None
+    comp = kernel_p_intersection(build_matrix_model(bad))
     assert sum(len(v) for v in comp.values()) < 17
+    rng = random.Random(73)
+    deficient = sum(not _full_kernel(build_matrix_model(random_p_candidate_spec(rng)))
+                    for _ in range(80))
+    assert deficient
 
 
-def test_p_intersection_rejects_odd_and_unequal():
+def test_restriction_condition_rejects_odd_and_unequal():
+    """Only even specs with as many blocks on each side restrict to P(n)."""
     group = FinGenAbGroup(0, (4,))
-    odd = build_matrix_model(OddAssocGSpec(group, (2,), (), TRIVIAL_BETA,
-                                           (0,), ((0,), (0,), (0,))))
-    with pytest.raises(ValueError):
-        p_intersection(odd)
-    uneq = build_matrix_model(EvenAssocSpec(Z, (), TRIVIAL_BETA,
-                                            ((0,), (0,), (0,)), ((0,),)))
-    with pytest.raises(ValueError):
-        p_intersection(uneq)
+    odd = OddAssocGSpec(group, (2,), (), TRIVIAL_BETA, (0,), ((0,), (0,), (0,)))
+    assert P_restriction_condition(odd) is None
+    uneq = EvenAssocSpec(Z, (), TRIVIAL_BETA, ((0,), (0,), (0,)), ((0,),))
+    assert P_restriction_condition(uneq) is None
 
 
 def test_verify_P_reports_dimension_faults():
@@ -404,15 +415,12 @@ def test_restriction_condition_iff_full_intersection():
         cond = P_restriction_condition(spec)
         if cond is None:
             seen_none += 1
-            model = build_matrix_model(spec)
-            comp = p_intersection(model)
-            total = sum(len(v) for v in comp.values())
-            assert total < 2 * model.sizes[0] ** 2 - 1
+            assert not _full_kernel(build_matrix_model(spec))
         else:
             seen_some += 1
             realigned = PSpec(spec.group, spec.tgens, spec.beta,
                               spec.gamma0, cond)
-            build_P_model(realigned)  # raises unless the intersection is full
+            assert verify_P_graded(build_P_model(realigned)).ok
     assert seen_none and seen_some
 
 
@@ -484,14 +492,12 @@ def test_kernel_is_the_rref_kernel_up_to_scale():
 
 
 def _p_intersection_models():
-    """The ambient models of every fine grading of P(n), n <= 7, of 120
-    seeded random_p_spec and wide_p_spec draws, and 80 seeded candidate
-    models, many of which admit no restriction to P(n)."""
+    """The ambient models of every fine grading of P(n), n <= 7, and of
+    120 seeded random_p_spec and wide_p_spec draws."""
     models = [_ambient_model(d.spec) for n in range(2, 8) for d in enumerate_P_fine(n)]
     rng = random.Random(73)
     models += [_ambient_model(draw(rng)) for _ in range(60)
                for draw in (random_p_spec, wide_p_spec)]
-    models += [build_matrix_model(random_p_candidate_spec(rng)) for _ in range(80)]
     return models
 
 
@@ -500,7 +506,7 @@ def test_p_intersection_equals_the_kernel_reference():
     solve, degree by degree and in the same order with the same
     Z-degrees: equal when the realization has size d = 1, and up to the
     sign of each vector when d > 1."""
-    sizes, deficient = set(), 0
+    sizes = set()
     for model in _p_intersection_models():
         got, want = p_intersection(model), kernel_p_intersection(model)
         assert list(got) == list(want)
@@ -513,8 +519,23 @@ def test_p_intersection_equals_the_kernel_reference():
                 x = matrix(x)
                 negated = {key: -v for key, v in y.items()}
                 assert x == y or (d > 1 and x == negated), g
-        deficient += sum(map(len, got.values())) < 2 * model.sizes[0] ** 2 - 1
-    assert sizes == {1, 2, 4, 8} and deficient
+    assert sizes == {1, 2, 4, 8}
+
+
+def test_verify_P_does_not_trust_p_intersection():
+    """On a model that admits no P(n) the labels still give 2 (n+1)^2 - 1
+    vectors with the right Z-degrees, some of them sums across two
+    degrees: verify_P_graded accepts p_intersection's components exactly
+    when the kernel reference finds all of P(n), on 200 seeded candidate
+    models of both kinds."""
+    rng = random.Random(701)
+    verdicts = set()
+    for _ in range(200):
+        model = build_matrix_model(random_p_candidate_spec(rng))
+        full = _full_kernel(model)
+        assert verify_P_graded(PGradedModel(model, p_intersection(model))).ok == full
+        verdicts.add(full)
+    assert verdicts == {True, False}
 
 
 def test_component_vectors_are_primitive_integer_matrices():
@@ -739,9 +760,10 @@ def test_fixed_copy_is_closed_and_wrong_copies_are_not():
 
 def test_fixed_copy_membership_matches_the_p_constraints():
     """`_in_fixed_copy` (sigma(x) = x, tr a = 0) and the constraint
-    functionals of p_intersection cut out the same matrices of each
-    Z-corner: on y + sigma(y), on y + sigma(y) with one entry changed,
-    and on every component vector of the fine gradings of P(3)."""
+    functionals of the kernel reference (`helpers.p_constraints`) cut
+    out the same matrices of each Z-corner: on y + sigma(y), on
+    y + sigma(y) with one entry changed, and on every component vector
+    of the fine gradings of P(3)."""
     rng = random.Random(59)
     half = 4
 
@@ -819,6 +841,7 @@ def test_p_labels_are_a_graded_basis_of_the_components():
         spans = {g: sparse_echelon(model.matrix(x) for x, _ in items)
                  for g, items in model.components.items()}
         labels = p_labels(ambient)
+        assert len(labels) == 2 * (model.n + 1) ** 2 - 1
         by_degree: dict = {}
         for key in labels:
             rows, z = p_label_vector(ambient, key)
