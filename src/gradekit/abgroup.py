@@ -85,11 +85,32 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
     entry it does not divide is added to row t, and again it starts
     over.  Columns are swapped by renaming positions, so a row keeps the
     columns it was given; the search for a pivot stops at the first row
-    that holds a unit, and a unit pivot divides every entry, so relations
-    whose pivots are almost all 1 cost little more than their size.
+    that holds a unit, and a unit pivot divides every entry.  The rows
+    that hold each column are kept as a set of row indexes, updated
+    wherever an entry appears or vanishes, so clearing a column visits
+    its carriers only, in row order: relations whose pivots are almost
+    all 1 cost little more than their size.
     """
     S = [{j: a for j, a in r.items() if a} for r in rows]
     m = len(S)
+    holders: list[set[int]] = [set() for _ in range(n)]  # the rows holding each column
+    for i, row in enumerate(S):
+        for j in row:
+            holders[j].add(i)
+
+    def add_to(i: int, q: int, other: dict[int, int]) -> None:
+        """S[i] += q * other, in place, keeping `holders`."""
+        row = S[i]
+        for j, b in other.items():
+            v = row.get(j, 0) + q * b
+            if v:
+                if j not in row:
+                    holders[j].add(i)
+                row[j] = v
+            else:
+                del row[j]
+                holders[j].discard(i)
+
     col_at = list(range(n))         # the column at each position
     place = list(range(n))          # the position of each column
     V = [{j: 1} for j in range(n)]  # sparse columns, by column
@@ -106,7 +127,14 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
                         break
         if best is None:
             break
-        S[t], S[pi] = S[pi], S[t]
+        if pi != t:
+            for i in (t, pi):
+                for j in S[i]:
+                    holders[j].discard(i)
+            S[t], S[pi] = S[pi], S[t]
+            for i in (t, pi):
+                for j in S[i]:
+                    holders[j].add(i)
         piv = S[t]
         c = min((j for j, a in piv.items() if abs(a) == best), key=place.__getitem__)
         pc, other = place[c], col_at[t]
@@ -114,22 +142,24 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
         place[c], place[other] = t, pc
 
         p = piv[c]
-        carriers = [piv]            # the rows with an entry in column c
-        for row in S[t + 1:]:
-            a = row.get(c)
-            if a is not None:
-                _add_multiple(row, -(a // p), piv)
-                if c in row:
-                    carriers.append(row)
+        carriers = [t]              # the rows with an entry in column c
+        for i in sorted(i for i in holders[c] if i > t):
+            add_to(i, -(S[i][c] // p), piv)
+            if c in S[i]:
+                carriers.append(i)
         dirty = len(carriers) > 1
         for j in [j for j in piv if j != c]:
             q = piv[j] // p
-            for row in carriers:
+            for i in carriers:
+                row = S[i]
                 v = row.get(j, 0) - q * row[c]
                 if v:
+                    if j not in row:
+                        holders[j].add(i)
                     row[j] = v
                 else:
                     del row[j]
+                    holders[j].discard(i)
             _add_multiple(V[j], -q, V[c])
             _add_multiple(W[c], q, W[j])
             if j in piv:
@@ -141,7 +171,7 @@ def smith_normal_form(rows: Sequence[dict[int, int]], n: int
         if best != 1:
             fix = next((row for row in S[t + 1:] if any(a % p for a in row.values())), None)
             if fix is not None:
-                _add_multiple(piv, 1, fix)
+                add_to(t, 1, fix)
                 continue
         t += 1
 

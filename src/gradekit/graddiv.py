@@ -15,6 +15,7 @@ cyclotomic polynomial.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .abgroup import Coords, factorize, span
@@ -201,9 +202,9 @@ class StandardRealization:
 
     T is split into dual pairs (a_i, b_i); basis vectors are labeled by
     the subgroup B generated by the b_i, sorted lexicographically.  For
-    t = a + b (a in A, b in B), X_t sends e_{b'} to beta(a, b + b')
-    e_{b + b'}.  Entries are exponents modulo the pairing's m; the X_t
-    are built on the first call of matrix.
+    t = a + b (a in A, b in B, `split`), X_t sends e_{b'} to
+    beta(a, b + b') e_{b + b'}.  Entries are exponents modulo the
+    pairing's m; the X_t are built on the first call of matrix.
     """
 
     def __init__(self, beta: Bicharacter):
@@ -219,42 +220,54 @@ class StandardRealization:
         if self.size * self.size != self.group.order():
             raise ValueError("label count does not square to the group order")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        # t -> (a, b, X_t), filled by _build
-        self._parts: dict[Coords, tuple[Coords, Coords, MonomialMatrix]] = {}
+        self._matrices: dict[Coords, MonomialMatrix] = {}  # t -> X_t, filled by _build
 
-    def _build(self) -> dict[Coords, tuple[Coords, Coords, MonomialMatrix]]:
-        """Every X_t, from the (alpha, delta) coordinates of t = a + b:
-        entry j of X_t is a N (b + label j) modulo m."""
+    @cached_property
+    def split(self) -> dict[Coords, tuple[Coords, Coords]]:
+        """t -> (a, b) with t = a + b, a in the span A of the a_i and b in
+        B, for every t of the domain."""
+        add = self.group.add
+        split = {add(a, b): (a, b)
+                 for _, a in span(self.group, self.dec.a_gens, self.dec.orders)
+                 for b in self.labels}
+        if len(split) != self.size * self.size:
+            raise ValueError("dual pairs do not span the domain")
+        return split
+
+    def _build(self) -> dict[Coords, MonomialMatrix]:
+        """Every X_t, from the split t = a + b: entry j of X_t is
+        a N (b + label j) modulo m."""
         m, n = self.m, self.beta.N
         add = self.group.add
         targets = {b: [add(b, lab) for lab in self.labels] for b in self.labels}
         perms = {b: tuple(self._index[u] for u in us) for b, us in targets.items()}
-        parts = {}
-        for _, a in span(self.group, self.dec.a_gens, self.dec.orders):
-            row = _row(a, n)
-            for b, us in targets.items():
-                t = add(a, b)
-                exps = tuple(sum(r * u for r, u in zip(row, target)) % m
-                             for target in us)
-                parts[t] = (a, b, MonomialMatrix._of(m, perms[b], exps))
-        if len(parts) != self.size * self.size:
-            raise ValueError("dual pairs do not span the domain")
-        self._parts = parts
-        return parts
+        rows: dict[Coords, list[int]] = {}
+        for t, (a, b) in self.split.items():
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = _row(a, n)
+            exps = tuple(sum(r * u for r, u in zip(row, target)) % m
+                         for target in targets[b])
+            self._matrices[t] = MonomialMatrix._of(m, perms[b], exps)
+        return self._matrices
 
     def matrix(self, t: Coords) -> MonomialMatrix:
-        parts = self._parts or self._build()
-        got = parts.get(t)
-        if got is None:
-            got = parts[self.group.reduce(t)]
-        return got[2]
+        mats = self._matrices or self._build()
+        got = mats.get(t)
+        return got if got is not None else mats[self.group.reduce(t)]
 
     def transpose_partner(self, t: Coords) -> tuple[Coords, int]:
-        """(u, c) with X_t^T = zeta^c X_u; u flips the B part of t."""
-        parts = self._parts or self._build()
-        a, b, _ = parts.get(t) or parts[self.group.reduce(t)]
-        c = sum(r * y for r, y in zip(_row(a, self.beta.N), b)) % self.m
-        return self.group.sub(a, b), c
+        """(u, c) with X_t^T = zeta^c X_u, read off the split t = a + b
+        with no matrix formed: u = a - b flips the B part of t, and c is
+        `transpose_exponent`."""
+        a, b = self.split.get(t) or self.split[self.group.reduce(t)]
+        return self.group.sub(a, b), self.transpose_exponent(a, b)
+
+    def transpose_exponent(self, a: Coords, b: Coords) -> int:
+        """c = a N . b modulo m, the exponent of X_{a+b}^T = zeta^c X_{a-b}
+        for a in A and b in B: X_{a+b}^T sends e_{b+j} to beta(a, b + j)
+        e_j, and X_{a-b} sends it to beta(a, j) e_j."""
+        return sum(r * y for r, y in zip(_row(a, self.beta.N), b)) % self.m
 
 
 def _row(x: Coords, n: Sequence[Sequence[int]]) -> list[int]:

@@ -92,16 +92,20 @@ class EmbeddedPairing:
     T (`sub`) and `abstract_coords` come from one Hermite form, that of
     the map from the domain onto T (`GroupHom._preimage_form`): T is its
     image, and a domain element over x in T its preimage, with no table.
+    A caller that has formed T's lattice already may pass T as sub;
+    `check` still compares its order with the domain's.
     """
 
     def __init__(self, ambient: FinGenAbGroup, gens: tuple[Coords, ...],
-                 beta: Bicharacter):
+                 beta: Bicharacter, sub: Optional[Subgroup] = None):
         if beta.domain.rank != len(gens):
             raise ValueError("one generator per bicharacter coordinate required")
         self.ambient = ambient
         self.gens = tuple(ambient.reduce(g) for g in gens)
         self.beta = beta
         self.hom = GroupHom(beta.domain, ambient, self.gens)
+        if sub is not None:
+            self.sub = sub
 
     @cached_property
     def sub(self) -> Subgroup:
@@ -220,8 +224,9 @@ def check_spec(spec: GradingSpec) -> CheckedSpec:
                          u=g.reduce(spec.u), gamma=reduced(spec.gamma))
     if not source.gamma:
         raise ValueError("the block-degree tuple must be nonempty")
-    out = source if isinstance(source, OddAssocTSpec) else build_odd_from_G(source)
-    pairing = EmbeddedPairing(ext.group, out.tgens, out.beta)
+    found: dict[str, Subgroup] = {}
+    out = source if isinstance(source, OddAssocTSpec) else build_odd_from_G(source, found)
+    pairing = EmbeddedPairing(ext.group, out.tgens, out.beta, found.get("support"))
     pairing.check()
     if all(ext.bit(t) == 0 for t in out.tgens):
         raise ValueError("support has no odd elements; use an even spec")
@@ -662,7 +667,7 @@ def odd_existence_check(group: FinGenAbGroup, t0: Coords,
     return _lift_data(group, t0, tbar_gens, beta_bar)[-1]
 
 
-def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
+def build_odd_from_G(spec: OddAssocGSpec, found: Optional[dict] = None) -> OddAssocTSpec:
     """Convert the G-description of an odd grading to explicit support in G#.
 
     Everything is read inside G (`_lift_data`): the coordinates of
@@ -706,6 +711,8 @@ def build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
         raise ValueError(f"u squared is {g.scale(2, u)}, expected {a}")
     ext = ParityExtension(g)
     tu = Subgroup(ext.group, [ext.embed(x) for x, _ in t_plus.smith_gens] + [ext.lift(u, 1)])
+    if found is not None:
+        found["support"] = tu
     # beta((s + i u, i), (t + j u, j)) = beta_bar(theta(s), theta(t)) - j chi(s) + i chi(t)
     parts = []
     for x, _ in tu.smith_gens:

@@ -19,9 +19,13 @@ ambient basis, no second orbit argument and no linear solve
 ambient basis.  Its sparse integer matrix is formed only for the
 fixed-copy test and the fallback bracket loop: independence is read
 from the coordinates, and the fallback tests membership against each
-component's Hermite rows, formed once (`in_rational_span`).  Universal
-groups need no P(n) basis: the relations are the kernel of the formal
-degree of the same labels (`matgrade.formal_quotient`).
+component's Hermite rows, formed once (`in_rational_span`).  The labels
+need only k, the torus and one transpose sign per torus element, read
+from the realization's split with no matrix formed (`_labels`,
+`_transpose_signs`).  Universal groups need no model at all: a label's
+degree comes from the spec's block degrees, and the relations are the
+kernel of the formal degree of the labels (`universal_P_group`,
+`matgrade.formal_quotient`).
 The dense rational `BlockMatrix`, with its supertrace, supertranspose
 and supercommutator, and `_rref` are the reference that tests check
 the sparse routines against; the traced benchmark counts their calls.
@@ -32,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Optional, Sequence
 
 from .abgroup import Coords, FinGenAbGroup, hermite_normal_form, in_rational_span
 from .bichar import Bicharacter
+from .graddiv import StandardRealization
 from .matgrade import (
     CheckedSpec,
     CosetMultiset,
@@ -245,12 +250,13 @@ def _sign(e: int, m: int) -> int:
     raise ValueError(f"root zeta_{m}^{e} is not rational")
 
 
-def _transpose_signs(model: GradedMatrixModel) -> dict[Coords, int]:
-    """eps(t) = +-1 with X_t^T = eps(t) X_t, for every t of an elementary
-    2-group torus (`transpose_partner` then keeps t)."""
-    real = model.realization
-    return {t: _sign(real.transpose_partner(t)[1], real.m)
-            for t, _ in model.pairing.elements}
+def _transpose_signs(real: StandardRealization, ts: Sequence[Coords]) -> dict[Coords, int]:
+    """eps(t) = +-1 with X_t^T = eps(t) X_t for every t in ts, a list of
+    the elements of an elementary 2-group torus: zeta^c for the
+    `transpose_exponent` c of the split t = a + b, where a - b = t.  No
+    matrix is formed."""
+    split = real.split
+    return {t: _sign(real.transpose_exponent(*split[t]), real.m) for t in ts}
 
 
 def _basis_entries(model: GradedMatrixModel, index: int) -> Entries:
@@ -442,7 +448,8 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Coeffs, 
     """
     basis, index, k = model.basis, model.index, model.k // 2
     zero = model.pairing.beta.domain.zero()
-    eps = _transpose_signs(model)
+    ts = [t for t, _ in model.pairing.elements]
+    eps = _transpose_signs(model.realization, ts)
 
     def orbit_sum(i: int, j: int, t: Coords) -> tuple[int, Coeffs]:
         n, partner = index[i, j, t], index[(j + k) % (2 * k), (i + k) % (2 * k), t]
@@ -453,7 +460,7 @@ def p_intersection(model: GradedMatrixModel) -> dict[Coords, list[tuple[Coeffs, 
 
     o_0 = orbit_sum(k, k, zero)[1]
     found = []
-    for i, j, t in p_labels(model):
+    for i, j, t in _labels(k, ts, eps):
         n, vec = orbit_sum(i, j, t)
         if i == j and t == zero:
             vec = {**o_0, **{m: -v for m, v in vec.items()}}
@@ -689,7 +696,7 @@ def p_labels(ambient: GradedMatrixModel) -> list[Key]:
 
     Labels.  Write k for the number of block degrees, so the ambient
     keys (I, J, t) have I, J < 2k, and eps(t) = +-1 for X_t^T = eps(t) X_t
-    (`transpose_partner`; T is elementary 2).  A label is the ambient key
+    (`_transpose_signs`; T is elementary 2).  A label is the ambient key
     of an element x = E_IJ X_t, standing for x + sigma(x) (`_p_image`):
       A(i, j, t) = (i, j, t), i, j < k: E_ij X_t with -(E_ij X_t)^T in
         the d corner; A(i, i, 0) for i >= 1 stands for the trace-free
@@ -765,10 +772,15 @@ def p_labels(ambient: GradedMatrixModel) -> list[Key]:
     + phi(g).  So phi is a homomorphism; set tau = phi, and [B(t)] =
     w + tau(t), [C(t)] = -w + tau(t).
     """
-    dom = ambient.pairing.beta.domain
-    k = ambient.k // 2
-    zero, ts = dom.zero(), [t for t, _ in ambient.pairing.elements]
-    eps = _transpose_signs(ambient)
+    ts = [t for t, _ in ambient.pairing.elements]
+    return _labels(ambient.k // 2, ts, _transpose_signs(ambient.realization, ts))
+
+
+def _labels(k: int, ts: Sequence[Coords], eps: dict[Coords, int]) -> list[Key]:
+    """The labels of `p_labels` for k block degrees, the torus elements
+    ts of the domain, the domain's zero first, and their transpose signs
+    eps (`_transpose_signs`)."""
+    zero = ts[0]
     labels = [(i, j, t) for i in range(k) for j in range(k) for t in ts
               if (i, j, t) != (0, 0, zero)]
     for i in range(k):
@@ -785,18 +797,27 @@ def universal_P_group(spec: PSpec) -> tuple[FinGenAbGroup, dict[Coords, Coords]]
     """The group presented by the support of the P grading with [g] + [h] =
     [g + h] for every pair of degrees whose components have a nonzero
     bracket (`formal_quotient`), read from the labels of the ambient even
-    model: their degrees are the support, and the docstring of `p_labels`
-    defines their formal degrees and proves both facts that
-    `formal_quotient` needs.  No P(n) basis is built and no bracket is
-    formed."""
-    ambient = _ambient_model(spec)
-    basis, index, k = ambient.basis, ambient.index, ambient.k // 2
+    grading (`p_labels`, whose docstring defines their formal degrees
+    and proves both facts that `formal_quotient` needs).  Everything is
+    read off the checked spec: label (I, J, t) has the degree gamma_I -
+    gamma_J + t of its ambient key, for the 2k block degrees gamma of
+    `ambient_even_spec`, and the labels need only the transpose signs
+    (`_transpose_signs`).  No ambient model, no matrix, no P(n) basis and
+    no bracket is formed."""
+    checked = check_p_spec(spec)
+    ambient, pairing = ambient_even_spec(checked.spec), checked.pairing
+    g, k = ambient.group, len(ambient.gamma0)
+    gamma = ambient.gamma0 + ambient.gamma1
+    block = [[g.sub(x, y) for y in gamma] for x in gamma]
     e = [tuple(int(c == i - 1) for c in range(k - 1)) + (0,) for i in range(k)]
     e += [tuple(-a for a in x[:-1]) + (1,) for x in e]
-    return formal_quotient(ambient.pairing.beta.domain,
-                           [(basis[index[key]].degree,
-                             tuple(a - b for a, b in zip(e[key[0]], e[key[1]])) + key[2])
-                            for key in p_labels(ambient)])
+    formal = [[tuple(a - b for a, b in zip(x, y)) for y in e] for x in e]
+    push = dict(pairing.elements)
+    ts = list(push)
+    eps = _transpose_signs(StandardRealization(pairing.beta), ts)
+    return formal_quotient(pairing.beta.domain,
+                           [(g.add(block[i][j], push[t]), formal[i][j] + t)
+                            for i, j, t in _labels(k, ts, eps)])
 
 
 def P_restriction_condition(spec: GradingSpec) -> Optional[Coords]:

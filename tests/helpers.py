@@ -18,11 +18,12 @@ from gradekit.abgroup import (
     subgroup_and_quotient,
 )
 from gradekit.bichar import Bicharacter, beta_isomorphism, common_modulus, standard_pair
-from gradekit import matgrade
+from gradekit import abgroup, matgrade
 from gradekit.cli import spec_to_json
 from gradekit.graddiv import product_table, realization_failures
 from gradekit.superlie import (
     PSpec,
+    _ambient_model,
     _basis_entries,
     _bracket,
     _p_image,
@@ -411,7 +412,7 @@ def p_label_pairs(ambient):
     k = ambient.k // 2
     zero, ts = dom.zero(), [t for t, _ in ambient.pairing.elements]
     gens = [dom.unit(r) for r in range(dom.rank)]
-    eps = _transpose_signs(ambient)
+    eps = _transpose_signs(ambient.realization, ts)
 
     def b(i, j, t):
         return (i, k + j, t) if i != j or eps[t] > 0 else None
@@ -453,6 +454,41 @@ def p_witness(ambient):
     deg = {key: ambient.basis[ambient.index[key]].degree for key in p_labels(ambient)}
     pairs = [(deg[x], deg[y]) for x, y in p_label_pairs(ambient)]
     return sorted(set(deg.values())), pairs
+
+
+def model_universal_P_group(spec):
+    """superlie.universal_P_group as it was read off the ambient even
+    model: each label of `p_labels` takes the degree of its ambient basis
+    element and the formal degree E_I - E_J + t.  The reference for the
+    construction from the spec alone."""
+    ambient = _ambient_model(spec)
+    basis, index, k = ambient.basis, ambient.index, ambient.k // 2
+    e = [tuple(int(c == i - 1) for c in range(k - 1)) + (0,) for i in range(k)]
+    e += [tuple(-a for a in x[:-1]) + (1,) for x in e]
+    return matgrade.formal_quotient(
+        ambient.pairing.beta.domain,
+        [(basis[index[key]].degree,
+          tuple(a - b for a, b in zip(e[key[0]], e[key[1]])) + key[2])
+         for key in p_labels(ambient)])
+
+
+def formal_relation_invariants(domain: FinGenAbGroup, keys) -> list[int]:
+    """The invariant factors of F/R', one 0 per free rank, torsion first,
+    from a Smith form of the rows of R' alone, for the (degree, formal
+    degree) keys that matgrade.formal_quotient is handed: R' holds the
+    domain's relation rows on the last columns and f(x) - f(x_s) for each
+    key x after the first key x_s of its degree.  The formal degrees of
+    the keys generate F, so F/R' is the universal group."""
+    width = len(keys[0][1])
+    shift = width - domain.rank
+    rows = [{shift + j: a for j, a in enumerate(r) if a} for r in domain.relation_rows()]
+    first = {}
+    for degree, formal in keys:
+        x = first.setdefault(degree, formal)
+        if formal != x:
+            rows.append({j: a - b for j, (a, b) in enumerate(zip(formal, x)) if a != b})
+    diag, _, _ = abgroup.smith_normal_form(rows, width)
+    return [d for d in diag if d != 1]
 
 
 def is_isomorphic(a: FinGenAbGroup, b: FinGenAbGroup) -> bool:
@@ -872,11 +908,12 @@ def reference_square_class(g: FinGenAbGroup, t0: Coords, tbar_gens: tuple[Coords
     return t0, theta, bar_pairing, t_plus, chi, mod, a
 
 
-def reference_build_odd_from_G(spec: OddAssocGSpec) -> OddAssocTSpec:
+def reference_build_odd_from_G(spec: OddAssocGSpec, found=None) -> OddAssocTSpec:
     """matgrade.build_odd_from_G through G/<t0>: the coordinates of
     theta(s) are read through the pairing on G/<t0>
     (`reference_square_class`).  The reference for
-    matgrade.build_odd_from_G."""
+    matgrade.build_odd_from_G; it leaves found empty, so the converted
+    pairing forms its T itself."""
     g = spec.group
     t0, theta, bar_pairing, t_plus, chi, mod, a = reference_square_class(
         g, spec.t0, spec.tbar_gens, spec.beta_bar)

@@ -624,13 +624,14 @@ def test_odd_t_verify_runs_no_smith_normal_form(tmp_path, monkeypatch):
 def test_odd_g_check_runs_few_normal_forms(monkeypatch):
     # inside G: T+ and the coordinates of theta(s) from one Hermite form,
     # the radical and abar of beta_bar from another, the kernel of
-    # doubling and its complement, T_u, the converted pairing's map and
-    # its bicharacter's map (the parity element reuses the last); Smith
-    # forms for T+ and T_u.  The quotient-based check ran 28 and 3.
+    # doubling and its complement, T_u, which the converted pairing takes
+    # as its T, and that pairing's bicharacter's map (the parity element
+    # reuses the last); Smith forms for T+ and T_u.  The quotient-based
+    # check ran 28 and 3.
     hermite = count_calls(monkeypatch, abgroup, "hermite_normal_form")
     smith = count_calls(monkeypatch, abgroup, "smith_normal_form")
     check_spec(parse_spec(documented_examples()["odd_g"]))
-    assert len(hermite) <= 8 and len(smith) <= 2
+    assert len(hermite) <= 6 and len(smith) <= 2
 
 
 @pytest.mark.parametrize("mode", ["assoc", "lie"])

@@ -499,8 +499,7 @@ def _generator_proof_mutants():
     exps = list(mono.exps)
     for j in (0, mono.perm[0]):
         exps[j] = (exps[j] + mono.m // 2) % mono.m
-    a, b, _ = real._parts[t]
-    real._parts[t] = (a, b, MonomialMatrix(mono.m, mono.perm, exps))
+    real._matrices[t] = MonomialMatrix(mono.m, mono.perm, exps)
     yield "one product", with_parts(model, realization=real)
     yield "one torus label", with_parts(model, basis=tuple(
         replace(x, degree=dg.add(x.degree, delta)) if x.t_abs == t else x

@@ -13,7 +13,9 @@ import pytest
 
 from gradekit.abgroup import FinGenAbGroup, hermite_normal_form
 from gradekit.bichar import standard_pair
+from gradekit.graddiv import MonomialMatrix, StandardRealization
 from gradekit.matgrade import (
+    BasisElement,
     EvenAssocSpec,
     GradedMatrixModel,
     OddAssocGSpec,
@@ -65,6 +67,7 @@ from helpers import (
     entries_of,
     kernel,
     kernel_p_intersection,
+    model_universal_P_group,
     p_constraints,
     p_label_pairs,
     p_label_vector,
@@ -875,3 +878,43 @@ def test_ugroup_on_p_forms_no_bracket_and_no_intersection(tmp_path, monkeypatch)
         payload, code = run(["ugroup", "-f", str(path)])
         assert code == 0 and payload["labels"]
     assert brackets == [] and intersections == []
+
+
+def test_ugroup_on_p_builds_no_model_and_no_matrix(tmp_path, monkeypatch):
+    """The labels, their degrees and their transpose signs are read off
+    the checked spec and the realization's split."""
+    built = [count_calls(monkeypatch, owner, name) for owner, name in (
+        (GradedMatrixModel, "__init__"), (BasisElement, "__init__"),
+        (MonomialMatrix, "__init__"), (MonomialMatrix, "_of"))]
+    path = tmp_path / "spec.json"
+    for n, i in ((2, 0), (3, 1), (5, 1), (7, 0), (15, 4)):
+        path.write_text(json.dumps(spec_to_json(enumerate_P_fine(n)[i].spec)))
+        payload, code = run(["ugroup", "-f", str(path)])
+        assert code == 0 and payload["labels"]
+    assert built == [[], [], [], []]
+
+
+def test_p_verify_forms_each_transpose_once(tmp_path, monkeypatch):
+    """verify on a P(n) spec reads each transpose sign once: the
+    components take theirs from the split, and `verify_grading` asks
+    `transpose_partner` once per torus element."""
+    calls = count_calls(monkeypatch, StandardRealization, "transpose_partner")
+    path = tmp_path / "spec.json"
+    for n, i in ((2, 0), (3, 2), (5, 0), (7, 3)):
+        spec = enumerate_P_fine(n)[i].spec
+        path.write_text(json.dumps(spec_to_json(spec)))
+        del calls[:]
+        payload, code = run(["verify", "-f", str(path)])
+        assert code == 0 and payload["verdict"] == "pass"
+        torus = [t for t, _ in check_p_spec(spec).pairing.elements]
+        assert sorted(t for _, t in calls) == sorted(torus)
+
+
+def test_universal_P_group_equals_the_model_reference():
+    """Read off the spec, the group and the labels are those read off the
+    ambient even model, in the same order."""
+    for spec in _oracle_p_specs():
+        group, labels = universal_P_group(spec)
+        want_group, want_labels = model_universal_P_group(spec)
+        assert group == want_group
+        assert list(labels.items()) == list(want_labels.items())
